@@ -5,7 +5,7 @@ Subcommands:
     escat msr simulate  --config acq.json --out prefix [--seed s]
     escat msr reconstruct --config acq.json --data prefix --out out.json
     escat msr analyze   --config acq.json --out out.json [--epsilon e]
-    escat cloak design  --config design.json --out out.json [--seed s] [--threads t]
+    escat cloak design  --config design.json --out out.json [--seed s]
     escat cloak evaluate --config eval.json --out out.json
     escat cloak scaling --config scaling.json --out out.json
     escat verify [suite ...] [--out out.json]
@@ -183,7 +183,6 @@ def cmd_cloak_design(args) -> int:
         n_starts=doc.get("n_starts", 16),
         seed=args.seed if args.seed is not None else doc.get("seed", 0),
         mode_mask=doc.get("mode_mask", "PS"),
-        threads=args.threads or 1,
     )
     target = doc.get("target_reduction")
     status = "ok"
@@ -245,7 +244,6 @@ def cmd_verify(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="escat", description=__doc__.splitlines()[0])
-    p.add_argument("--threads", type=int, default=None, help="worker cap for parallel stages")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, out_required=True):

@@ -20,14 +20,15 @@ nearly vanish.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import optimize as sopt
+from scipy import special as sp
 
 from .errors import DomainError, ResonanceError
-from .wavefields import Material, MaterialPair, ModeIndex, traction_coeffs
+from .specialfun import _fold
+from .wavefields import Material, MaterialPair, _traction_bc
 
 logger = logging.getLogger(__name__)
 
@@ -119,58 +120,26 @@ def layer_matrix(n: int, r: float, material: Material, omega: float) -> LayerMat
     """
     if r <= 0 or omega <= 0:
         raise DomainError("radius and omega must be positive")
-    from scipy import special as sp
-
     tp = r * material.kappa_p(omega)
     ts = r * material.kappa_s(omega)
-    jp_, jpp = _jn(n, tp), _jnp(n, tp)
-    js_, jsp = _jn(n, ts), _jnp(n, ts)
-    hp_, hpp = _hn(n, tp), _hnp(n, tp)
-    hs_, hsp = _hn(n, ts), _hnp(n, ts)
-    cp = traction_coeffs(ModeIndex("P", n), r, material, omega)
-    cs = traction_coeffs(ModeIndex("S", n), r, material, omega)
+    t = np.array([tp, ts])
+    j, jd = _fold(sp.jv, n, t)
+    h, hd = _fold(sp.hankel1, n, t)
+    lam, mu = material.lam, material.mu
+    bp, cp = _traction_bc("P", n, tp, lam, mu, h[0], hd[0])
+    bhp, chp = _traction_bc("P", n, tp, lam, mu, j[0], jd[0])
+    bs, cs = _traction_bc("S", n, ts, lam, mu, h[1], hd[1])
+    bhs, chs = _traction_bc("S", n, ts, lam, mu, j[1], jd[1])
     m = np.array(
         [
-            [tp * jpp, 1j * n * js_, tp * hpp, 1j * n * hs_],
-            [1j * n * jp_, -ts * jsp, 1j * n * hp_, -ts * hsp],
-            [cp.B_hat, cs.B_hat, cp.B, cs.B],
-            [cp.C_hat, cs.C_hat, cp.C, cs.C],
+            [tp * jd[0], 1j * n * j[1], tp * hd[0], 1j * n * h[1]],
+            [1j * n * j[0], -ts * jd[1], 1j * n * h[0], -ts * hd[1]],
+            [bhp, bhs, bp, bs],
+            [chp, chs, cp, cs],
         ],
         dtype=complex,
     )
     return LayerMatrix(order=n, radius=r, matrix=m)
-
-
-def _jn(n, t):
-    from scipy import special as sp
-
-    if n >= 0:
-        return sp.jv(n, t)
-    return ((-1) ** (-n)) * sp.jv(-n, t)
-
-
-def _jnp(n, t):
-    from scipy import special as sp
-
-    if n >= 0:
-        return sp.jvp(n, t)
-    return ((-1) ** (-n)) * sp.jvp(-n, t)
-
-
-def _hn(n, t):
-    from scipy import special as sp
-
-    if n >= 0:
-        return sp.hankel1(n, t)
-    return ((-1) ** (-n)) * sp.hankel1(-n, t)
-
-
-def _hnp(n, t):
-    from scipy import special as sp
-
-    if n >= 0:
-        return sp.h1vp(n, t)
-    return ((-1) ** (-n)) * sp.h1vp(-n, t)
 
 
 def _inv_guarded(m: np.ndarray, what: str) -> np.ndarray:
@@ -192,6 +161,23 @@ def _inv_guarded(m: np.ndarray, what: str) -> np.ndarray:
     return np.linalg.inv(m)
 
 
+def _interface_chain(structure: LayeredStructure, omega: float, n: int) -> np.ndarray:
+    """M_{n,L}(r_{L+1}) prod_{j=L..1} M_{n,j}^{-1}(r_j) M_{n,j-1}(r_j).
+
+    Maps the exterior coefficients a_0 to the scaled traces and tractions
+    of the innermost coat at the inner radius r_{L+1}.
+    """
+    radii = structure.radii
+    length = structure.n_layers
+    prop = np.eye(4, dtype=complex)
+    for j in range(1, length + 1):
+        mj = layer_matrix(n, radii[j - 1], structure.material_of_annulus(j), omega)
+        mjm1 = layer_matrix(n, radii[j - 1], structure.material_of_annulus(j - 1), omega)
+        prop = _inv_guarded(mj.matrix, f"layer matrix M_(n={n},j={j})") @ mjm1.matrix @ prop
+    m_out = layer_matrix(n, radii[-1], structure.material_of_annulus(length), omega)
+    return m_out.matrix @ prop
+
+
 def propagate_Q(structure: LayeredStructure, omega: float, n: int):
     """Global response matrix Q^(n) and its lower 2x2 blocks (Q21, Q22).
 
@@ -202,18 +188,8 @@ def propagate_Q(structure: LayeredStructure, omega: float, n: int):
     """
     if structure.inner != "cavity":
         raise DomainError("propagate_Q applies to cavity structures")
-    radii = structure.radii
-    length = structure.n_layers
-    prop = np.eye(4, dtype=complex)
-    for j in range(1, length + 1):
-        mj = layer_matrix(n, radii[j - 1], structure.material_of_annulus(j), omega)
-        mjm1 = layer_matrix(n, radii[j - 1], structure.material_of_annulus(j - 1), omega)
-        prop = _inv_guarded(mj.matrix, f"layer matrix M_(n={n},j={j})") @ mjm1.matrix @ prop
-    innermost = structure.material_of_annulus(length)
-    mb = layer_matrix(n, radii[-1], innermost, omega).matrix
-    boundary = np.zeros((4, 4), dtype=complex)
-    boundary[2:, :] = mb[2:, :]
-    q = boundary @ prop
+    q = np.zeros((4, 4), dtype=complex)
+    q[2:, :] = _interface_chain(structure, omega, n)[2:, :]
     return q, q[2:, :2].copy(), q[2:, 2:].copy()
 
 
@@ -231,26 +207,15 @@ def layered_esc(structure: LayeredStructure, omega: float, n: int) -> np.ndarray
         _, q21, q22 = propagate_Q(structure, omega, n)
         a0 = -_inv_guarded(q22, f"Q22(n={n})") @ q21  # columns: incident P, S
         return ESC_SCALE * rho_w2 * a0
-    # solid core: innermost field b^P JP + b^S JS with core material
-    radii = structure.radii
-    length = structure.n_layers
-    prop = np.eye(4, dtype=complex)
-    for j in range(1, length + 1):
-        mj = layer_matrix(n, radii[j - 1], structure.material_of_annulus(j), omega)
-        mjm1 = layer_matrix(n, radii[j - 1], structure.material_of_annulus(j - 1), omega)
-        prop = _inv_guarded(mj.matrix, f"layer matrix M_(n={n},j={j})") @ mjm1.matrix @ prop
-    m_out = layer_matrix(n, radii[-1], structure.material_of_annulus(length), omega).matrix
-    m_core = layer_matrix(n, radii[-1], structure.inner, omega).matrix
+    # solid core: innermost field b^P JP + b^S JS with core material; the
+    # unknowns are (b^P, b^S, a^P, a^S), one column per incident mode
+    chain = _interface_chain(structure, omega, n)
+    m_core = layer_matrix(n, structure.radii[-1], structure.inner, omega).matrix
     lhs = np.empty((4, 4), dtype=complex)
-    chain = m_out @ prop  # maps a_0 to the (scaled) trace/traction at r_{L+1}
     lhs[:, :2] = m_core[:, :2]  # core J columns
     lhs[:, 2:] = -chain[:, 2:]  # unknown exterior H coefficients
-    w = np.empty((2, 2), dtype=complex)
-    for col, e in enumerate(np.eye(2)):
-        rhs = chain[:, :2] @ e
-        sol = np.linalg.solve(lhs, rhs)
-        w[:, col] = ESC_SCALE * rho_w2 * sol[2:]
-    return w
+    sol = np.linalg.solve(lhs, chain[:, :2])
+    return ESC_SCALE * rho_w2 * sol[2:]
 
 
 def analytic_disk_esc(
@@ -313,7 +278,6 @@ def design_svanishing(
     mode_mask: str = "PS",
     optimize_radii: bool = True,
     maxiter: int = 2000,
-    threads: int = 1,
     polish: bool = True,
     coeff_probe: float | None = None,
 ) -> DesignReport:
@@ -402,10 +366,11 @@ def design_svanishing(
     rng = np.random.default_rng(seed)
     starts = [lo_vec + (hi_vec - lo_vec) * rng.random(len(lo_vec)) for _ in range(n_starts)]
 
-    def run_start(k):
+    results = []
+    for k, x0 in enumerate(starts):
         res = sopt.minimize(
             objective,
-            starts[k],
+            x0,
             method="Nelder-Mead",
             options={
                 "maxiter": maxiter,
@@ -414,13 +379,7 @@ def design_svanishing(
                 "adaptive": True,
             },
         )
-        return k, res.fun, res.x
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_start, range(n_starts)))
-    else:
-        results = [run_start(k) for k in range(n_starts)]
+        results.append((k, res.fun, res.x))
     results.sort(key=lambda t: (t[1], t[0]))
     best_k, best_f, best_x = results[0]
     logger.info("design: best start %d, objective %.3e", best_k, best_f)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .bie import TransmissionSolver, build_grid
 from .curves import BoundaryCurve
-from .errors import DomainError, ReconstructionError
+from .errors import ConfigError, DomainError, ReconstructionError
 from .esc import EscMatrix, compute_esc
 from .wavefields import (
     Material,
@@ -157,16 +157,30 @@ class MsrDataset:
     def load(cls, prefix) -> "MsrDataset":
         with open(f"{prefix}.json") as f:
             config = MsrConfig.from_dict(json.load(f)["config"])
+        ns, nr = config.n_sources, config.n_receivers
         mats = {}
         for name in ("par_par", "par_perp", "perp_par", "perp_perp"):
+            path = f"{prefix}_{name}.csv"
             rows = {}
-            with open(f"{prefix}_{name}.csv") as f:
+            with open(path) as f:
                 rd = csv.reader(f)
                 next(rd)
-                for s, r, re, im in rd:
-                    rows[(int(s), int(r))] = complex(float(re), float(im))
-            ns = max(k[0] for k in rows) + 1
-            nr = max(k[1] for k in rows) + 1
+                for row in rd:
+                    try:
+                        s, r, re, im = row
+                        key, v = (int(s), int(r)), complex(float(re), float(im))
+                    except ValueError as e:
+                        raise ConfigError(f"{path}: malformed row {row}") from e
+                    if key in rows or not (0 <= key[0] < ns and 0 <= key[1] < nr):
+                        raise ConfigError(
+                            f"{path}: entry (s, r) = {key} is out of range or repeated "
+                            f"for {ns} sources x {nr} receivers"
+                        )
+                    rows[key] = v
+            if len(rows) < ns * nr:
+                raise ConfigError(
+                    f"{path}: {ns * nr - len(rows)} of {ns * nr} (s, r) entries missing"
+                )
             mat = np.empty((ns, nr), dtype=complex)
             for (s, r), v in rows.items():
                 mat[s, r] = v

@@ -45,6 +45,23 @@ def _check(order: int, argument: float) -> None:
         raise RangeError(f"|order| must be <= {MAX_ORDER}, got {order}")
 
 
+def _fold(z, order: int, t):
+    """(Z_n(t), Z_n'(t)) for Z in (sp.jv, sp.yv, sp.hankel1), any integer n.
+
+    One ufunc call on orders |n|-1, |n|, |n|+1 serves both values: the
+    derivative (Z_{|n|-1} - Z_{|n|+1}) / 2 is the formula sp.jvp, sp.yvp
+    and sp.h1vp evaluate.  The parity sign of odd negative orders is
+    applied afterwards.  t may be a scalar or an array.
+    """
+    n = abs(order)
+    orders = np.array([n - 1, n, n + 1]).reshape((3,) + (1,) * np.ndim(t))
+    zs = z(orders, t)
+    val, der = zs[1], (zs[0] - zs[2]) / 2.0
+    if order < 0 and n % 2 == 1:
+        return -val, -der
+    return val, der
+
+
 def bessel_jy(order: int, argument: float) -> BesselEval:
     """Evaluate J_n, Y_n, J_n', Y_n' at a real positive argument.
 
@@ -62,13 +79,9 @@ def bessel_jy(order: int, argument: float) -> BesselEval:
         All four values; finite for arguments in the supported envelope.
     """
     _check(order, argument)
-    n = abs(order)
-    sign = -1.0 if (order < 0 and n % 2 == 1) else 1.0
-    j = sp.jv(n, argument)
-    y = sp.yv(n, argument)
-    jp = sp.jvp(n, argument)
-    yp = sp.yvp(n, argument)
-    return BesselEval(order, argument, sign * j, sign * y, sign * jp, sign * yp)
+    j, jp = _fold(sp.jv, order, argument)
+    y, yp = _fold(sp.yv, order, argument)
+    return BesselEval(order, argument, j, y, jp, yp)
 
 
 def hankel1(order: int, argument: float) -> tuple[complex, complex]:
@@ -81,17 +94,6 @@ def hankel1(order: int, argument: float) -> tuple[complex, complex]:
     """
     ev = bessel_jy(order, argument)
     return ev.j + 1j * ev.y, ev.jp + 1j * ev.yp
-
-
-def bessel_j_sequence(n_max: int, argument) -> np.ndarray:
-    """J_n(argument) for all n = 0..n_max; argument may be an array.
-
-    Result shape is (n_max+1,) + shape(argument).
-    """
-    _check(n_max, np.min(argument) if np.ndim(argument) else argument)
-    t = np.asarray(argument, dtype=float)
-    orders = np.arange(n_max + 1).reshape((n_max + 1,) + (1,) * t.ndim)
-    return sp.jv(orders, t[None, ...] if t.ndim else t)
 
 
 def bessel_sequence(n_max: int, argument: float) -> tuple[np.ndarray, ...]:

@@ -25,6 +25,7 @@ import numpy as np
 from scipy import special as sp
 
 from .errors import DomainError
+from .specialfun import _fold
 
 __all__ = [
     "Material",
@@ -137,35 +138,6 @@ def perp(d: np.ndarray) -> np.ndarray:
     return np.array([d[1], -d[0]])
 
 
-def _bessel_j(n: int, t):
-    """J_n with parity folding for negative integer orders."""
-    if n >= 0:
-        return sp.jv(n, t)
-    s = -1.0 if (-n) % 2 == 1 else 1.0
-    return s * sp.jv(-n, t)
-
-
-def _bessel_jp(n: int, t):
-    if n >= 0:
-        return sp.jvp(n, t)
-    s = -1.0 if (-n) % 2 == 1 else 1.0
-    return s * sp.jvp(-n, t)
-
-
-def _hankel(n: int, t):
-    if n >= 0:
-        return sp.hankel1(n, t)
-    s = -1.0 if (-n) % 2 == 1 else 1.0
-    return s * sp.hankel1(-n, t)
-
-
-def _hankelp(n: int, t):
-    if n >= 0:
-        return sp.h1vp(n, t)
-    s = -1.0 if (-n) % 2 == 1 else 1.0
-    return s * sp.h1vp(-n, t)
-
-
 def _polar(points: np.ndarray):
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     r = np.hypot(pts[:, 0], pts[:, 1])
@@ -209,8 +181,7 @@ def cyl_wave_J(idx: ModeIndex, point, material: Material, omega: float) -> np.nd
     at0 = r < 1e-14
     if np.any(~at0):
         rr = r[~at0]
-        z = _bessel_j(m, kappa * rr)
-        zp = _bessel_jp(m, kappa * rr)
+        z, zp = _fold(sp.jv, m, kappa * rr)
         if idx.mode == "P":
             out[~at0] = _field_from_radial(m, kappa, rr, phi[~at0], z, zp)
         else:
@@ -245,8 +216,7 @@ def cyl_wave_H(idx: ModeIndex, point, material: Material, omega: float) -> np.nd
     pts, r, phi = _polar(point)
     if np.any(r < 1e-14):
         raise DomainError("H-type wave functions are singular at the origin")
-    z = _hankel(m, kappa * r)
-    zp = _hankelp(m, kappa * r)
+    z, zp = _fold(sp.hankel1, m, kappa * r)
     if idx.mode == "P":
         out = _field_from_radial(m, kappa, r, phi, z, zp)
     else:
@@ -313,10 +283,7 @@ def cyl_wave_traction(
     nrm = np.atleast_2d(np.asarray(normal, dtype=float))
     if np.any(r < 1e-14):
         raise DomainError("traction evaluation requires point != origin")
-    if kind == "J":
-        z, zp = _bessel_j(m, kappa * r), _bessel_jp(m, kappa * r)
-    else:
-        z, zp = _hankel(m, kappa * r), _hankelp(m, kappa * r)
+    z, zp = _fold(sp.jv if kind == "J" else sp.hankel1, m, kappa * r)
     w, hess = _scalar_hessian_terms(m, kappa, r, phi, z, zp)
     lam, mu = material.lam, material.mu
     if idx.mode == "P":
@@ -497,8 +464,8 @@ def traction_coeffs(
         raise DomainError("radius must be positive")
     n = idx.order
     t = radius * material.kappa(omega, idx.mode)
-    h, hp = _hankel(n, t), _hankelp(n, t)
-    j, jp = _bessel_j(n, t), _bessel_jp(n, t)
+    h, hp = _fold(sp.hankel1, n, t)
+    j, jp = _fold(sp.jv, n, t)
     b, c = _traction_bc(idx.mode, n, t, material.lam, material.mu, h, hp)
     bh, ch = _traction_bc(idx.mode, n, t, material.lam, material.mu, j, jp)
     return TractionCoeffs(B=b, C=c, B_hat=bh, C_hat=ch)

@@ -1,10 +1,13 @@
 """Command-line front end: exit codes, outputs, determinism."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 
-from escat.cli import main
+from escat.cli import build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 SCENE = {
     "schema_version": "1",
@@ -207,3 +210,14 @@ class TestOutputFormat:
         atomic_write_json(p, {"v": vals})
         back = json.loads(p.read_text())["v"]
         assert back == vals
+
+
+class TestReadmeUsage:
+    def test_usage_lines_parse(self):
+        lines = [
+            ln for ln in README.read_text().splitlines() if ln.startswith("escat ")
+        ]
+        assert len(lines) >= 8
+        for ln in lines:
+            argv = ln.replace("[", " ").replace("]", " ").split()[1:]
+            assert build_parser().parse_args(argv).func is not None, ln

@@ -15,7 +15,14 @@ from escat.cloak import (
     scaling_report,
 )
 from escat.errors import DomainError, ResonanceError
-from escat.wavefields import Material, MaterialPair, ModeIndex, cyl_wave_H, cyl_wave_J
+from escat.wavefields import (
+    Material,
+    MaterialPair,
+    ModeIndex,
+    cyl_wave_H,
+    cyl_wave_J,
+    traction_coeffs,
+)
 
 OMEGA = 0.9
 
@@ -63,6 +70,15 @@ class TestLayerMatrix:
         for col, u in enumerate(fields):
             assert abs(m[0, col] - r * (u @ er)) < 1e-12 * max(abs(m[0, col]), 1e-12)
             assert abs(m[1, col] - r * (u @ et)) < 1e-12 * max(abs(m[1, col]), 1e-12)
+
+    @pytest.mark.parametrize("n", range(-3, 4))
+    def test_traction_rows_equal_traction_coeffs(self, exterior, n):
+        r = 1.3
+        m = layer_matrix(n, r, exterior, OMEGA).matrix
+        cp = traction_coeffs(ModeIndex("P", n), r, exterior, OMEGA)
+        cs = traction_coeffs(ModeIndex("S", n), r, exterior, OMEGA)
+        assert np.array_equal(m[2], [cp.B_hat, cs.B_hat, cp.B, cs.B])
+        assert np.array_equal(m[3], [cp.C_hat, cs.C_hat, cp.C, cs.C])
 
     def test_traction_rows_match_finite_differences(self, exterior):
         r, n = 1.1, 1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from escat.curves import Circle
-from escat.errors import DomainError
+from escat.errors import ConfigError, DomainError
 from escat.esc import EscMatrix, compute_esc, verify_symmetries
 from escat.msr import (
     MsrConfig,
@@ -336,3 +336,18 @@ class TestDatasetIO:
         back = MsrDataset.load(tmp_path / "run")
         assert np.array_equal(back.stacked(), data.stacked())
         assert back.config.seed == data.config.seed
+
+    def test_truncated_csv_rejected(self, pair, cfg, tmp_path):
+        data = simulate_msr(
+            Circle(1.0),
+            pair,
+            far_config(cfg.exterior, ns=5, nr=6),
+            mode="expansion",
+            esc=synthetic_esc(2),
+        )
+        data.save(tmp_path / "run")
+        csv_path = tmp_path / "run_perp_par.csv"
+        lines = csv_path.read_text().splitlines(keepends=True)
+        csv_path.write_text("".join(lines[:-2]))
+        with pytest.raises(ConfigError, match="run_perp_par.csv"):
+            MsrDataset.load(tmp_path / "run")

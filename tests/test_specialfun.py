@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import special as sp
 
 from escat.errors import DomainError, RangeError
 from escat.specialfun import (
     BesselEval,
+    _fold,
     bessel_jy,
     bessel_sequence,
     hankel1,
@@ -56,6 +58,19 @@ class TestBesselJy:
         assert ev.j == -ref.j
         assert ev.y == -ref.y
         assert ev.jp == -ref.jp
+        assert ev.yp == -ref.yp
+        even, ref4 = bessel_jy(-4, 2.0), bessel_jy(4, 2.0)
+        assert (even.j, even.y, even.jp, even.yp) == (ref4.j, ref4.y, ref4.jp, ref4.yp)
+        # the shared fold on H as well as J and Y, scalar and array arguments
+        t = np.array([1e-3, 0.7, 2.0, 37.0, 1e3])
+        for z, zp in ((sp.jv, sp.jvp), (sp.yv, sp.yvp), (sp.hankel1, sp.h1vp)):
+            for n in range(-5, 6):
+                sign = -1.0 if n < 0 and n % 2 else 1.0
+                val, der = _fold(z, n, t)
+                assert np.array_equal(val, sign * z(abs(n), t))
+                assert np.array_equal(der, sign * zp(abs(n), t))
+                v0, d0 = _fold(z, n, 2.0)
+                assert np.ndim(v0) == 0 and v0 == val[2] and d0 == der[2]
 
     def test_j1_against_series_oracle(self):
         # frozen from the >=30-term Taylor oracle below
