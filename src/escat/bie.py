@@ -17,7 +17,7 @@ All kernels are integrated with spectrally accurate rules on the uniform
 parameter grid:
 
 * weakly singular parts are split as K1(t,s) ln(4 sin^2((t-s)/2)) + K2
-  and integrated with the classical periodic log-quadrature weights;
+  and integrated with the classical periodic log-quadrature weights R;
 * the Cauchy principal-value part of the traction kernel is exactly the
   elastostatic (Kelvin) skew kernel; its cot((s-t)/2) component is
   integrated with the Fourier-exact conjugation weights and the smooth
@@ -25,6 +25,21 @@ parameter grid:
 
 Diagonal limits of every smooth remainder are evaluated in closed form
 (curvature terms), so convergence is superalgebraic for analytic curves.
+
+Off the diagonal the rule needs no explicit split.  Y_nu carries the log
+as (2/pi) J_nu ln r, and the kernels are linear in H_nu = J_nu + i Y_nu
+with coefficients rational in r, so K1 is the kernel with H_nu replaced
+by (i/pi) J_nu.  The weighted entry R_ij K1 + (2 pi/n) K2 is therefore
+the kernel's radial formula (wavefields._radial_kernels) applied to
+
+    Z_nu = (2 pi/n) H_nu + (i/pi) (R_ij - (2 pi/n) ln 4 sin^2) J_nu,
+
+times |x'(t_j)|.  One table of J_0, J_1, H_0, H_1 at kappa_P r and
+kappa_S r per material then serves both S and K*.  On the boundary
+kappa r stays below ~1e2, and H = J + iY from the cephes routines agrees
+with the AMOS Hankel routine to ~4e-15 relative at a tenth of the cost;
+off-surface targets reach kappa r ~ 1e4, where J + iY loses up to ~1e-12,
+so they keep sp.hankel1.
 """
 
 from __future__ import annotations
@@ -32,6 +47,7 @@ from __future__ import annotations
 import logging
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import linalg as sla
@@ -39,7 +55,15 @@ from scipy import special as sp
 
 from .curves import BoundaryCurve
 from .errors import DomainError, ResonanceError
-from .wavefields import Material, MaterialPair
+from .wavefields import (
+    Material,
+    MaterialPair,
+    _gamma_components,
+    _gamma_tensor,
+    _hankel_radial,
+    _radial_kernels,
+    _traction_components,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -117,17 +141,26 @@ def build_grid(curve: BoundaryCurve, n_nodes: int) -> QuadratureGrid:
 # ---------------------------------------------------------------------------
 
 
+def _log_row(n: int) -> np.ndarray:
+    """R_ij as a function of the offset k = |i - j| (mod n), k = 0..n/2."""
+    theta = 2.0 * np.pi * np.arange(n // 2 + 1) / n
+    m = np.arange(1, n // 2)
+    row = -(4.0 * np.pi / n) * np.cos(np.outer(theta, m)) @ (1.0 / m)
+    return row - (4.0 * np.pi / (n * n)) * np.cos((n / 2.0) * theta)
+
+
+def _even_circulant(row: np.ndarray, n: int) -> np.ndarray:
+    """Exactly symmetric (n x n) matrix row[min(k, n - k)], k = (i - j) mod n."""
+    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+    return row[np.minimum(idx, n - idx)]
+
+
 def log_weights(n: int) -> np.ndarray:
     """Weights R_ij for int_0^2pi ln(4 sin^2((t_i - s)/2)) f(s) ds.
 
     Exact for trigonometric polynomials up to degree n/2.
     """
-    theta = 2.0 * np.pi * np.arange(n) / n
-    m = np.arange(1, n // 2)
-    row = -(4.0 * np.pi / n) * np.cos(np.outer(theta, m)) @ (1.0 / m)
-    row -= (4.0 * np.pi / (n * n)) * np.cos((n / 2.0) * theta)
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    return row[idx]
+    return _even_circulant(_log_row(n), n)
 
 
 def cot_weights(n: int) -> np.ndarray:
@@ -145,7 +178,7 @@ def cot_weights(n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# kernel splittings
+# Nystrom kernels
 # ---------------------------------------------------------------------------
 
 
@@ -163,189 +196,110 @@ def _pairwise(grid: QuadratureGrid):
     dv = x[:, None, :] - x[None, :, :]
     r = np.hypot(dv[..., 0], dv[..., 1])
     np.fill_diagonal(r, 1.0)  # placeholder, diagonals set analytically
-    rhat = dv / r[..., None]
-    return dv, r, rhat
+    return r, dv / r[..., None]
 
 
-def _log_ratio(grid: QuadratureGrid):
-    """ln(4 sin^2((t_i - t_j)/2)) with zero diagonal placeholder."""
-    d = grid.t[:, None] - grid.t[None, :]
-    s2 = 4.0 * np.sin(d / 2.0) ** 2
-    np.fill_diagonal(s2, 1.0)
-    return np.log(s2)
+class KernelTable(NamedTuple):
+    """Quadrature-weighted radial kernels of one material on a grid."""
+
+    rhat: np.ndarray  # (n, n, 2) unit vectors (x_i - x_j) / r_ij
+    phi: np.ndarray  # (n, n) radial parts of S, diagonal not meaningful
+    chi: np.ndarray
+    traction: tuple  # (a1, a2, a4) of K*, same layout
 
 
-def single_layer_kernel_parts(grid: QuadratureGrid, omega: float, material: Material):
-    """Split kernels (M1, M2) of the single-layer trace operator.
+def _kernel_tables(grid: QuadratureGrid, omega: float, material: Material) -> KernelTable:
+    """Radial kernels of one material at the folded Z_nu of the module docstring.
 
-    M(t,s) = Gamma(x(t), x(s)) |x'(s)| = M1 ln(4 sin^2((t-s)/2)) + M2.
-    Returns arrays of shape (n, n, 2, 2) with analytic diagonals.
+    Z is symmetric in (i, j) because r, R and ln 4 sin^2 are; |x'(t_j)|
+    multiplies the results, not Z, so the rounding of the P-S cancellation
+    near the diagonal stays the same for (i, j) and (j, i) and largely
+    drops out of smooth integrals.
     """
     n = grid.n_nodes
-    kp, ks = material.kappa_p(omega), material.kappa_s(omega)
-    mu, rho_w2 = material.mu, material.rho * omega * omega
-    dv, r, rhat = _pairwise(grid)
-    jac = grid.jacobians
-
-    tp, ts = kp * r, ks * r
-    h0p, h1p = sp.hankel1(0, tp), sp.hankel1(1, tp)
-    h0s, h1s = sp.hankel1(0, ts), sp.hankel1(1, ts)
-    j0p, j1p = sp.j0(tp), sp.j1(tp)
-    j0s, j1s = sp.j0(ts), sp.j1(ts)
-
-    # dynamic radial functions: Gamma = phi I + chi rhat rhat^T
-    gs = 0.25j * h0s
-    dgp_over_r = (-0.25j * ks * h1s + 0.25j * kp * h1p) / r  # (g_S' - g_P')/r
-    phi = gs / mu + dgp_over_r / rho_w2
-    # g'' - g'/r = -(i k^2/4)(H_0 - 2 H_1/t)
-    chi = (
-        -0.25j * ks * ks * (h0s - 2.0 * h1s / ts)
-        + 0.25j * kp * kp * (h0p - 2.0 * h1p / tp)
-    ) / rho_w2
-
-    # log-coefficient analogues (J-built, entire)
-    phi_l = (-j0s / mu + (ks * j1s - kp * j1p) / (rho_w2 * r)) / (2.0 * np.pi)
-    j1p_der_s = j0s - j1s / ts  # J_1'(ts)
-    j1p_der_p = j0p - j1p / tp
-    chi_l = (
-        ks * ks * j1p_der_s - kp * kp * j1p_der_p - (ks * j1s - kp * j1p) / r
-    ) / (2.0 * np.pi * rho_w2)
-
-    eye = np.eye(2)
-    outer = rhat[..., :, None] * rhat[..., None, :]
-    m_full = (phi[..., None, None] * eye + chi[..., None, None] * outer) * jac[
-        None, :, None, None
-    ]
-    m1 = 0.5 * (phi_l[..., None, None] * eye + chi_l[..., None, None] * outer) * jac[
-        None, :, None, None
-    ]
-    m2 = m_full - m1 * _log_ratio(grid)[..., None, None]
-
-    # analytic diagonals
-    c1, c2, _, _ = _static_constants(material)
-    g_big_s = 0.25j - (np.log(ks / 2.0) + _EULER) / (2.0 * np.pi)
-    g_big_p = 0.25j - (np.log(kp / 2.0) + _EULER) / (2.0 * np.pi)
-    phi0 = g_big_s / (2.0 * mu) + g_big_p / (2.0 * (material.lam + 2.0 * mu)) - c2 / 2.0
-    di = np.arange(n)
-    m1[di, di] = (-0.5 * c1) * jac[:, None, None] * eye
-    tau_outer = grid.tangents[:, :, None] * grid.tangents[:, None, :]
-    m2[di, di] = (
-        (phi0 - c1 * np.log(jac))[:, None, None] * eye + c2 * tau_outer
-    ) * jac[:, None, None]
-    return m1, m2
-
-
-def traction_kernel_parts(grid: QuadratureGrid, omega: float, material: Material):
-    """Split parts of the traction operator kernel K* (exterior normal at x).
-
-    Returns (kt1, smooth, m_c) where the assembled operator is
-
-        K*_ij = -pi m_c E C_ij + R_ij kt1_ij + (2 pi / n) smooth_ij
-
-    with C the cot weights, R the log weights and E the skew unit matrix.
-    """
-    n = grid.n_nodes
-    lam, mu = material.lam, material.mu
-    kp, ks = material.kappa_p(omega), material.kappa_s(omega)
-    rho_w2 = material.rho * omega * omega
-    dv, r, rhat = _pairwise(grid)
-    jac = grid.jacobians
-    nrm = grid.normals
-
-    tp, ts = kp * r, ks * r
-    h0p, h1p = sp.hankel1(0, tp), sp.hankel1(1, tp)
-    h0s, h1s = sp.hankel1(0, ts), sp.hankel1(1, ts)
-    j0p, j1p = sp.j0(tp), sp.j1(tp)
-    j0s, j1s = sp.j0(ts), sp.j1(ts)
-
-    gp_p = -0.25j * kp * h1p  # g_P'(r)
-    gp_s = -0.25j * ks * h1s
-    chi = (
-        -0.25j * ks * ks * (h0s - 2.0 * h1s / ts)
-        + 0.25j * kp * kp * (h0p - 2.0 * h1p / tp)
-    ) / rho_w2
-    lam2mu = lam + 2.0 * mu
-    a1 = lam * gp_p / lam2mu + 2.0 * mu * chi / r
-    a2 = gp_s + 2.0 * mu * chi / r
-    a4 = 2.0 * mu * gp_p / lam2mu - 2.0 * gp_s - 8.0 * mu * chi / r
-
-    # log-coefficients (J-built)
-    gl_p = kp * j1p / (2.0 * np.pi)
-    gl_s = ks * j1s / (2.0 * np.pi)
-    chi_l = (
-        ks * ks * (j0s - j1s / ts)
-        - kp * kp * (j0p - j1p / tp)
-        - (ks * j1s - kp * j1p) / r
-    ) / (2.0 * np.pi * rho_w2)
-    a1_l = lam * gl_p / lam2mu + 2.0 * mu * chi_l / r
-    a2_l = gl_s + 2.0 * mu * chi_l / r
-    a4_l = 2.0 * mu * gl_p / lam2mu - 2.0 * gl_s - 8.0 * mu * chi_l / r
-
-    def structure(f1, f2, f4):
-        rn = rhat[..., :, None] * nrm[:, None, None, :]  # rhat n^T
-        nr = nrm[:, None, :, None] * rhat[..., None, :]  # n rhat^T
-        rdotn = np.einsum("ijk,ik->ij", rhat, nrm)
-        outer = rhat[..., :, None] * rhat[..., None, :]
-        eye = np.eye(2)
-        return (
-            f1[..., None, None] * nr
-            + f2[..., None, None] * (rn + rdotn[..., None, None] * eye)
-            + (f4 * rdotn)[..., None, None] * outer
+    h = 2.0 * np.pi / n
+    r, rhat = _pairwise(grid)
+    w_row = _log_row(n)  # R - (2 pi/n) ln 4 sin^2 by offset; the diagonal is unused
+    w_row[1:] -= h * np.log(4.0 * np.sin(np.pi * np.arange(1, n // 2 + 1) / n) ** 2)
+    w_log = _even_circulant(w_row / np.pi, n)
+    z = []
+    for kappa in (material.kappa_p(omega), material.kappa_s(omega)):
+        t = kappa * r
+        z.append(
+            tuple(
+                h * jv + 1j * (h * yv + w_log * jv)
+                for jv, yv in ((sp.j0(t), sp.y0(t)), (sp.j1(t), sp.y1(t)))
+            )
         )
+    phi, chi, traction = _radial_kernels(z[0], z[1], r, omega, material)
+    jac = grid.jacobians
+    return KernelTable(rhat, phi * jac, chi * jac, tuple(a * jac for a in traction))
 
-    k_full = structure(a1, a2, a4) * jac[None, :, None, None]
-    kt1 = 0.5 * structure(a1_l, a2_l, a4_l) * jac[None, :, None, None]
 
-    c1_c, c2_c, m_c, p_c = _static_constants(material)
-    # remove the cot part of the Kelvin skew kernel, keep everything else
-    dtheta = grid.t[None, :] - grid.t[:, None]
-    np.fill_diagonal(dtheta, np.pi)  # placeholder
-    half_cot = 0.5 / np.tan(dtheta / 2.0)
-    smooth = (
-        k_full
-        + (m_c * half_cot)[..., None, None] * _E_SKEW
-        - kt1 * _log_ratio(grid)[..., None, None]
-    )
-
-    # analytic diagonals
+def _node_blocks(comp, diag: np.ndarray) -> np.ndarray:
+    """(2n x 2n) matrix from 2x2 component arrays (n, n) and diagonal blocks (n, 2, 2)."""
+    n = diag.shape[0]
+    op = np.empty((n, 2, n, 2), dtype=complex)
+    for k in (0, 1):
+        for l in (0, 1):
+            op[:, k, :, l] = comp[k][l]
     di = np.arange(n)
-    kt1[di, di] = 0.0
+    op[di, :, di, :] = diag
+    return op.reshape(2 * n, 2 * n)
+
+
+def single_layer_matrix(
+    grid: QuadratureGrid, omega: float, material: Material, tables: KernelTable | None = None
+):
+    """Discrete single-layer trace operator (2n x 2n).
+
+    Diagonal blocks are R_ii m1_ii + (2 pi/n) m2_ii from the closed-form
+    limits of the log split M = M1 ln 4 sin^2 + M2.
+    """
+    tab = tables if tables is not None else _kernel_tables(grid, omega, material)
+    n = grid.n_nodes
+    jac = grid.jacobians
+    c1, c2, _, _ = _static_constants(material)
+    mu, lam2mu = material.mu, material.lam + 2.0 * material.mu
+    g_big_s = 0.25j - (np.log(material.kappa_s(omega) / 2.0) + _EULER) / (2.0 * np.pi)
+    g_big_p = 0.25j - (np.log(material.kappa_p(omega) / 2.0) + _EULER) / (2.0 * np.pi)
+    phi0 = g_big_s / (2.0 * mu) + g_big_p / (2.0 * lam2mu) - c2 / 2.0
+    m1 = -0.5 * c1 * jac
+    m2 = (phi0 - c1 * np.log(jac)) * jac
+    tau_outer = grid.tangents[:, :, None] * grid.tangents[:, None, :]
+    diag = (_log_row(n)[0] * m1 + (2.0 * np.pi / n) * m2)[:, None, None] * np.eye(2)
+    diag = diag + ((2.0 * np.pi / n) * c2 * jac)[:, None, None] * tau_outer
+    return _node_blocks(_gamma_components(tab.phi, tab.chi, tab.rhat), diag)
+
+
+def traction_layer_matrix(
+    grid: QuadratureGrid, omega: float, material: Material, tables: KernelTable | None = None
+):
+    """Discrete principal-value traction operator K* (2n x 2n).
+
+    Off the diagonal, K*_ij = radial part + m_c E ((2 pi/n) cot((t_j - t_i)/2)/2
+    - pi C_ij): the Kelvin skew kernel's cot term leaves the trapezoidal
+    rule for the conjugation weights C.  Diagonal blocks are (2 pi/n)
+    times the curvature limits (C_ii = 0 and the log coefficient vanishes).
+    """
+    tab = tables if tables is not None else _kernel_tables(grid, omega, material)
+    n = grid.n_nodes
+    h = 2.0 * np.pi / n
+    jac, nrm = grid.jacobians, grid.normals
+    _, _, m_c, p_c = _static_constants(material)
+    dtheta = grid.t[None, :] - grid.t[:, None]
+    np.fill_diagonal(dtheta, np.pi)  # placeholder, the diagonal is set below
+    kelvin = m_c * (0.5 * h / np.tan(dtheta / 2.0) - np.pi * cot_weights(n))
+    comp = _traction_components(tab.traction, tab.rhat, nrm[:, None, :])
+    comp = ((comp[0][0], comp[0][1] + kelvin), (comp[1][0] - kelvin, comp[1][1]))
     cross = nrm[:, 0] * grid.accel[:, 1] - nrm[:, 1] * grid.accel[:, 0]  # n x x''
     add_n = np.einsum("ij,ij->i", grid.accel, nrm)  # x'' . n
     tau_outer = grid.tangents[:, :, None] * grid.tangents[:, None, :]
-    diag = (
+    diag = h * (
         -m_c * (cross / (2.0 * jac))[:, None, None] * _E_SKEW
-        + (add_n / (2.0 * jac))[:, None, None]
-        * (m_c * np.eye(2) + p_c * tau_outer)
+        + (add_n / (2.0 * jac))[:, None, None] * (m_c * np.eye(2) + p_c * tau_outer)
     )
-    smooth[di, di] = diag
-    return kt1, smooth, m_c
-
-
-def _flatten_blocks(b: np.ndarray) -> np.ndarray:
-    """(n, n, 2, 2) node blocks -> (2n, 2n) matrix."""
-    n = b.shape[0]
-    return b.transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)
-
-
-def single_layer_matrix(grid: QuadratureGrid, omega: float, material: Material):
-    """Discrete single-layer trace operator (2n x 2n)."""
-    m1, m2 = single_layer_kernel_parts(grid, omega, material)
-    n = grid.n_nodes
-    rw = log_weights(n)
-    op = rw[..., None, None] * m1 + (2.0 * np.pi / n) * m2
-    return _flatten_blocks(op)
-
-
-def traction_layer_matrix(grid: QuadratureGrid, omega: float, material: Material):
-    """Discrete principal-value traction operator K* (2n x 2n)."""
-    kt1, smooth, m_c = traction_kernel_parts(grid, omega, material)
-    n = grid.n_nodes
-    rw = log_weights(n)
-    cw = cot_weights(n)
-    op = rw[..., None, None] * kt1 + (2.0 * np.pi / n) * smooth
-    op += (-np.pi * m_c * cw)[..., None, None] * _E_SKEW
-    return _flatten_blocks(op)
+    return _node_blocks(comp, diag)
 
 
 def assemble_system(grid: QuadratureGrid, pair: MaterialPair, omega: float):
@@ -360,16 +314,15 @@ def assemble_system(grid: QuadratureGrid, pair: MaterialPair, omega: float):
     if omega <= 0:
         raise DomainError("omega must be positive")
     n2 = 2 * grid.n_nodes
-    s_ext = single_layer_matrix(grid, omega, pair.exterior)
-    s_int = single_layer_matrix(grid, omega, pair.interior)
-    k_ext = traction_layer_matrix(grid, omega, pair.exterior)
-    k_int = traction_layer_matrix(grid, omega, pair.interior)
-    eye = np.eye(n2)
     a = np.empty((2 * n2, 2 * n2), dtype=complex)
-    a[:n2, :n2] = s_int
-    a[:n2, n2:] = -s_ext
-    a[n2:, :n2] = k_int + 0.5 * eye
-    a[n2:, n2:] = -(k_ext - 0.5 * eye)
+    for col, material in ((0, pair.interior), (n2, pair.exterior)):
+        tab = _kernel_tables(grid, omega, material)
+        a[:n2, col : col + n2] = single_layer_matrix(grid, omega, material, tab)
+        a[n2:, col : col + n2] = traction_layer_matrix(grid, omega, material, tab)
+    a[:, n2:] *= -1.0
+    di = np.arange(n2)
+    a[n2 + di, di] += 0.5
+    a[n2 + di, n2 + di] += 0.5
     return a
 
 
@@ -464,8 +417,6 @@ def single_layer_apply(
     warns when the target is within one node spacing of the boundary.
     On-node targets are evaluated with the singular on-surface rule.
     """
-    from .wavefields import _gamma_tensor  # shared radial closed forms
-
     tgt = np.asarray(target, dtype=float)
     single = tgt.ndim == 1
     tgts = np.atleast_2d(tgt)
@@ -574,37 +525,12 @@ def traction_of_single_layer(
     normal,
 ) -> np.ndarray:
     """Traction of S[density] at off-surface targets (analytic kernel)."""
-    lam, mu = material.lam, material.mu
-    kp, ks = material.kappa_p(omega), material.kappa_s(omega)
-    rho_w2 = material.rho * omega * omega
     tgts = np.atleast_2d(np.asarray(target, dtype=float))
     nrms = np.atleast_2d(np.asarray(normal, dtype=float))
-    dens = np.asarray(density, dtype=complex).reshape(grid.n_nodes, 2)
-    w = grid.weights
-    out = np.empty((len(tgts), 2), dtype=complex)
-    lam2mu = lam + 2.0 * mu
-    for i, (p, nn) in enumerate(zip(tgts, nrms)):
-        dv = p[None, :] - grid.nodes
-        r = np.hypot(dv[:, 0], dv[:, 1])
-        rhat = dv / r[:, None]
-        tp, ts = kp * r, ks * r
-        h0p, h1p = sp.hankel1(0, tp), sp.hankel1(1, tp)
-        h0s, h1s = sp.hankel1(0, ts), sp.hankel1(1, ts)
-        gp_p = -0.25j * kp * h1p
-        gp_s = -0.25j * ks * h1s
-        chi = (
-            -0.25j * ks * ks * (h0s - 2.0 * h1s / ts)
-            + 0.25j * kp * kp * (h0p - 2.0 * h1p / tp)
-        ) / rho_w2
-        a1 = lam * gp_p / lam2mu + 2.0 * mu * chi / r
-        a2 = gp_s + 2.0 * mu * chi / r
-        a4 = 2.0 * mu * gp_p / lam2mu - 2.0 * gp_s - 8.0 * mu * chi / r
-        rdotn = rhat @ nn
-        kern = (
-            a1[:, None, None] * (nn[None, :, None] * rhat[:, None, :])
-            + a2[:, None, None]
-            * (rhat[:, :, None] * nn[None, None, :] + rdotn[:, None, None] * np.eye(2))
-            + (a4 * rdotn)[:, None, None] * (rhat[:, :, None] * rhat[:, None, :])
-        )
-        out[i] = np.einsum("jkl,jl,j->k", kern, dens, w)
+    wd = np.asarray(density, dtype=complex).reshape(grid.n_nodes, 2) * grid.weights[:, None]
+    dv = tgts[:, None, :] - grid.nodes[None, :, :]
+    r = np.hypot(dv[..., 0], dv[..., 1])
+    _, _, traction = _hankel_radial(r, omega, material)
+    comp = _traction_components(traction, dv / r[..., None], nrms[:, None, :])
+    out = np.stack([comp[k][0] @ wd[:, 0] + comp[k][1] @ wd[:, 1] for k in (0, 1)], axis=-1)
     return out[0] if np.asarray(target).ndim == 1 else out

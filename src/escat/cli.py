@@ -2,18 +2,20 @@
 
 Subcommands:
     escat esc compute   --config scene.json --out out.json [--K n] [--nodes n]
-    escat msr simulate  --config acq.json --out prefix [--seed s]
-    escat msr reconstruct --config acq.json --data prefix --out out.json
-    escat msr analyze   --config acq.json --out out.json [--epsilon e]
+    escat msr simulate  --config acq.json --out prefix [--seed s] [--nodes n]
+    escat msr reconstruct --config acq.json --data prefix --out out.json [--K n]
+    escat msr analyze   --config acq.json --out out.json [--seed s] [--K n] [--epsilon e]
     escat cloak design  --config design.json --out out.json [--seed s]
     escat cloak evaluate --config eval.json --out out.json
     escat cloak scaling --config scaling.json --out out.json
     escat verify [suite ...] [--out out.json]
 
-Exit codes: 0 success, 1 runtime failure, 2 configuration/usage error,
-3 resonance (near-singular system).  Structured error JSON goes to
-stderr.  ESCAT_LOG sets the log level.  Results are written atomically
-and carry the config hash and seed.
+A flag overrides the matching config field (--nodes: n_nodes); each
+subcommand accepts only the flags it reads.  Exit codes: 0 success,
+1 runtime failure, 2 configuration/usage error, 3 resonance
+(near-singular system).  Structured error JSON goes to stderr.
+ESCAT_LOG sets the log level.  Results are written atomically and carry
+the config hash and seed.
 """
 
 from __future__ import annotations
@@ -160,9 +162,8 @@ def cmd_msr_analyze(args) -> int:
         perimeter = float(np.hypot(v[:, 0], v[:, 1]).mean() * 2 * np.pi)
         snr = snr_estimate(perimeter, cfg.radius, cfg.noise_sigma)
         out["snr"] = snr
-        out["max_resolving_order"] = max_resolving_order(
-            snr, float(doc.get("epsilon", args.epsilon))
-        )
+        eps = args.epsilon if args.epsilon is not None else doc.get("epsilon", 1.0)
+        out["max_resolving_order"] = max_resolving_order(snr, float(eps))
     cfgmod.atomic_write_json(args.out, out)
     return EXIT_OK
 
@@ -246,40 +247,30 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="escat", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, out_required=True):
+    def command(group, name, func, *overrides):
+        """Subcommand with --config, --out and only the integer overrides it reads."""
+        sp = group.add_parser(name)
         sp.add_argument("--config", required=True)
-        sp.add_argument("--out", required=out_required)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--K", type=int, default=None)
-        sp.add_argument("--nodes", type=int, default=None)
+        sp.add_argument("--out", required=True)
+        for flag in overrides:
+            sp.add_argument(f"--{flag}", type=int, default=None)
+        sp.set_defaults(func=func)
+        return sp
 
     esc_p = sub.add_parser("esc").add_subparsers(dest="subcommand", required=True)
-    sp = esc_p.add_parser("compute")
-    common(sp)
-    sp.set_defaults(func=cmd_esc_compute)
+    command(esc_p, "compute", cmd_esc_compute, "K", "nodes")
 
     msr_p = sub.add_parser("msr").add_subparsers(dest="subcommand", required=True)
-    sp = msr_p.add_parser("simulate")
-    common(sp)
-    sp.set_defaults(func=cmd_msr_simulate)
-    sp = msr_p.add_parser("reconstruct")
-    common(sp)
+    command(msr_p, "simulate", cmd_msr_simulate, "seed", "nodes")
+    sp = command(msr_p, "reconstruct", cmd_msr_reconstruct, "K")
     sp.add_argument("--data", required=True, help="dataset prefix from msr simulate")
-    sp.set_defaults(func=cmd_msr_reconstruct)
-    sp = msr_p.add_parser("analyze")
-    common(sp)
-    sp.add_argument("--epsilon", type=float, default=1.0)
-    sp.set_defaults(func=cmd_msr_analyze)
+    sp = command(msr_p, "analyze", cmd_msr_analyze, "seed", "K")
+    sp.add_argument("--epsilon", type=float, default=None)
 
     cloak_p = sub.add_parser("cloak").add_subparsers(dest="subcommand", required=True)
-    for name, fn in (
-        ("design", cmd_cloak_design),
-        ("evaluate", cmd_cloak_evaluate),
-        ("scaling", cmd_cloak_scaling),
-    ):
-        sp = cloak_p.add_parser(name)
-        common(sp)
-        sp.set_defaults(func=fn)
+    command(cloak_p, "design", cmd_cloak_design, "seed")
+    command(cloak_p, "evaluate", cmd_cloak_evaluate)
+    command(cloak_p, "scaling", cmd_cloak_scaling)
 
     sp = sub.add_parser("verify")
     sp.add_argument("suites", nargs="*", choices=list(SUITES) + [[]], help="suites to run")

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 
 import jsonschema
 
-from .errors import ConfigError
+from .errors import ConfigError, EscatError
 
 SCHEMA_VERSION = "1"
 
@@ -198,29 +199,35 @@ def config_hash(doc: dict) -> str:
     ).hexdigest()[:16]
 
 
-def _format_json(obj, indent=0) -> str:
-    """JSON text with floats at 17 significant digits (round-trip exact)."""
+def _format_json(obj, indent=0, path="") -> str:
+    """JSON text with floats at 17 significant digits (round-trip exact).
+
+    JSON has no inf or NaN: a non-finite float raises EscatError naming
+    its key path instead of being written as invalid or null text.
+    """
     pad = " " * indent
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         items = ",\n".join(
-            f'{pad} {json.dumps(str(k))}: {_format_json(v, indent + 1)}'
+            f'{pad} {json.dumps(str(k))}: '
+            f'{_format_json(v, indent + 1, f"{path}.{k}" if path else str(k))}'
             for k, v in obj.items()
         )
         return "{\n" + items + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        return "[" + ", ".join(_format_json(v, indent) for v in obj) + "]"
+        items = (_format_json(v, indent, f"{path}[{i}]") for i, v in enumerate(obj))
+        return "[" + ", ".join(items) + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, float):
-        if obj != obj:  # NaN guard: JSON has no NaN
-            return "null"
+        if not math.isfinite(obj):
+            raise EscatError(f"non-finite result {obj} at {path or 'top level'}; not written")
         return f"{obj:.17g}"
     if isinstance(obj, complex):
-        return _format_json([obj.real, obj.imag], indent)
+        return _format_json([obj.real, obj.imag], indent, path)
     if isinstance(obj, int):
         return str(obj)
     if obj is None:
@@ -230,18 +237,7 @@ def _format_json(obj, indent=0) -> str:
 
 def atomic_write_json(path, obj) -> None:
     """Serialize to a temp file and rename (never a partial output)."""
-    d = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as f:
-            f.write(_format_json(_sanitize(obj)))
-            f.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write_text(path, _format_json(_sanitize(obj)) + "\n")
 
 
 def atomic_write_text(path, text: str) -> None:

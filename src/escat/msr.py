@@ -304,20 +304,18 @@ def simulate_msr(
     rec = config.receiver_points()
     dv = rec[:, None, :] - grid.nodes[None, :, :]
     r = np.hypot(dv[..., 0], dv[..., 1])
-    gam = _gamma_tensor(dv, r, omega, ext)  # (Nr, n, 2, 2)
-    w = grid.weights
+    nr, n = r.shape
+    gam = _gamma_tensor(dv, r, omega, ext).transpose(0, 2, 1, 3).reshape(2 * nr, 2 * n)
+    # receiver fields of every incidence at once: (2 Nr x 2n) @ (2n x k)
+    wpsi = np.stack([dens.psi for dens in densities]) * grid.weights[None, :, None]
+    u = (gam @ wpsi.reshape(len(densities), 2 * n).T).reshape(nr, 2, -1)
     th_r = config.receiver_angles()
     d_r = np.stack([np.cos(th_r), np.sin(th_r)], axis=-1)
     d_rp = np.stack([-np.sin(th_r), np.cos(th_r)], axis=-1)
-
-    ns, nr = config.n_sources, config.n_receivers
-    a = np.empty((2 * ns, 2 * nr), dtype=complex)
-    for k, dens in enumerate(densities):
-        u = np.einsum("rjkl,jl,j->rk", gam, dens.psi, w)
-        row = k % ns
-        block = k // ns  # 0: P sources (par rows), 1: S sources (perp rows)
-        a[block * ns + row, :nr] = np.einsum("rk,rk->r", u, d_r)
-        a[block * ns + row, nr:] = np.einsum("rk,rk->r", u, d_rp)
+    # row k of the stacked matrix is incidence k: P sources (par rows), then S (perp rows)
+    a = np.concatenate(
+        [np.einsum("rck,rc->kr", u, d_r), np.einsum("rck,rc->kr", u, d_rp)], axis=1
+    )
     return MsrDataset.from_stacked(a, config)
 
 

@@ -404,35 +404,81 @@ def fundamental_solution(x, y, omega: float, material: Material) -> np.ndarray:
     return out[0] if single else out
 
 
-def _gamma_radial(r, omega, material):
-    """phi(r), chi(r) with Gamma = phi I + chi rhat rhat^T."""
+def _radial_kernels(zp, zs, r, omega, material):
+    """Kupradze radial functions from Z_nu(kappa r) at the P and S wavenumbers.
+
+    zp = (Z_0, Z_1) at kappa_P r and zs likewise at kappa_S r, with
+    Z = H^(1) for the kernels themselves.  Returns (phi, chi) with
+    Gamma = phi I + chi rhat rhat^T and the traction triple (a1, a2, a4)
+    of T_x Gamma for a unit normal n at x (see _traction_components).
+
+    Every output is linear in the Z values with coefficients rational in
+    r, so a linear combination of Hankel and Bessel values maps to the
+    same combination of kernels (the Nystrom rule in bie folds its
+    quadrature weights into Z this way).
+    """
+    lam, mu = material.lam, material.mu
     kp, ks = material.kappa_p(omega), material.kappa_s(omega)
     rho_w2 = material.rho * omega * omega
-    gs, gsp, gspp = _g_derivs(r, ks)
-    gp, gpp_, gppp = _g_derivs(r, kp)
-    phi = gs / material.mu + (gsp - gpp_) / (rho_w2 * r)
-    chi = (gspp - gppp - (gsp - gpp_) / r) / rho_w2
-    return phi, chi
+    # g = (i/4) H_0(kappa r): g' = -(i kappa/4) H_1, g'' = -(i kappa^2/4) H_0 - g'/r;
+    # phi = g_S/mu + (g_S' - g_P')/(rho w^2 r), chi = (g_S'' - g_P'' - (g_S' - g_P')/r)/(rho w^2)
+    gp_p = -0.25j * kp * zp[1]
+    gp_s = -0.25j * ks * zs[1]
+    dg_over_r = (gp_s - gp_p) / r
+    phi = 0.25j * zs[0] / mu + dg_over_r / rho_w2
+    chi = (0.25j * (kp * kp * zp[0] - ks * ks * zs[0]) - 2.0 * dg_over_r) / rho_w2
+    lam2mu = lam + 2.0 * mu
+    chi_r = 2.0 * mu * chi / r
+    a1 = lam * gp_p / lam2mu + chi_r
+    a2 = gp_s + chi_r
+    a4 = 2.0 * mu * gp_p / lam2mu - 2.0 * gp_s - 4.0 * chi_r
+    return phi, chi, (a1, a2, a4)
 
 
-def _g_derivs(r, kappa):
-    """g, g', g'' for g(r) = (i/4) H_0(kappa r)."""
-    t = kappa * r
-    h0 = sp.hankel1(0, t)
-    h1 = sp.hankel1(1, t)
-    g = 0.25j * h0
-    gp = -0.25j * kappa * h1
-    gpp = -0.25j * kappa * kappa * (h0 - h1 / t)
-    return g, gp, gpp
+def _hankel_radial(r, omega, material):
+    """_radial_kernels at Z = H^(1) from scipy's Hankel routine.
+
+    Off-surface targets (receivers, far-field probes) reach kappa r ~ 1e4,
+    where sp.hankel1 keeps full relative accuracy and J + iY does not.
+    """
+    tp, ts = material.kappa_p(omega) * r, material.kappa_s(omega) * r
+    zp = (sp.hankel1(0, tp), sp.hankel1(1, tp))
+    zs = (sp.hankel1(0, ts), sp.hankel1(1, ts))
+    return _radial_kernels(zp, zs, r, omega, material)
+
+
+def _gamma_components(phi, chi, rhat):
+    """Entries [[G_00, G_01], [G_10, G_11]] of phi I + chi rhat rhat^T."""
+    r0, r1 = rhat[..., 0], rhat[..., 1]
+    off = chi * r0 * r1
+    return ((phi + chi * r0 * r0, off), (off, phi + chi * r1 * r1))
+
+
+def _traction_components(a, rhat, nrm):
+    """Entries of a1 n rhat^T + a2 (rhat n^T + (rhat.n) I) + a4 (rhat.n) rhat rhat^T."""
+    a1, a2, a4 = a
+    rdn = rhat[..., 0] * nrm[..., 0] + rhat[..., 1] * nrm[..., 1]
+    a2_rdn, a4_rdn = a2 * rdn, a4 * rdn
+    return tuple(
+        tuple(
+            a1 * nrm[..., k] * rhat[..., l]
+            + a2 * rhat[..., k] * nrm[..., l]
+            + a4_rdn * rhat[..., k] * rhat[..., l]
+            + (a2_rdn if k == l else 0.0)
+            for l in (0, 1)
+        )
+        for k in (0, 1)
+    )
 
 
 def _gamma_tensor(dv, r, omega, material):
-    phi, chi = _gamma_radial(r, omega, material)
-    rhat = dv / r[..., None]
-    eye = np.eye(2)
-    return phi[..., None, None] * eye + chi[..., None, None] * (
-        rhat[..., :, None] * rhat[..., None, :]
-    )
+    phi, chi, _ = _hankel_radial(r, omega, material)
+    comp = _gamma_components(phi, chi, dv / r[..., None])
+    out = np.empty(r.shape + (2, 2), dtype=complex)
+    for k in (0, 1):
+        for l in (0, 1):
+            out[..., k, l] = comp[k][l]
+    return out
 
 
 def _traction_bc(mode: str, n: int, t, lam: float, mu: float, z, zp):

@@ -15,7 +15,6 @@ from escat.bie import (
     log_weights,
     scattered_field,
     single_layer_apply,
-    single_layer_kernel_parts,
     single_layer_matrix,
     solve_transmission,
     traction_layer_matrix,
@@ -112,18 +111,19 @@ class TestSingleLayer:
         # S[J-mode trace] on the circle has an exact H-expansion; the
         # discrete on-surface operator must reproduce it (trace
         # continuity across the boundary comes for free)
-        grid = build_grid(Circle(1.0), 64)
-        smat = single_layer_matrix(grid, OMEGA, exterior)
-        rho_w2 = exterior.rho * OMEGA**2
-        for beta, m in (("P", 0), ("S", 2)):
-            dens = cyl_wave_J(ModeIndex(beta, m), grid.nodes, exterior, OMEGA)
-            mom = _modal_moments(beta, m, 1.0, exterior, OMEGA)
-            want = (0.25j / rho_w2) * (
-                cyl_wave_H(ModeIndex("P", m), grid.nodes, exterior, OMEGA) * mom["P"]
-                + cyl_wave_H(ModeIndex("S", m), grid.nodes, exterior, OMEGA) * mom["S"]
-            )
-            got = (smat @ dens.reshape(-1)).reshape(-1, 2)
-            assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+        for n in (64, 256):
+            grid = build_grid(Circle(1.0), n)
+            smat = single_layer_matrix(grid, OMEGA, exterior)
+            rho_w2 = exterior.rho * OMEGA**2
+            for beta, m in (("P", 0), ("S", 2)):
+                dens = cyl_wave_J(ModeIndex(beta, m), grid.nodes, exterior, OMEGA)
+                mom = _modal_moments(beta, m, 1.0, exterior, OMEGA)
+                want = (0.25j / rho_w2) * (
+                    cyl_wave_H(ModeIndex("P", m), grid.nodes, exterior, OMEGA) * mom["P"]
+                    + cyl_wave_H(ModeIndex("S", m), grid.nodes, exterior, OMEGA) * mom["S"]
+                )
+                got = (smat @ dens.reshape(-1)).reshape(-1, 2)
+                assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
 
     def test_trace_continuity_across_boundary(self, exterior):
         # exterior and interior limits agree with the on-surface value
@@ -163,31 +163,31 @@ class TestSingleLayer:
 
     def test_kernel_reciprocity(self, exterior):
         # Green-kernel blocks: kernel(x_i, x_j) = kernel(x_j, x_i)^T
+        # (the log-quadrature weights are symmetric, so the weighted
+        # discrete operator inherits the symmetry once the jacobian of the
+        # source node is stripped)
         grid = build_grid(Kite(0.5), 48)
-        m1, m2 = single_layer_kernel_parts(grid, OMEGA, exterior)
-        jac = grid.jacobians
-        full = m1 * np.log(
-            4 * np.sin((grid.t[:, None] - grid.t[None, :]) / 2.0) ** 2 + np.eye(48)
-        )[..., None, None] + m2
-        gam = full / jac[None, :, None, None]  # strip the jacobian
+        smat = single_layer_matrix(grid, OMEGA, exterior).reshape(48, 2, 48, 2)
+        gam = smat / grid.jacobians[None, None, :, None]  # strip the jacobian
         i, j = 7, 29
-        assert np.abs(gam[i, j] - gam[j, i].T).max() < 1e-12 * np.abs(gam[i, j]).max()
+        assert np.abs(gam[i, :, j] - gam[j, :, i].T).max() < 1e-12 * np.abs(gam[i, :, j]).max()
 
 
 class TestTractionOperator:
     def test_exterior_limit_matches_modal_identity(self, exterior):
-        grid = build_grid(Circle(1.0), 64)
-        kmat = traction_layer_matrix(grid, OMEGA, exterior)
-        rho_w2 = exterior.rho * OMEGA**2
-        for beta, m in (("P", 1), ("S", 3)):
-            dens = cyl_wave_J(ModeIndex(beta, m), grid.nodes, exterior, OMEGA)
-            mom = _modal_moments(beta, m, 1.0, exterior, OMEGA)
-            want = (0.25j / rho_w2) * (
-                cyl_wave_traction(ModeIndex("P", m), grid.nodes, grid.normals, exterior, OMEGA, "H") * mom["P"]
-                + cyl_wave_traction(ModeIndex("S", m), grid.nodes, grid.normals, exterior, OMEGA, "H") * mom["S"]
-            )
-            got = (kmat @ dens.reshape(-1)).reshape(-1, 2) - 0.5 * dens
-            assert np.abs(got - want).max() < 1e-11 * np.abs(want).max()
+        for n in (64, 256):
+            grid = build_grid(Circle(1.0), n)
+            kmat = traction_layer_matrix(grid, OMEGA, exterior)
+            rho_w2 = exterior.rho * OMEGA**2
+            for beta, m in (("P", 1), ("S", 3)):
+                dens = cyl_wave_J(ModeIndex(beta, m), grid.nodes, exterior, OMEGA)
+                mom = _modal_moments(beta, m, 1.0, exterior, OMEGA)
+                want = (0.25j / rho_w2) * (
+                    cyl_wave_traction(ModeIndex("P", m), grid.nodes, grid.normals, exterior, OMEGA, "H") * mom["P"]
+                    + cyl_wave_traction(ModeIndex("S", m), grid.nodes, grid.normals, exterior, OMEGA, "H") * mom["S"]
+                )
+                got = (kmat @ dens.reshape(-1)).reshape(-1, 2) - 0.5 * dens
+                assert np.abs(got - want).max() < 1e-11 * np.abs(want).max()
 
     def test_jump_relation(self, exterior):
         # (dS/dnu)|+ - (dS/dnu)|- = -density for this kernel orientation

@@ -1,9 +1,11 @@
 """Command-line front end: exit codes, outputs, determinism."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from escat.cli import build_parser, main
 
@@ -210,6 +212,62 @@ class TestOutputFormat:
         atomic_write_json(p, {"v": vals})
         back = json.loads(p.read_text())["v"]
         assert back == vals
+
+
+    def test_non_finite_rejected_with_key_path(self, tmp_path):
+        from escat.config import atomic_write_json
+        from escat.errors import EscatError
+
+        cases = ((np.inf, "a.b[1]"), (np.nan, "a.b[1]"), (complex(1.0, -np.inf), "a.b[1][1]"))
+        for bad, where in cases:
+            p = tmp_path / "f.json"
+            with pytest.raises(EscatError, match=re.escape(where)):
+                atomic_write_json(p, {"a": {"b": [1.0, bad]}})
+            assert not p.exists()
+            assert list(tmp_path.iterdir()) == []
+
+    def test_non_finite_result_exits_1(self, tmp_path, monkeypatch, capsys):
+        import escat.cli
+
+        monkeypatch.setattr(escat.cli, "decay_profile", lambda esc: [1.0, float("inf")])
+        cfg = write(tmp_path, "scene.json", SCENE)
+        out = tmp_path / "esc.json"
+        assert main(["esc", "compute", "--config", cfg, "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "runtime" and "summary.decay[1]" in err["message"]
+        assert not out.exists()
+
+
+class TestFlags:
+    def test_unread_flag_exits_2(self, tmp_path):
+        # every subcommand accepts only the overrides it reads
+        doc = {
+            "schema_version": "1",
+            "structure": {
+                "radii": [1.0],
+                "layers": [],
+                "exterior": {"lam": 2.0, "mu": 1.0, "rho": 1.0},
+                "inner": "cavity",
+            },
+            "omega": 0.5,
+            "n_max": 1,
+        }
+        cfg = write(tmp_path, "eval.json", doc)
+        out = str(tmp_path / "w.json")
+        base = ["cloak", "evaluate", "--config", cfg, "--out", out]
+        for extra in (["--K", "9"], ["--nodes", "3"], ["--seed", "5"]):
+            assert main(base + extra) == 2, extra
+        assert not (tmp_path / "w.json").exists()
+        for cmd, flag in (
+            (["esc", "compute"], "--seed"),
+            (["msr", "simulate"], "--K"),
+            (["msr", "reconstruct", "--data", "d"], "--nodes"),
+            (["msr", "analyze"], "--nodes"),
+            (["cloak", "design"], "--K"),
+            (["cloak", "scaling"], "--seed"),
+        ):
+            assert main(cmd + ["--config", cfg, "--out", out, flag, "1"]) == 2, (cmd, flag)
+        assert main(base) == 0
 
 
 class TestReadmeUsage:
