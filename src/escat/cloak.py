@@ -15,6 +15,14 @@ The same machinery yields the penetrable-disk scattering coefficients
 (analytic_disk_esc), the oracle used throughout the test suite, and the
 numerical design of coatings whose leading scattering coefficients
 nearly vanish.
+
+Per structure and order, all interface matrices of the chain (and the
+solid core's) come from one stacked build over a single J and a single
+H evaluation, and the L layer matrices are inverted in one batch.  The
+resonance guard keeps its definition, the singular values of the
+row/column-equilibrated matrix against COND_GUARD, but brackets it with
+the exact 1-norm condition that the batched inverse provides; the
+singular values are computed only when that bound cannot clear a stack.
 """
 
 from __future__ import annotations
@@ -118,31 +126,51 @@ def layer_matrix(n: int, r: float, material: Material, omega: float) -> LayerMat
     traces then scaled radial/tangential tractions, built from the modal
     traction coefficients.
     """
-    if r <= 0 or omega <= 0:
+    return LayerMatrix(order=n, radius=r, matrix=_layer_matrices(n, [r], [material], omega)[0])
+
+
+def _layer_matrices(n: int, radii, materials, omega: float) -> np.ndarray:
+    """Stack of M_n(radii[i]) for materials[i], shape (k, 4, 4).
+
+    One J and one H evaluation serve all k matrices.  The entries are
+    formed on Python scalars: at k ~ 5 that is cheaper than array
+    arithmetic, and it keeps the operation order of the closed forms.
+    """
+    if omega <= 0 or min(radii) <= 0:
         raise DomainError("radius and omega must be positive")
-    tp = r * material.kappa_p(omega)
-    ts = r * material.kappa_s(omega)
-    t = np.array([tp, ts])
-    j, jd = _fold(sp.jv, n, t)
-    h, hd = _fold(sp.hankel1, n, t)
-    lam, mu = material.lam, material.mu
-    bp, cp = _traction_bc("P", n, tp, lam, mu, h[0], hd[0])
-    bhp, chp = _traction_bc("P", n, tp, lam, mu, j[0], jd[0])
-    bs, cs = _traction_bc("S", n, ts, lam, mu, h[1], hd[1])
-    bhs, chs = _traction_bc("S", n, ts, lam, mu, j[1], jd[1])
-    m = np.array(
-        [
-            [tp * jd[0], 1j * n * j[1], tp * hd[0], 1j * n * h[1]],
-            [1j * n * j[0], -ts * jd[1], 1j * n * h[0], -ts * hd[1]],
-            [bhp, bhs, bp, bs],
-            [chp, chs, cp, cs],
-        ],
-        dtype=complex,
-    )
-    return LayerMatrix(order=n, radius=r, matrix=m)
+    tps = [r * m.kappa_p(omega) for r, m in zip(radii, materials)]
+    tss = [r * m.kappa_s(omega) for r, m in zip(radii, materials)]
+    t = np.array(tps + tss)
+    j, jd = (z.tolist() for z in _fold(sp.jv, n, t))
+    h, hd = (z.tolist() for z in _fold(sp.hankel1, n, t))
+    k = len(tps)
+    out = []
+    for p, (tp, ts, material) in enumerate(zip(tps, tss, materials)):
+        s = p + k
+        lam, mu = material.lam, material.mu
+        bp, cp = _traction_bc("P", n, tp, lam, mu, h[p], hd[p])
+        bhp, chp = _traction_bc("P", n, tp, lam, mu, j[p], jd[p])
+        bs, cs = _traction_bc("S", n, ts, lam, mu, h[s], hd[s])
+        bhs, chs = _traction_bc("S", n, ts, lam, mu, j[s], jd[s])
+        out += (
+            tp * jd[p], 1j * n * j[s], tp * hd[p], 1j * n * h[s],
+            1j * n * j[p], -ts * jd[s], 1j * n * h[p], -ts * hd[s],
+            bhp, bhs, bp, bs,
+            chp, chs, cp, cs,
+        )
+    return np.array(out, dtype=complex).reshape(k, 4, 4)
 
 
-def _inv_guarded(m: np.ndarray, what: str) -> np.ndarray:
+# cond_2 <= k cond_1 for a k x k matrix, so an equilibrated 1-norm condition
+# below 1 / (k * _COND1_MARGIN * COND_GUARD) cannot fail the singular-value
+# test; the margin absorbs the rounding of cond_1 taken from the computed
+# inverse.  Columns equilibrated by less than _EQ_TINY (near underflow) go
+# to the exact test as well.
+_COND1_MARGIN = 2.0
+_EQ_TINY = 1e-300
+
+
+def _check_singular(m: np.ndarray, what: str) -> None:
     # Row/column norms differ by orders of magnitude at low frequency
     # (structural, still invertible), so the singularity test uses the
     # condition number of the equilibrated matrix.
@@ -158,24 +186,72 @@ def _inv_guarded(m: np.ndarray, what: str) -> np.ndarray:
         raise ResonanceError(
             f"{what} is numerically singular (equilibrated cond {sv[0] / sv[-1]:.2e})"
         )
-    return np.linalg.inv(m)
 
 
-def _interface_chain(structure: LayeredStructure, omega: float, n: int) -> np.ndarray:
+def _inv_guarded(m: np.ndarray, names) -> np.ndarray:
+    """Inverses of a (count, k, k) stack; ResonanceError names the first singular one.
+
+    One batched inverse serves all matrices.  With D_r, D_c the row and
+    column equilibration of m, (D_r m D_c)^-1 = D_c^-1 m^-1 D_r^-1 gives
+    the exact 1-norm condition of the equilibrated matrix, and the
+    singular values of _check_singular are computed only for a stack
+    that bound cannot clear.  Every rejection therefore comes from
+    _check_singular, with its message, and every outcome is the
+    per-matrix test's.
+    """
+    try:
+        inv = np.linalg.inv(m)
+    except np.linalg.LinAlgError:
+        # an exactly singular pivot: check and invert one matrix at a
+        # time, in order, for the per-matrix error
+        inv = np.empty_like(m)
+        for i, what in enumerate(names):
+            _check_singular(m[i], what)
+            inv[i] = np.linalg.inv(m[i])
+        return inv
+    a = np.abs(m)
+    row = np.maximum.reduce(a, axis=2, keepdims=True)
+    a /= row
+    col = np.maximum.reduce(a, axis=1, keepdims=True)
+    if np.minimum.reduce(col, axis=None) > _EQ_TINY:
+        a /= col
+        x = np.abs(inv)
+        x *= col.transpose(0, 2, 1)
+        x *= row.transpose(0, 2, 1)
+        cond1 = np.maximum.reduce(a.sum(axis=1), axis=1) * np.maximum.reduce(x.sum(axis=1), axis=1)
+        if np.maximum.reduce(cond1) < 1.0 / (m.shape[-1] * _COND1_MARGIN * COND_GUARD):
+            return inv
+    for mi, what in zip(m, names):
+        _check_singular(mi, what)
+    return inv
+
+
+def _interface_chain(structure: LayeredStructure, omega: float, n: int):
     """M_{n,L}(r_{L+1}) prod_{j=L..1} M_{n,j}^{-1}(r_j) M_{n,j-1}(r_j).
 
     Maps the exterior coefficients a_0 to the scaled traces and tractions
-    of the innermost coat at the inner radius r_{L+1}.
+    of the innermost coat at the inner radius r_{L+1}.  Returns the chain
+    and, for a solid core, the core's M_n(r_{L+1}) (else None).  All
+    interface matrices come from one stacked build: M_j(r_j) for
+    j = 1..L, then M_{j-1}(r_j), then M_L(r_{L+1}) and the core.
     """
     radii = structure.radii
     length = structure.n_layers
+    mats = [structure.material_of_annulus(j) for j in range(length + 1)]
+    rs = [*radii[:length], *radii[:length], radii[-1]]
+    ms = mats[1:] + mats[:-1] + mats[-1:]
+    core = structure.inner != "cavity"
+    if core:
+        rs.append(radii[-1])
+        ms.append(structure.inner)
+    stack = _layer_matrices(n, rs, ms, omega)
     prop = np.eye(4, dtype=complex)
-    for j in range(1, length + 1):
-        mj = layer_matrix(n, radii[j - 1], structure.material_of_annulus(j), omega)
-        mjm1 = layer_matrix(n, radii[j - 1], structure.material_of_annulus(j - 1), omega)
-        prop = _inv_guarded(mj.matrix, f"layer matrix M_(n={n},j={j})") @ mjm1.matrix @ prop
-    m_out = layer_matrix(n, radii[-1], structure.material_of_annulus(length), omega)
-    return m_out.matrix @ prop
+    if length:
+        names = [f"layer matrix M_(n={n},j={j})" for j in range(1, length + 1)]
+        inv = _inv_guarded(stack[:length], names)
+        for j in range(length):
+            prop = inv[j] @ stack[length + j] @ prop
+    return stack[2 * length] @ prop, (stack[-1] if core else None)
 
 
 def propagate_Q(structure: LayeredStructure, omega: float, n: int):
@@ -189,7 +265,7 @@ def propagate_Q(structure: LayeredStructure, omega: float, n: int):
     if structure.inner != "cavity":
         raise DomainError("propagate_Q applies to cavity structures")
     q = np.zeros((4, 4), dtype=complex)
-    q[2:, :] = _interface_chain(structure, omega, n)[2:, :]
+    q[2:, :] = _interface_chain(structure, omega, n)[0][2:, :]
     return q, q[2:, :2].copy(), q[2:, 2:].copy()
 
 
@@ -205,12 +281,11 @@ def layered_esc(structure: LayeredStructure, omega: float, n: int) -> np.ndarray
     rho_w2 = structure.exterior.rho * omega * omega
     if structure.inner == "cavity":
         _, q21, q22 = propagate_Q(structure, omega, n)
-        a0 = -_inv_guarded(q22, f"Q22(n={n})") @ q21  # columns: incident P, S
+        a0 = -_inv_guarded(q22[None], [f"Q22(n={n})"])[0] @ q21  # columns: incident P, S
         return ESC_SCALE * rho_w2 * a0
     # solid core: innermost field b^P JP + b^S JS with core material; the
     # unknowns are (b^P, b^S, a^P, a^S), one column per incident mode
-    chain = _interface_chain(structure, omega, n)
-    m_core = layer_matrix(n, structure.radii[-1], structure.inner, omega).matrix
+    chain, m_core = _interface_chain(structure, omega, n)
     lhs = np.empty((4, 4), dtype=complex)
     lhs[:, :2] = m_core[:, :2]  # core J columns
     lhs[:, 2:] = -chain[:, 2:]  # unknown exterior H coefficients
@@ -247,7 +322,6 @@ class DesignReport:
     bare_w_table: dict = field(default_factory=dict)
     n_evaluations: int = 0
     seed: int = 0
-    target_met: bool = True
 
 
 def _bare_cavity(exterior: Material, r_cavity: float) -> LayeredStructure:
@@ -479,12 +553,13 @@ def _polish_design(x0, to_structure, bare, omega_set, N, mask, lo_vec, hi_vec, p
             diff_step=1e-7,
             max_nfev=6000,
         )
+    except (ValueError, np.linalg.LinAlgError, ResonanceError, DomainError) as exc:
+        logger.warning("design polish stage 0 failed (%s); keeping Nelder-Mead result", exc)
+    else:
         before = np.sum(residuals(x) ** 2)
         logger.info("design polish stage 0: residual %.3e -> %.3e", before, np.sum(res.fun**2))
         if np.sum(res.fun**2) < before:
             x = res.x
-    except Exception:
-        logger.warning("design polish stage 0 failed; keeping Nelder-Mead result")
     # stage 1: exact cancellation of the per-channel leading coefficients
     # (real parts of the diagonal probe entries, one condition per mode)
     channels = [0, 1] if mask is None else [0 if mask == "P" else 1]

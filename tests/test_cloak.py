@@ -1,12 +1,19 @@
 """Transfer matrices, layered scattering and the vanishing-coefficient design."""
 
+import logging
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from conftest import fd_traction
+from escat import cloak
 from escat.cloak import (
+    COND_GUARD,
     LayeredStructure,
+    _interface_chain,
+    _inv_guarded,
+    _layer_matrices,
     analytic_disk_esc,
     design_svanishing,
     layer_matrix,
@@ -126,6 +133,126 @@ class TestLayerMatrix:
         v = [np.abs(m[2:, :2]).max() for m in vals]
         slope = np.polyfit(np.log(eps), np.log(v), 1)[0]
         assert abs(slope - 3.0) < 0.1
+
+
+class TestLayerMatrixStack:
+    @pytest.mark.parametrize("n", range(-3, 4))
+    def test_slices_equal_layer_matrix(self, exterior, interior, n):
+        radii = [2.0, 1.3, 0.7, 1.3, 2.0]
+        mats = [exterior, interior, exterior, exterior, interior]
+        stack = _layer_matrices(n, radii, mats, OMEGA)
+        assert stack.shape == (5, 4, 4)
+        for m, r, mat in zip(stack, radii, mats):
+            assert np.array_equal(m, layer_matrix(n, r, mat, OMEGA).matrix)
+
+    @pytest.mark.parametrize("inner", ["cavity", "core"])
+    def test_chain_equals_per_matrix_product(self, exterior, interior, inner):
+        # the stacked build and batched inverse reproduce the product of
+        # per-matrix builds and inverses bit for bit
+        core = Material(1.0, 0.6, 1.5)
+        s = LayeredStructure(
+            radii=(2.0, 1.6, 1.3, 1.0),
+            layers=(interior, core, exterior),
+            exterior=exterior,
+            inner="cavity" if inner == "cavity" else core,
+        )
+        for n in (-2, 0, 3):
+            chain, m_core = _interface_chain(s, OMEGA, n)
+            prop = np.eye(4, dtype=complex)
+            for j in range(1, 4):
+                r = s.radii[j - 1]
+                mj = layer_matrix(n, r, s.material_of_annulus(j), OMEGA).matrix
+                mjm1 = layer_matrix(n, r, s.material_of_annulus(j - 1), OMEGA).matrix
+                prop = np.linalg.inv(mj) @ mjm1 @ prop
+            m_out = layer_matrix(n, 1.0, s.layers[-1], OMEGA).matrix
+            assert np.array_equal(chain, m_out @ prop)
+            if inner == "cavity":
+                assert m_core is None
+            else:
+                assert np.array_equal(m_core, layer_matrix(n, 1.0, core, OMEGA).matrix)
+
+
+def svd_rejects(m):
+    """The guard's definition: equilibrated singular values against COND_GUARD."""
+    row = np.abs(m).max(axis=1)
+    if np.any(row == 0):
+        return True
+    m1 = m / row[:, None]
+    col = np.abs(m1).max(axis=0)
+    if np.any(col == 0):
+        return True
+    sv = np.linalg.svd(m1 / col[None, :], compute_uv=False)
+    return sv[-1] < COND_GUARD * sv[0]
+
+
+def random_complex(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+class TestResonanceGuard:
+    @staticmethod
+    def check_one(m):
+        """The guard on a one-matrix stack agrees with svd_rejects and inv."""
+        try:
+            inv = _inv_guarded(m[None], ["M"])
+        except ResonanceError:
+            assert svd_rejects(m)
+            return True
+        assert not svd_rejects(m)
+        assert np.array_equal(inv[0], np.linalg.inv(m))
+        return False
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_scaled_random_stacks(self, k):
+        rng = np.random.default_rng(40 + k)
+        for _ in range(100):
+            m = random_complex(rng, (3, k, k))
+            m *= 10.0 ** rng.uniform(-12, 12, (3, k, 1))
+            m *= 10.0 ** rng.uniform(-12, 12, (3, 1, k))
+            assert not any(svd_rejects(mi) for mi in m)
+            inv = _inv_guarded(m, ["a", "b", "c"])
+            for mi, xi in zip(m, inv):
+                assert np.array_equal(xi, np.linalg.inv(mi))
+
+    @pytest.mark.parametrize("k", [2, 4])
+    @pytest.mark.parametrize("cond", [1e12, 5e12, 2e13, 1e14])
+    def test_decision_near_threshold(self, k, cond):
+        # U diag(s) V^H with scaled rows and columns; the equilibrated
+        # condition lands around `cond`, where a 1-norm test alone would
+        # decide some matrices differently from the singular values
+        rng = np.random.default_rng(int(cond) % 1000 + k)
+        rejected = 0
+        for _ in range(40):
+            u, _ = np.linalg.qr(random_complex(rng, (k, k)))
+            v, _ = np.linalg.qr(random_complex(rng, (k, k)))
+            s = np.geomspace(1.0, 1.0 / (cond * rng.uniform(0.5, 2.0)), k)
+            m = (u * s) @ v.conj().T
+            m *= 10.0 ** rng.uniform(-12, 12, (k, 1))
+            m *= 10.0 ** rng.uniform(-12, 12, (1, k))
+            rejected += self.check_one(m)
+        # each side of the threshold sees its own outcome
+        assert rejected > 0 if cond > 1e13 else rejected < 40
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_zero_row_and_column_raise(self, k):
+        rng = np.random.default_rng(7)
+        good = random_complex(rng, (k, k))
+        zero_row = random_complex(rng, (k, k))
+        zero_row[1] = 0
+        zero_col = random_complex(rng, (k, k))
+        zero_col[:, 0] = 0
+        with pytest.raises(ResonanceError, match="b has a zero row"):
+            _inv_guarded(np.stack([good, zero_row]), ["a", "b"])
+        with pytest.raises(ResonanceError, match="b has a zero column"):
+            _inv_guarded(np.stack([good, zero_col]), ["a", "b"])
+
+    def test_first_singular_matrix_is_named(self):
+        rng = np.random.default_rng(8)
+        u, _ = np.linalg.qr(random_complex(rng, (4, 4)))
+        singular = (u * np.array([1.0, 1.0, 1.0, 1e-15])) @ u.conj().T
+        good = random_complex(rng, (4, 4))
+        with pytest.raises(ResonanceError, match=r"b is numerically singular \(equilibrated cond"):
+            _inv_guarded(np.stack([good, singular, singular]), ["a", "b", "c"])
 
 
 class TestPropagateQ:
@@ -317,6 +444,41 @@ class TestDesign:
                 bounds={"lam": (2.0, 1.0), "mu": (0.1, 1.0), "rho": (0.1, 1.0)},
                 exterior=exterior,
             )
+
+
+class TestPolishFailures:
+    @staticmethod
+    def design(exterior, polish=True):
+        return design_svanishing(
+            L=1,
+            N=0,
+            omega_set=[0.1],
+            bounds=BOUNDS,
+            exterior=exterior,
+            n_starts=1,
+            seed=5,
+            maxiter=40,
+            polish=polish,
+        )
+
+    def test_coding_error_propagates(self, exterior, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("unexpected keyword")
+
+        monkeypatch.setattr(cloak.sopt, "least_squares", broken)
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            self.design(exterior)
+
+    def test_numerical_failure_keeps_nelder_mead_point(self, exterior, monkeypatch, caplog):
+        def failing(*args, **kwargs):
+            raise ValueError("residuals are not finite")
+
+        monkeypatch.setattr(cloak.sopt, "least_squares", failing)
+        monkeypatch.setattr(cloak, "_subset_newton", lambda x, *args, **kwargs: x)
+        with caplog.at_level(logging.WARNING, logger="escat.cloak"):
+            rep = self.design(exterior)
+        assert "stage 0 failed (residuals are not finite)" in caplog.text
+        assert rep.structure == self.design(exterior, polish=False).structure
 
 
 class TestScalingReport:
