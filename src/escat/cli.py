@@ -198,6 +198,10 @@ def cmd_cloak_design(args) -> int:
         "reduction_factor": rep.reduction_factor,
         "objective_trace": rep.objective_trace,
         "n_evaluations": rep.n_evaluations,
+        "diagnostics": {
+            "start_evaluations": rep.start_evaluations,
+            "penalty_hits": rep.penalty_hits,
+        },
         "w_table": {f"{w:g}|n={n}": v for (w, n), v in rep.w_table.items()},
         "bare_w_table": {f"{w:g}|n={n}": v for (w, n), v in rep.bare_w_table.items()},
     }

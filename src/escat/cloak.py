@@ -23,12 +23,23 @@ resonance guard keeps its definition, the singular values of the
 row/column-equilibrated matrix against COND_GUARD, but brackets it with
 the exact 1-norm condition that the batched inverse provides; the
 singular values are computed only when that bound cannot clear a stack.
+A matrix that overflowed to inf or NaN is rejected as a resonance too.
+
+The design's Nelder-Mead starts are independent: they run in up to one
+worker process per CPU available to the process, with no option to set,
+and every result is the same, bit for bit, whatever the number of
+processes.
 """
 
 from __future__ import annotations
 
 import logging
+import multiprocessing
+import os
+import threading
+import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy import optimize as sopt
@@ -75,10 +86,10 @@ class LayeredStructure:
     inner: object = "cavity"
 
     def __post_init__(self):
-        r = np.asarray(self.radii, dtype=float)
+        r = self.radii
         if len(r) != len(self.layers) + 1:
             raise DomainError("need len(radii) == len(layers) + 1")
-        if np.any(np.diff(r) >= 0) or np.any(r <= 0):
+        if not (all(a > b for a, b in zip(r, r[1:])) and r[-1] > 0):
             raise DomainError("radii must be strictly decreasing and positive")
         if self.inner != "cavity" and not isinstance(self.inner, Material):
             raise DomainError("inner must be 'cavity' or a Material")
@@ -173,7 +184,9 @@ _EQ_TINY = 1e-300
 def _check_singular(m: np.ndarray, what: str) -> None:
     # Row/column norms differ by orders of magnitude at low frequency
     # (structural, still invertible), so the singularity test uses the
-    # condition number of the equilibrated matrix.
+    # condition number of the equilibrated matrix.  An entry that
+    # overflowed, or a scale that underflows, leaves no finite
+    # equilibrated matrix to test: also a resonance.
     row = np.abs(m).max(axis=1)
     if np.any(row == 0):
         raise ResonanceError(f"{what} has a zero row")
@@ -181,7 +194,10 @@ def _check_singular(m: np.ndarray, what: str) -> None:
     col = np.abs(m1).max(axis=0)
     if np.any(col == 0):
         raise ResonanceError(f"{what} has a zero column")
-    sv = np.linalg.svd(m1 / col[None, :], compute_uv=False)
+    m1 /= col[None, :]
+    if not np.isfinite(m1).all():
+        raise ResonanceError(f"{what} is not finite after equilibration")
+    sv = np.linalg.svd(m1, compute_uv=False)
     if sv[-1] < COND_GUARD * sv[0]:
         raise ResonanceError(
             f"{what} is numerically singular (equilibrated cond {sv[0] / sv[-1]:.2e})"
@@ -282,15 +298,21 @@ def layered_esc(structure: LayeredStructure, omega: float, n: int) -> np.ndarray
     if structure.inner == "cavity":
         _, q21, q22 = propagate_Q(structure, omega, n)
         a0 = -_inv_guarded(q22[None], [f"Q22(n={n})"])[0] @ q21  # columns: incident P, S
-        return ESC_SCALE * rho_w2 * a0
-    # solid core: innermost field b^P JP + b^S JS with core material; the
-    # unknowns are (b^P, b^S, a^P, a^S), one column per incident mode
-    chain, m_core = _interface_chain(structure, omega, n)
-    lhs = np.empty((4, 4), dtype=complex)
-    lhs[:, :2] = m_core[:, :2]  # core J columns
-    lhs[:, 2:] = -chain[:, 2:]  # unknown exterior H coefficients
-    sol = np.linalg.solve(lhs, chain[:, :2])
-    return ESC_SCALE * rho_w2 * sol[2:]
+    else:
+        # solid core: innermost field b^P JP + b^S JS with core material; the
+        # unknowns are (b^P, b^S, a^P, a^S), one column per incident mode
+        chain, m_core = _interface_chain(structure, omega, n)
+        lhs = np.empty((4, 4), dtype=complex)
+        lhs[:, :2] = m_core[:, :2]  # core J columns
+        lhs[:, 2:] = -chain[:, 2:]  # unknown exterior H coefficients
+        try:
+            a0 = np.linalg.solve(lhs, chain[:, :2])[2:]
+        except np.linalg.LinAlgError as exc:
+            raise ResonanceError(f"solid-core system (n={n}) is singular") from exc
+    w = ESC_SCALE * rho_w2 * a0
+    if not np.isfinite(w).all():
+        raise ResonanceError(f"W_(n={n}) at omega={omega:g} is not finite")
+    return w
 
 
 def analytic_disk_esc(
@@ -322,6 +344,10 @@ class DesignReport:
     bare_w_table: dict = field(default_factory=dict)
     n_evaluations: int = 0
     seed: int = 0
+    # objective evaluations of each Nelder-Mead start, in start order
+    start_evaluations: list = field(default_factory=list)
+    # evaluations that returned the rejection value PENALTY
+    penalty_hits: int = 0
 
 
 def _bare_cavity(exterior: Material, r_cavity: float) -> LayeredStructure:
@@ -337,6 +363,155 @@ def _w_power(structure, omega, n, mask):
     elif mask == "S":
         w = w[:, 1:]
     return float(np.sum(np.abs(w) ** 2))
+
+
+# objective value of a point outside the box, with a collapsed interface
+# or at a resonance
+PENALTY = 1e12
+
+
+@dataclass(frozen=True, eq=False)
+class _CoatObjective:
+    """Stage-1 design objective F(x) and the structure x encodes.
+
+    x holds log(lam, mu, rho) of each layer, then (when the radii are
+    optimized) the L-1 interior interfaces as fractions of the coat
+    thickness.  A module-level value, so it pickles to worker processes.
+    """
+
+    L: int
+    N: int
+    omega_set: list
+    mask: str | None
+    scales: dict
+    lo_vec: np.ndarray
+    hi_vec: np.ndarray
+    exterior: Material
+    r_outer: float
+    r_cavity: float
+    n_rad: int
+
+    def structure(self, x) -> LayeredStructure:
+        L, r_outer, r_cavity = self.L, self.r_outer, self.r_cavity
+        mats = []
+        for j in range(L):
+            lam, mu, rho = np.exp(x[3 * j : 3 * j + 3])
+            mats.append(Material(lam, mu, rho))
+        if self.n_rad:
+            # interior interface radii strictly between r_outer and r_cavity,
+            # ordered by construction from sorted fractions
+            fr = np.sort(x[3 * L :])[::-1]
+            inner = r_cavity + (r_outer - r_cavity) * fr
+            radii = (r_outer, *inner, r_cavity)
+        else:
+            radii = (r_outer, *np.linspace(r_outer, r_cavity, L + 1)[1:-1], r_cavity)
+        return LayeredStructure(
+            radii=radii, layers=tuple(mats), exterior=self.exterior, inner="cavity"
+        )
+
+    def __call__(self, x) -> float:
+        if np.any(x < self.lo_vec - 1e-12) or np.any(x > self.hi_vec + 1e-12):
+            return PENALTY
+        if self.n_rad:
+            fr = np.sort(np.concatenate([[0.0], x[3 * self.L :], [1.0]]))
+            if np.min(np.diff(fr)) < 1e-3:
+                return PENALTY  # interface collapsed onto a neighbor
+        try:
+            s = self.structure(x)
+            return sum(
+                _w_power(s, w, n, self.mask) / self.scales[(w, n)]
+                for w in self.omega_set
+                for n in range(self.N + 1)
+            )
+        except (ResonanceError, DomainError):
+            return PENALTY
+
+
+def _run_start(objective, k, x0, maxiter):
+    """One Nelder-Mead start: (k, f, x, evaluations, penalty hits)."""
+    evaluations = penalty_hits = 0
+
+    def counted(x):
+        nonlocal evaluations, penalty_hits
+        f = objective(x)
+        evaluations += 1
+        if f == PENALTY:
+            penalty_hits += 1
+        return f
+
+    res = sopt.minimize(
+        counted,
+        x0,
+        method="Nelder-Mead",
+        options={
+            "maxiter": maxiter,
+            "xatol": 1e-12,
+            "fatol": 1e-16,
+            "adaptive": True,
+        },
+    )
+    return k, res.fun, res.x, evaluations, penalty_hits
+
+
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _start_method() -> str:
+    """'fork' where the platform has it and this process runs one thread.
+
+    A forked worker need not import numpy, scipy and escat again (about
+    1 s); forking a process with other threads can copy a lock one of
+    them holds, so such a process spawns its workers.
+    """
+    if "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1:
+        return "fork"
+    return "spawn"
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Worker initializer: end the worker once the process that made it is gone.
+
+    A worker inherits its task queue's write end, so after the design's
+    process is killed it would wait on that queue forever.
+    """
+
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+def _map_starts(objective, starts, maxiter) -> list:
+    """_run_start over all starts, in start order.
+
+    The starts run in min(len(starts), available CPUs) worker processes,
+    one start per task since their costs differ, or in this process when
+    that is one or when this process is a daemon, which may not have
+    children.  The objective reaches the workers pickled, so forked and
+    spawned workers compute the same.
+    """
+    run = partial(_run_start, objective, maxiter=maxiter)
+    workers = min(len(starts), _available_cpus())
+    if workers <= 1 or multiprocessing.current_process().daemon:
+        return [run(k, x0) for k, x0 in enumerate(starts)]
+    # imported here: only a design needs it, and it adds to every start-up
+    from concurrent.futures import ProcessPoolExecutor
+
+    context = multiprocessing.get_context(_start_method())
+    pool = ProcessPoolExecutor(
+        workers, mp_context=context, initializer=_exit_with_parent, initargs=(os.getpid(),)
+    )
+    try:
+        return list(pool.map(run, range(len(starts)), starts, chunksize=1))
+    finally:
+        # after a worker's error, drop the starts not yet begun
+        pool.shutdown(cancel_futures=True)
 
 
 def design_svanishing(
@@ -360,11 +535,13 @@ def design_svanishing(
     Stage 1 minimizes F = sum_w sum_{n<=N} sum_modes |W_n(w)|^2 / s_n(w)
     with s_n(w) the bare-cavity power (relative reduction objective),
     over log-parametrized layer materials (and interior radii when
-    enabled), by multi-start Nelder-Mead inside box bounds.  Stage 2
-    (polish) refines the best candidate by bounded least squares on the
-    W-entry residuals; a probe frequency below the working band (by
-    default min(omega_set)/100) is appended so the leading low-frequency
-    coefficient itself is cancelled, not just the band values.
+    enabled), by multi-start Nelder-Mead inside box bounds.  The starts
+    run in up to one process per available CPU; the report does not
+    depend on the number of processes.  Stage 2 (polish) refines the
+    best candidate by bounded least squares on the W-entry residuals; a
+    probe frequency below the working band (by default min(omega_set)/100)
+    is appended so the leading low-frequency coefficient itself is
+    cancelled, not just the band values.
 
     Parameters
     ----------
@@ -391,7 +568,6 @@ def design_svanishing(
         for n in range(N + 1)
     }
 
-    n_mat = 3 * L
     n_rad = (L - 1) if optimize_radii else 0
     lo_vec = np.concatenate(
         [np.log([bounds[k][0] for k in ("lam", "mu", "rho")] * L), np.full(n_rad, 5e-3)]
@@ -399,65 +575,23 @@ def design_svanishing(
     hi_vec = np.concatenate(
         [np.log([bounds[k][1] for k in ("lam", "mu", "rho")] * L), np.full(n_rad, 1 - 5e-3)]
     )
-
-    def to_structure(x):
-        mats = []
-        for j in range(L):
-            lam, mu, rho = np.exp(x[3 * j : 3 * j + 3])
-            mats.append(Material(lam, mu, rho))
-        if n_rad:
-            # interior interface radii strictly between r_outer and r_cavity,
-            # ordered by construction from sorted fractions
-            fr = np.sort(x[n_mat:])[::-1]
-            inner = r_cavity + (r_outer - r_cavity) * fr
-            radii = (r_outer, *inner, r_cavity)
-        else:
-            radii = (r_outer, *np.linspace(r_outer, r_cavity, L + 1)[1:-1], r_cavity)
-        return LayeredStructure(
-            radii=radii, layers=tuple(mats), exterior=exterior, inner="cavity"
-        )
-
-    evaluations = [0]
-
-    def objective(x):
-        evaluations[0] += 1
-        if np.any(x < lo_vec - 1e-12) or np.any(x > hi_vec + 1e-12):
-            return 1e12
-        if n_rad:
-            fr = np.sort(np.concatenate([[0.0], x[n_mat:], [1.0]]))
-            if np.min(np.diff(fr)) < 1e-3:
-                return 1e12  # interface collapsed onto a neighbor
-        try:
-            s = to_structure(x)
-            return sum(
-                _w_power(s, w, n, mask) / scales[(w, n)]
-                for w in omega_set
-                for n in range(N + 1)
-            )
-        except (ResonanceError, DomainError):
-            return 1e12
+    objective = _CoatObjective(
+        L, N, omega_set, mask, scales, lo_vec, hi_vec, exterior, r_outer, r_cavity, n_rad
+    )
 
     rng = np.random.default_rng(seed)
     starts = [lo_vec + (hi_vec - lo_vec) * rng.random(len(lo_vec)) for _ in range(n_starts)]
-
-    results = []
-    for k, x0 in enumerate(starts):
-        res = sopt.minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={
-                "maxiter": maxiter,
-                "xatol": 1e-12,
-                "fatol": 1e-16,
-                "adaptive": True,
-            },
-        )
-        results.append((k, res.fun, res.x))
-    results.sort(key=lambda t: (t[1], t[0]))
+    runs = _map_starts(objective, starts, maxiter)
+    start_evaluations = [r[3] for r in runs]
+    penalty_hits = sum(r[4] for r in runs)
+    results = sorted((r[:3] for r in runs), key=lambda t: (t[1], t[0]))
     best_k, best_f, best_x = results[0]
-    logger.info("design: best start %d, objective %.3e", best_k, best_f)
+    logger.info(
+        "design: best start %d, objective %.3e; evaluations per start %s, %d penalized",
+        best_k, best_f, start_evaluations, penalty_hits,
+    )
 
+    n_evaluations = sum(start_evaluations)
     if polish:
         probes = (
             list(coeff_probe)
@@ -466,12 +600,12 @@ def design_svanishing(
             if coeff_probe
             else [min(omega_set) / 100.0, min(omega_set) / 1000.0]
         )
-        best_x = _polish_design(
-            best_x, to_structure, bare, omega_set, N, mask, lo_vec, hi_vec, probes
-        )
+        best_x = _polish_design(best_x, objective, bare, probes)
         best_f = objective(best_x)
+        n_evaluations += 1
+        penalty_hits += int(best_f == PENALTY)
 
-    structure = to_structure(best_x)
+    structure = objective.structure(best_x)
     w_main = omega_set[0]
     designed_power = sum(_w_power(structure, w_main, n, mask) for n in range(N + 1))
     bare_power = sum(_w_power(bare, w_main, n, mask) for n in range(N + 1))
@@ -491,13 +625,15 @@ def design_svanishing(
             for w in omega_set
             for n in range(N + 1)
         },
-        n_evaluations=evaluations[0],
+        n_evaluations=n_evaluations,
         seed=seed,
+        start_evaluations=start_evaluations,
+        penalty_hits=penalty_hits,
     )
     return report
 
 
-def _polish_design(x0, to_structure, bare, omega_set, N, mask, lo_vec, hi_vec, probes):
+def _polish_design(x0, objective, bare, probes):
     """Bounded least-squares refinement of a design candidate.
 
     Residuals are the (bare-normalized) W_n entries at the working
@@ -508,7 +644,9 @@ def _polish_design(x0, to_structure, bare, omega_set, N, mask, lo_vec, hi_vec, p
     from that point and normalizes each probe entry by its own bare
     magnitude (pressures the weaker channels, e.g. the torsional one).
     """
-    freqs = list(omega_set) + list(probes)
+    N, mask = objective.N, objective.mask
+    lo_vec, hi_vec, to_structure = objective.lo_vec, objective.hi_vec, objective.structure
+    freqs = list(objective.omega_set) + list(probes)
 
     def make_residuals(per_entry):
         norms = {}

@@ -19,9 +19,10 @@ the explicit left pseudo-inverse used for reconstruction.
 
 from __future__ import annotations
 
-import csv
+import itertools
 import json
 import logging
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,6 +103,10 @@ class MsrConfig:
         )
 
 
+# one row of a dataset CSV file
+_CSV_ROW = np.dtype([("s", np.int64), ("r", np.int64), ("re", float), ("im", float)])
+
+
 @dataclass
 class MsrDataset:
     """Four N_s x N_r response matrices plus the acquisition geometry."""
@@ -130,8 +135,11 @@ class MsrDataset:
         )
 
     def save(self, prefix) -> None:
-        """JSON header + four CSV matrices (s, r, re, im), written atomically."""
-        import io
+        """JSON header + four CSV matrices (s, r, re, im), written atomically.
+
+        Rows are s-major, values are repr() of the doubles (exact round
+        trip), lines end in CRLF, as csv.writer writes them.
+        """
         import pathlib
 
         from .config import atomic_write_json, atomic_write_text
@@ -145,13 +153,11 @@ class MsrDataset:
             "perp_perp": self.a_perp_perp,
         }
         for name, mat in names.items():
-            buf = io.StringIO()
-            wr = csv.writer(buf)
-            wr.writerow(["s", "r", "re", "im"])
-            for s in range(mat.shape[0]):
-                for r in range(mat.shape[1]):
-                    wr.writerow([s, r, repr(float(mat[s, r].real)), repr(float(mat[s, r].imag))])
-            atomic_write_text(f"{prefix}_{name}.csv", buf.getvalue())
+            z = np.asarray(mat, dtype=complex)
+            rows = zip(itertools.product(range(z.shape[0]), range(z.shape[1])),
+                       z.real.ravel().tolist(), z.imag.ravel().tolist())
+            text = "".join([f"{s},{r},{re!r},{im!r}\r\n" for (s, r), re, im in rows])
+            atomic_write_text(f"{prefix}_{name}.csv", "s,r,re,im\r\n" + text)
 
     @classmethod
     def load(cls, prefix) -> "MsrDataset":
@@ -161,30 +167,34 @@ class MsrDataset:
         mats = {}
         for name in ("par_par", "par_perp", "perp_par", "perp_perp"):
             path = f"{prefix}_{name}.csv"
-            rows = {}
-            with open(path) as f:
-                rd = csv.reader(f)
-                next(rd)
-                for row in rd:
-                    try:
-                        s, r, re, im = row
-                        key, v = (int(s), int(r)), complex(float(re), float(im))
-                    except ValueError as e:
-                        raise ConfigError(f"{path}: malformed row {row}") from e
-                    if key in rows or not (0 <= key[0] < ns and 0 <= key[1] < nr):
-                        raise ConfigError(
-                            f"{path}: entry (s, r) = {key} is out of range or repeated "
-                            f"for {ns} sources x {nr} receivers"
-                        )
-                    rows[key] = v
-            if len(rows) < ns * nr:
+            with warnings.catch_warnings():
+                # a file without rows is reported below, as missing entries
+                warnings.simplefilter("ignore", UserWarning)
+                try:
+                    rows = np.loadtxt(path, dtype=_CSV_ROW, delimiter=",", comments=None,
+                                      skiprows=1, ndmin=1)
+                except ValueError as e:
+                    raise ConfigError(f"{path}: malformed row ({e})") from e
+            s, r = rows["s"], rows["r"]
+            outside = (s < 0) | (s >= ns) | (r < 0) | (r >= nr)
+            if outside.any():
+                i = int(np.argmax(outside))
                 raise ConfigError(
-                    f"{path}: {ns * nr - len(rows)} of {ns * nr} (s, r) entries missing"
+                    f"{path}: entry (s, r) = ({s[i]}, {r[i]}) is out of range "
+                    f"for {ns} sources x {nr} receivers"
                 )
-            mat = np.empty((ns, nr), dtype=complex)
-            for (s, r), v in rows.items():
-                mat[s, r] = v
-            mats[name] = mat
+            flat = s * nr + r
+            count = np.bincount(flat, minlength=ns * nr)
+            if (count > 1).any():
+                k = int(np.argmax(count > 1))
+                raise ConfigError(f"{path}: entry (s, r) = ({k // nr}, {k % nr}) is repeated")
+            missing = int(np.count_nonzero(count == 0))
+            if missing:
+                raise ConfigError(f"{path}: {missing} of {ns * nr} (s, r) entries missing")
+            mat = np.empty(ns * nr, dtype=complex)
+            mat.real[flat] = rows["re"]
+            mat.imag[flat] = rows["im"]
+            mats[name] = mat.reshape(ns, nr)
         return cls(
             a_par_par=mats["par_par"],
             a_par_perp=mats["par_perp"],

@@ -19,6 +19,7 @@ Everything here is a pure function of its inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,11 +62,11 @@ class Material:
 
     @property
     def c_p(self) -> float:
-        return float(np.sqrt((self.lam + 2.0 * self.mu) / self.rho))
+        return math.sqrt((self.lam + 2.0 * self.mu) / self.rho)
 
     @property
     def c_s(self) -> float:
-        return float(np.sqrt(self.mu / self.rho))
+        return math.sqrt(self.mu / self.rho)
 
     def kappa_p(self, omega: float) -> float:
         return omega / self.c_p

@@ -166,6 +166,10 @@ class TestCloak:
         rep = json.loads(out.read_text())
         assert rep["status"] in ("ok", "target-not-met")
         assert "reduction_factor" in rep and "objective_trace" in rep
+        diagnostics = rep["diagnostics"]
+        assert len(diagnostics["start_evaluations"]) == 2
+        assert sum(diagnostics["start_evaluations"]) + 1 == rep["n_evaluations"]
+        assert 0 <= diagnostics["penalty_hits"] <= rep["n_evaluations"]
 
     def test_scaling_emits_exponents(self, tmp_path):
         doc = {

@@ -1,6 +1,11 @@
 """Transfer matrices, layered scattering and the vanishing-coefficient design."""
 
+import dataclasses
 import logging
+import os
+import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -44,6 +49,13 @@ class TestLayeredStructure:
     def test_radii_must_decrease(self, exterior):
         with pytest.raises(DomainError):
             LayeredStructure(radii=(1.0, 2.0), layers=(exterior,), exterior=exterior)
+
+    @pytest.mark.parametrize(
+        "radii", [(1.0, 1.0), (1.0, 0.0), (1.0, -0.5), (np.nan, 1.0), (2.0, np.nan)]
+    )
+    def test_equal_non_positive_or_nan_radii_rejected(self, exterior, radii):
+        with pytest.raises(DomainError):
+            LayeredStructure(radii=radii, layers=(exterior,), exterior=exterior)
 
     def test_serialization(self, exterior, interior):
         s = LayeredStructure(
@@ -246,6 +258,15 @@ class TestResonanceGuard:
         with pytest.raises(ResonanceError, match="b has a zero column"):
             _inv_guarded(np.stack([good, zero_col]), ["a", "b"])
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_matrix_raises(self, bad):
+        rng = np.random.default_rng(9)
+        good, m = random_complex(rng, (2, 4, 4))
+        m[2, 1] = bad
+        with pytest.raises(ResonanceError, match="b is not finite after equilibration"):
+            with np.errstate(invalid="ignore"):
+                _inv_guarded(np.stack([good, m]), ["a", "b"])
+
     def test_first_singular_matrix_is_named(self):
         rng = np.random.default_rng(8)
         u, _ = np.linalg.qr(random_complex(rng, (4, 4)))
@@ -307,6 +328,19 @@ class TestLayeredEsc:
     def test_bare_cavity_scatters(self, exterior):
         w0 = layered_esc(bare_cavity(exterior), 0.5, 0)
         assert abs(w0[0, 0]) > 1e-3  # traction-free disk scatters P waves
+
+    def test_chain_overflow_is_a_resonance(self, exterior, capfd):
+        # at high order and low frequency the chain product overflows;
+        # the guard must not hand inf or NaN to LAPACK
+        s = LayeredStructure(
+            radii=(2.0, 1.5, 1.0),
+            layers=(Material(3.0, 0.5, 2.0), Material(1.0, 2.0, 0.7)),
+            exterior=exterior,
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ResonanceError, match=r"Q22\(n=30\) is not finite"):
+                layered_esc(s, 3e-4, 30)
+        assert "DLASCL" not in "".join(capfd.readouterr())
 
     def test_reciprocity_against_negative_order(self, exterior, interior):
         s = LayeredStructure(
@@ -396,6 +430,16 @@ class TestDesign:
         for m1, m2 in zip(design_report.structure.layers, rep2.structure.layers):
             assert m1 == m2
         assert design_report.structure.radii == rep2.structure.radii
+        assert rep2.objective == design_report.objective
+        assert rep2.objective_trace == design_report.objective_trace
+        assert rep2.n_evaluations == design_report.n_evaluations
+
+    def test_evaluation_counts_add_up(self, design_report):
+        # every start's evaluations, plus the final one after polishing
+        counts = design_report.start_evaluations
+        assert len(counts) == 8 and min(counts) > 0
+        assert sum(counts) + 1 == design_report.n_evaluations
+        assert 0 < design_report.penalty_hits < design_report.n_evaluations
 
     def test_noop_coat_objective_equals_bare(self, exterior):
         # the objective of an exterior-material coat equals the
@@ -444,6 +488,84 @@ class TestDesign:
                 bounds={"lam": (2.0, 1.0), "mu": (0.1, 1.0), "rho": (0.1, 1.0)},
                 exterior=exterior,
             )
+
+
+def _broken_objective(x):
+    raise TypeError("objective got a bad argument")
+
+
+def _quadratic(x):
+    return float(x @ x)
+
+
+class TestParallelStarts:
+    def test_pool_equals_one_process(self, exterior, monkeypatch):
+        reports = []
+        for cpus, method in ((1, "fork"), (3, "fork"), (2, "spawn")):
+            monkeypatch.setattr(cloak, "_available_cpus", lambda: cpus)
+            monkeypatch.setattr(cloak, "_start_method", lambda: method)
+            reports.append(
+                design_svanishing(
+                    L=1, N=0, omega_set=[0.1], bounds=BOUNDS, exterior=exterior,
+                    n_starts=3, seed=9, maxiter=200,
+                )
+            )
+        one, fork, spawn = (
+            {f.name: repr(getattr(r, f.name)) for f in dataclasses.fields(r)} for r in reports
+        )
+        assert one == fork == spawn  # repr of every float: equal bit for bit
+
+    def test_daemon_runs_starts_in_process(self, monkeypatch):
+        # a daemonic process may not start children
+        def no_pool(*args, **kwargs):
+            raise AssertionError("daemonic processes are not allowed to have children")
+
+        monkeypatch.setattr(cloak, "_available_cpus", lambda: 2)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(cloak.multiprocessing.current_process(), "daemon", True)
+        runs = cloak._map_starts(_quadratic, [np.ones(2), np.full(2, 2.0)], maxiter=50)
+        assert [r[0] for r in runs] == [0, 1]
+        assert all(r[1] < 1e-6 and r[3] > 0 for r in runs)
+
+    def test_worker_error_reaches_caller(self, monkeypatch):
+        def hung(signum, frame):
+            raise TimeoutError("the pool did not return")
+
+        monkeypatch.setattr(cloak, "_available_cpus", lambda: 2)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            with pytest.raises(TypeError, match="objective got a bad argument"):
+                cloak._map_starts(_broken_objective, [np.zeros(3)] * 4, maxiter=10)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_workers_exit_with_the_design_process(self):
+        script = (
+            "import os, time\n"
+            "import numpy as np\n"
+            "from escat import cloak\n"
+            "cloak._available_cpus = lambda: 2\n"
+            "def slow(x):\n"
+            "    print(os.getpid(), flush=True)\n"
+            "    time.sleep(60)\n"
+            "    return 0.0\n"
+            "cloak._map_starts(slow, [np.zeros(1)] * 2, maxiter=1)\n"
+        )
+        src = os.path.dirname(os.path.dirname(cloak.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True, env=env
+        )
+        workers = [int(proc.stdout.readline()) for _ in range(2)]
+        proc.kill()
+        try:
+            proc.communicate(timeout=20)  # EOF once no worker holds the pipe
+        except subprocess.TimeoutExpired:
+            for pid in workers:
+                os.kill(pid, signal.SIGKILL)
+            pytest.fail("the workers outlived the design process")
 
 
 class TestPolishFailures:

@@ -1,5 +1,8 @@
 """Acquisition model, reconstruction and stability diagnostics."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -350,4 +353,58 @@ class TestDatasetIO:
         lines = csv_path.read_text().splitlines(keepends=True)
         csv_path.write_text("".join(lines[:-2]))
         with pytest.raises(ConfigError, match="run_perp_par.csv"):
+            MsrDataset.load(tmp_path / "run")
+
+    @staticmethod
+    def special_values_dataset(exterior):
+        rng = np.random.default_rng(11)
+        config = far_config(exterior, ns=3, nr=4)
+        blocks = []
+        for _ in range(4):
+            re = rng.standard_normal((3, 4)) * 10.0 ** rng.integers(-300, 300, (3, 4))
+            im = rng.standard_normal((3, 4)) * 10.0 ** rng.integers(-300, 300, (3, 4))
+            blocks.append(re + 1j * im)
+        a = blocks[0]
+        a[0, 0] = complex(-0.0, 0.0)
+        a[0, 1] = complex(5e-324, -2.5e-310)  # subnormal
+        a[0, 2] = complex(1e300, -1e300)
+        a[1, 0] = complex(0.1, -0.0)
+        return MsrDataset(*blocks, config=config)
+
+    def test_files_match_csv_writer(self, tmp_path, exterior):
+        data = self.special_values_dataset(exterior)
+        data.save(tmp_path / "run")
+        for name, mat in (("par_par", data.a_par_par), ("par_perp", data.a_par_perp),
+                          ("perp_par", data.a_perp_par), ("perp_perp", data.a_perp_perp)):
+            buf = io.StringIO()
+            wr = csv.writer(buf)
+            wr.writerow(["s", "r", "re", "im"])
+            for s in range(mat.shape[0]):
+                for r in range(mat.shape[1]):
+                    wr.writerow([s, r, repr(float(mat[s, r].real)), repr(float(mat[s, r].imag))])
+            assert (tmp_path / f"run_{name}.csv").read_bytes() == buf.getvalue().encode()
+        back = MsrDataset.load(tmp_path / "run")
+        for got, want in zip(back.stacked().ravel(), data.stacked().ravel()):
+            assert repr(got) == repr(want)  # signed zeros and subnormals survive
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda rows: rows[:1] + ["0,x,1.0,2.0\r\n"] + rows[2:], "malformed row"),
+            (lambda rows: rows[:1] + ["0,0,1.0\r\n"] + rows[2:], "malformed row"),
+            (lambda rows: rows[:-1] + ["3,0,1.0,2.0\r\n"], "out of range"),
+            (lambda rows: rows[:-1] + ["0,-1,1.0,2.0\r\n"], "out of range"),
+            (lambda rows: rows[:-1] + [rows[1]], r"\(0, 0\) is repeated"),
+            (lambda rows: rows[:-1], "1 of 12 .* missing"),
+            (lambda rows: rows[:1], "12 of 12 .* missing"),
+        ],
+        ids=["text", "short-row", "source-range", "receiver-range", "repeated", "missing",
+             "header-only"],
+    )
+    def test_bad_rows_rejected(self, tmp_path, exterior, edit, message):
+        self.special_values_dataset(exterior).save(tmp_path / "run")
+        path = tmp_path / "run_par_perp.csv"
+        rows = path.read_bytes().decode().splitlines(keepends=True)
+        path.write_bytes("".join(edit(rows)).encode())
+        with pytest.raises(ConfigError, match=rf"run_par_perp\.csv: .*{message}"):
             MsrDataset.load(tmp_path / "run")
