@@ -40,6 +40,17 @@ kappa r stays below ~1e2, and H = J + iY from the cephes routines agrees
 with the AMOS Hankel routine to ~4e-15 relative at a tenth of the cost;
 off-surface targets reach kappa r ~ 1e4, where J + iY loses up to ~1e-12,
 so they keep sp.hankel1.
+
+Every shape symmetric about the x_1-axis (circle, ellipse, kite, cosine
+Fourier curves) gives a grid whose node n - j mirrors node j.  The
+reflection P (node j -> n - j, components times (1, -1), on phi and psi
+alike) then commutes with the system matrix A, and in the orthonormal
+eigenbases V+ and V- of P the system splits into two 2n x 2n blocks
+V+^T A V+ and V-^T A V-.  TransmissionSolver factors those instead of
+A; because A V = V B, the blocks need only the rows of nodes 0..n/2, so
+assembly evaluates half the rows.  The check is made on the grid data
+(QuadratureGrid.mirror_symmetric); any other grid is the one-block case
+of the same code, with the identity basis and all rows.
 """
 
 from __future__ import annotations
@@ -71,6 +82,8 @@ _EULER = float(np.euler_gamma)
 _E_SKEW = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 COND_LIMIT = 1e12
+MIRROR_TOL = 1e-12
+_SQRT_HALF = np.sqrt(0.5)
 
 
 class NearBoundaryWarning(UserWarning):
@@ -97,6 +110,29 @@ class QuadratureGrid:
 
     def spacing(self) -> float:
         return float(np.min(self.jacobians)) * 2.0 * np.pi / self.n_nodes
+
+    @property
+    def mirror_symmetric(self) -> bool:
+        """Whether node n - j is the mirror image of node j in the x_1-axis.
+
+        Checked on the grid data: nodes, normals and accelerations at n - j
+        must equal those at j with the x_2 component negated, and the
+        jacobians must agree, each within MIRROR_TOL times the largest
+        entry of its array.  Rounding keeps circles, ellipses (aspect up to
+        50), kites and cosine-only Fourier curves below 3e-14 for n up to
+        8192; a Fourier sine term of 1e-11 already fails.
+        """
+        flip = np.array([1.0, -1.0])
+        for data, sign in (
+            (self.nodes, flip),
+            (self.normals, flip),
+            (self.accel, flip),
+            (self.jacobians, 1.0),
+        ):
+            image = sign * np.roll(data[::-1], 1, axis=0)  # data[(n - j) % n]
+            if np.max(np.abs(image - data)) > MIRROR_TOL * np.max(np.abs(data)):
+                return False
+        return True
 
 
 @dataclass
@@ -149,9 +185,14 @@ def _log_row(n: int) -> np.ndarray:
     return row - (4.0 * np.pi / (n * n)) * np.cos((n / 2.0) * theta)
 
 
-def _even_circulant(row: np.ndarray, n: int) -> np.ndarray:
-    """Exactly symmetric (n x n) matrix row[min(k, n - k)], k = (i - j) mod n."""
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+def _offsets(n: int, rows: int | None = None) -> np.ndarray:
+    """(rows x n) offsets (i - j) mod n; rows defaults to n."""
+    return (np.arange(n if rows is None else rows)[:, None] - np.arange(n)[None, :]) % n
+
+
+def _even_circulant(row: np.ndarray, n: int, rows: int | None = None) -> np.ndarray:
+    """Exactly symmetric matrix row[min(k, n - k)], k = (i - j) mod n, first rows rows."""
+    idx = _offsets(n, rows)
     return row[np.minimum(idx, n - idx)]
 
 
@@ -163,18 +204,18 @@ def log_weights(n: int) -> np.ndarray:
     return _even_circulant(_log_row(n), n)
 
 
-def cot_weights(n: int) -> np.ndarray:
+def cot_weights(n: int, rows: int | None = None) -> np.ndarray:
     """Weights C_ij for p.v. (1/2pi) int cot((s - t_i)/2) f(s) ds.
 
     Exact for trigonometric polynomials of degree < n/2 (the conjugate
     function operator: e^{ims} -> i sign(m) e^{imt}).  The row function
     is odd, so C_ij = row(t_i - t_j) with row(h) = -(2/n) sum_m sin(m h).
+    Only the first rows rows (default all n) are formed.
     """
     theta = 2.0 * np.pi * np.arange(n) / n
     m = np.arange(1, n // 2)
     row = -(2.0 / n) * np.sin(np.outer(theta, m)).sum(axis=1)
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    return row[idx]
+    return row[_offsets(n, rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -191,25 +232,32 @@ def _static_constants(material: Material):
     return c1, c2, m_c, p_c
 
 
-def _pairwise(grid: QuadratureGrid):
+def _pairwise(grid: QuadratureGrid, rows: int):
     x = grid.nodes
-    dv = x[:, None, :] - x[None, :, :]
+    dv = x[:rows, None, :] - x[None, :, :]
     r = np.hypot(dv[..., 0], dv[..., 1])
     np.fill_diagonal(r, 1.0)  # placeholder, diagonals set analytically
     return r, dv / r[..., None]
 
 
 class KernelTable(NamedTuple):
-    """Quadrature-weighted radial kernels of one material on a grid."""
+    """Quadrature-weighted radial kernels of one material on a grid.
 
-    rhat: np.ndarray  # (n, n, 2) unit vectors (x_i - x_j) / r_ij
-    phi: np.ndarray  # (n, n) radial parts of S, diagonal not meaningful
+    Row i is target node i; a table may hold only the first rows rows.
+    """
+
+    rhat: np.ndarray  # (rows, n, 2) unit vectors (x_i - x_j) / r_ij
+    phi: np.ndarray  # (rows, n) radial parts of S, diagonal not meaningful
     chi: np.ndarray
     traction: tuple  # (a1, a2, a4) of K*, same layout
 
 
-def _kernel_tables(grid: QuadratureGrid, omega: float, material: Material) -> KernelTable:
+def _kernel_tables(
+    grid: QuadratureGrid, omega: float, material: Material, rows: int | None = None
+) -> KernelTable:
     """Radial kernels of one material at the folded Z_nu of the module docstring.
+
+    Only target rows 0..rows-1 (default all) are evaluated.
 
     Z is symmetric in (i, j) because r, R and ln 4 sin^2 are; |x'(t_j)|
     multiplies the results, not Z, so the rounding of the P-S cancellation
@@ -217,11 +265,12 @@ def _kernel_tables(grid: QuadratureGrid, omega: float, material: Material) -> Ke
     drops out of smooth integrals.
     """
     n = grid.n_nodes
+    rows = n if rows is None else rows
     h = 2.0 * np.pi / n
-    r, rhat = _pairwise(grid)
+    r, rhat = _pairwise(grid, rows)
     w_row = _log_row(n)  # R - (2 pi/n) ln 4 sin^2 by offset; the diagonal is unused
     w_row[1:] -= h * np.log(4.0 * np.sin(np.pi * np.arange(1, n // 2 + 1) / n) ** 2)
-    w_log = _even_circulant(w_row / np.pi, n)
+    w_log = _even_circulant(w_row / np.pi, n, rows)
     z = []
     for kappa in (material.kappa_p(omega), material.kappa_s(omega)):
         t = kappa * r
@@ -237,15 +286,15 @@ def _kernel_tables(grid: QuadratureGrid, omega: float, material: Material) -> Ke
 
 
 def _node_blocks(comp, diag: np.ndarray) -> np.ndarray:
-    """(2n x 2n) matrix from 2x2 component arrays (n, n) and diagonal blocks (n, 2, 2)."""
-    n = diag.shape[0]
-    op = np.empty((n, 2, n, 2), dtype=complex)
+    """(2 rows x 2n) matrix from 2x2 component arrays (rows, n) and diagonal blocks (n, 2, 2)."""
+    rows, n = comp[0][0].shape
+    op = np.empty((rows, 2, n, 2), dtype=complex)
     for k in (0, 1):
         for l in (0, 1):
             op[:, k, :, l] = comp[k][l]
-    di = np.arange(n)
-    op[di, :, di, :] = diag
-    return op.reshape(2 * n, 2 * n)
+    di = np.arange(rows)
+    op[di, :, di, :] = diag[:rows]
+    return op.reshape(2 * rows, 2 * n)
 
 
 def single_layer_matrix(
@@ -253,6 +302,7 @@ def single_layer_matrix(
 ):
     """Discrete single-layer trace operator (2n x 2n).
 
+    Given a table of the first rows nodes, only their 2 * rows rows are formed.
     Diagonal blocks are R_ii m1_ii + (2 pi/n) m2_ii from the closed-form
     limits of the log split M = M1 ln 4 sin^2 + M2.
     """
@@ -277,6 +327,7 @@ def traction_layer_matrix(
 ):
     """Discrete principal-value traction operator K* (2n x 2n).
 
+    Given a table of the first rows nodes, only their 2 * rows rows are formed.
     Off the diagonal, K*_ij = radial part + m_c E ((2 pi/n) cot((t_j - t_i)/2)/2
     - pi C_ij): the Kelvin skew kernel's cot term leaves the trapezoidal
     rule for the conjugation weights C.  Diagonal blocks are (2 pi/n)
@@ -284,13 +335,14 @@ def traction_layer_matrix(
     """
     tab = tables if tables is not None else _kernel_tables(grid, omega, material)
     n = grid.n_nodes
+    rows = tab.phi.shape[0]
     h = 2.0 * np.pi / n
     jac, nrm = grid.jacobians, grid.normals
     _, _, m_c, p_c = _static_constants(material)
-    dtheta = grid.t[None, :] - grid.t[:, None]
+    dtheta = grid.t[None, :] - grid.t[:rows, None]
     np.fill_diagonal(dtheta, np.pi)  # placeholder, the diagonal is set below
-    kelvin = m_c * (0.5 * h / np.tan(dtheta / 2.0) - np.pi * cot_weights(n))
-    comp = _traction_components(tab.traction, tab.rhat, nrm[:, None, :])
+    kelvin = m_c * (0.5 * h / np.tan(dtheta / 2.0) - np.pi * cot_weights(n, rows))
+    comp = _traction_components(tab.traction, tab.rhat, nrm[:rows, None, :])
     comp = ((comp[0][0], comp[0][1] + kelvin), (comp[1][0] - kelvin, comp[1][1]))
     cross = nrm[:, 0] * grid.accel[:, 1] - nrm[:, 1] * grid.accel[:, 0]  # n x x''
     add_n = np.einsum("ij,ij->i", grid.accel, nrm)  # x'' . n
@@ -302,43 +354,138 @@ def traction_layer_matrix(
     return _node_blocks(comp, diag)
 
 
-def assemble_system(grid: QuadratureGrid, pair: MaterialPair, omega: float):
+def assemble_system(
+    grid: QuadratureGrid, pair: MaterialPair, omega: float, rows: int | None = None
+):
     """Dense transmission system matrix of size (4 n_nodes)^2.
 
     Row blocks: trace equation, traction-jump equation; column blocks:
-    phi (interior density), psi (exterior density).  Raises
-    ResonanceError when the estimated condition number exceeds 1e12
-    (unique solvability fails when omega^2 rho_1 hits an interior
-    Dirichlet eigenvalue; the guard detects the approach).
+    phi (interior density), psi (exterior density).  With rows given,
+    only the equations at nodes 0..rows-1 are formed: a (4 rows x 4 n)
+    matrix whose row blocks are those nodes' trace and traction rows.
     """
     if omega <= 0:
         raise DomainError("omega must be positive")
     n2 = 2 * grid.n_nodes
-    a = np.empty((2 * n2, 2 * n2), dtype=complex)
+    r2 = n2 if rows is None else 2 * rows
+    a = np.empty((2 * r2, 2 * n2), dtype=complex)
     for col, material in ((0, pair.interior), (n2, pair.exterior)):
-        tab = _kernel_tables(grid, omega, material)
-        a[:n2, col : col + n2] = single_layer_matrix(grid, omega, material, tab)
-        a[n2:, col : col + n2] = traction_layer_matrix(grid, omega, material, tab)
+        tab = _kernel_tables(grid, omega, material, rows)
+        a[:r2, col : col + n2] = single_layer_matrix(grid, omega, material, tab)
+        a[r2:, col : col + n2] = traction_layer_matrix(grid, omega, material, tab)
     a[:, n2:] *= -1.0
-    di = np.arange(n2)
-    a[n2 + di, di] += 0.5
-    a[n2 + di, n2 + di] += 0.5
+    di = np.arange(r2)
+    a[r2 + di, di] += 0.5
+    a[r2 + di, n2 + di] += 0.5
     return a
 
 
+class _MirrorBasis(NamedTuple):
+    """Orthonormal eigenbasis of the grid reflection P on one density (n, 2).
+
+    P maps node j to n - j and the components by signs (1, -1).  Nodes
+    1..pairs are paired with n-1..n-pairs: a paired node j spans
+    (e_j + sign e_{n-j}) / sqrt 2, an unpaired one e_j.  Each entry of
+    blocks is one eigenblock, given per component c as (lo, hi, sign):
+    nodes lo..hi-1 of component c span it.  Its equations are formed at
+    nodes 0..rows-1.  A grid without the symmetry has one block, all
+    nodes unpaired and all rows.
+    """
+
+    n: int
+    rows: int
+    pairs: int
+    blocks: tuple
+
+    @property
+    def partners(self) -> slice:
+        """Nodes n-1..n-pairs, the partners of nodes 1..pairs in order."""
+        return slice(self.n - 1, self.n - 1 - self.pairs, -1)
+
+    def size(self, spec) -> int:
+        return sum(hi - lo for lo, hi, _ in spec)
+
+    def parts(self, spec):
+        """Per component c of a block: (c, its nodes, its slice of the block
+        coordinates, the positions of nodes 1..pairs in that slice, sign)."""
+        off = 0
+        for c, (lo, hi, sign) in enumerate(spec):
+            paired = slice(1 - lo, 1 + self.pairs - lo)
+            yield c, slice(lo, hi), slice(off, off + hi - lo), paired, sign
+            off += hi - lo
+
+
+def _mirror_basis(grid: QuadratureGrid) -> _MirrorBasis:
+    n = grid.n_nodes
+    if not grid.mirror_symmetric:
+        return _MirrorBasis(n, n, 0, (((0, n, 1.0), (0, n, 1.0)),))
+    # nodes 0 and n/2 lie on the axis: their x_1 component is P-even, x_2 odd
+    m = n // 2
+    full, inner = (0, m + 1, 1.0), (1, m, -1.0)
+    return _MirrorBasis(n, m + 1, m - 1, ((full, inner), (inner, full)))
+
+
+def _project(basis: _MirrorBasis, spec, x: np.ndarray, out=None) -> np.ndarray:
+    """V^T x for x of shape (..., n, 2): block coordinates (..., size), into out if given."""
+    if out is None:
+        out = np.empty(x.shape[:-2] + (basis.size(spec),), dtype=complex)
+    for c, nodes, coords, paired, sign in basis.parts(spec):
+        part = out[..., coords]
+        part[...] = x[..., nodes, c]
+        part[..., paired] += sign * x[..., basis.partners, c]
+        part[..., paired] *= _SQRT_HALF
+    return out
+
+
+def _expand(basis: _MirrorBasis, spec, y: np.ndarray, out: np.ndarray) -> None:
+    """out (..., n, 2) += V y for block coordinates y (..., size)."""
+    for c, nodes, coords, paired, sign in basis.parts(spec):
+        part = y[..., coords].copy()
+        part[..., paired] *= _SQRT_HALF
+        out[..., nodes, c] += part
+        out[..., basis.partners, c] += sign * part[..., paired]
+
+
+def _block_matrix(basis: _MirrorBasis, spec, a: np.ndarray) -> np.ndarray:
+    """B = V^T A V of one eigenblock from the assembled rows a of assemble_system.
+
+    PA = AP gives A V = V B, so row (i, k) of B is row (i, k) of A V,
+    times sqrt 2 for a paired node i: only the rows of nodes 0..rows-1
+    are needed.  Formed by slicing.
+    """
+    size = basis.size(spec)
+    a = a.reshape(2, basis.rows, 2, 2, basis.n, 2)  # equation, node, k, density, node, c
+    b = np.empty((2, size, 2, size), dtype=complex)
+    for k, nodes, coords, paired, _ in basis.parts(spec):
+        rows = b[:, coords]
+        _project(basis, spec, a[:, nodes, k], out=rows)  # rows (i, k) of A V
+        rows[:, paired] *= np.sqrt(2.0)
+    return b.reshape(2 * size, 2 * size)
+
+
 class TransmissionSolver:
-    """Factorized transmission system; solves are cheap per right-hand side."""
+    """Factorized transmission system; solves are cheap per right-hand side.
+
+    When the grid is mirror-symmetric (QuadratureGrid.mirror_symmetric)
+    the system commutes with the reflection P, and its two eigenblocks
+    V+^T A V+ and V-^T A V- (each 2n x 2n) are assembled from the rows of
+    nodes 0..n/2 and factored instead of A.  Otherwise the one block is A.
+    """
 
     def __init__(self, grid: QuadratureGrid, pair: MaterialPair, omega: float):
         self.grid = grid
         self.pair = pair
         self.omega = omega
-        a = assemble_system(grid, pair, omega)
-        self.matrix = a
-        anorm = np.linalg.norm(a, 1)
-        self._lu = sla.lu_factor(a)
-        rcond = _rcond_from_lu(self._lu[0], anorm)
-        self.condition_estimate = 1.0 / max(rcond, 1e-300)
+        self._basis = _mirror_basis(grid)
+        a = assemble_system(grid, pair, omega, rows=self._basis.rows)
+        self._blocks = [_block_matrix(self._basis, spec, a) for spec in self._basis.blocks]
+        del a  # release the assembled rows before the LU copies are made
+        self._lu = [sla.lu_factor(b) for b in self._blocks]
+        norms = [np.linalg.norm(b, 1) for b in self._blocks]
+        inv_norms = [
+            1.0 / max(_rcond_from_lu(lu[0], bn) * bn, 1e-300) for lu, bn in zip(self._lu, norms)
+        ]
+        self.condition_estimate = max(norms) * max(inv_norms)
         if self.condition_estimate > COND_LIMIT:
             raise ResonanceError(
                 f"transmission system nearly singular (cond ~ "
@@ -348,43 +495,45 @@ class TransmissionSolver:
 
     def solve(self, incident_trace: np.ndarray, incident_traction: np.ndarray) -> DensityPair:
         n = self.grid.n_nodes
-        rhs = np.concatenate(
-            [np.asarray(incident_trace).reshape(2 * n), np.asarray(incident_traction).reshape(2 * n)]
-        )
-        x = sla.lu_solve(self._lu, rhs)
-        phi = x[: 2 * n].reshape(n, 2)
-        psi = x[2 * n :].reshape(n, 2)
-        rhs_norm = np.linalg.norm(rhs)
-        residual = np.linalg.norm(self.matrix @ x - rhs) / max(rhs_norm, 1e-300)
-        w = self.grid.weights[:, None]
-        dens_norm = np.sqrt(np.sum(w * np.abs(phi) ** 2)) + np.sqrt(
-            np.sum(w * np.abs(psi) ** 2)
-        )
-        data_norm = np.sqrt(
-            np.sum(w * np.abs(np.asarray(incident_trace).reshape(n, 2)) ** 2)
-        ) + np.sqrt(np.sum(w * np.abs(np.asarray(incident_traction).reshape(n, 2)) ** 2))
-        stability = dens_norm / max(data_norm, 1e-300)
-        logger.debug(
-            "transmission solve: residual %.3e, stability ratio %.3e",
-            residual,
-            stability,
-        )
-        return DensityPair(phi=phi, psi=psi, residual=residual, stability_ratio=stability)
+        return self.solve_many(
+            np.reshape(incident_trace, (1, n, 2)), np.reshape(incident_traction, (1, n, 2))
+        )[0]
 
     def solve_many(self, traces: np.ndarray, tractions: np.ndarray) -> list[DensityPair]:
-        """Batch solve; traces/tractions have shape (k, n, 2)."""
-        n = self.grid.n_nodes
-        k = traces.shape[0]
-        rhs = np.concatenate(
-            [traces.reshape(k, 2 * n).T, tractions.reshape(k, 2 * n).T], axis=0
+        """Batch solve; traces/tractions have shape (k, n, 2).
+
+        Each DensityPair carries the relative residual of the factored
+        blocks, sqrt(sum_b ||B_b y_b - f_b||^2) / ||f||, and the stability
+        ratio of weighted L2 norms (|phi| + |psi|) / (|trace| + |traction|).
+        """
+        basis = self._basis
+        rhs = np.stack([traces, tractions], axis=1)  # (k, equation, n, 2)
+        k = rhs.shape[0]
+        x = np.zeros(rhs.shape, dtype=complex)  # (k, density, n, 2)
+        res2 = np.zeros(k)
+        for spec, b, lu in zip(basis.blocks, self._blocks, self._lu):
+            f = _project(basis, spec, rhs).reshape(k, -1).T
+            y = sla.lu_solve(lu, f)
+            res2 += np.linalg.norm(b @ y - f, axis=0) ** 2
+            _expand(basis, spec, y.T.reshape(k, 2, -1), x)
+        residual = np.sqrt(res2) / np.maximum(np.linalg.norm(rhs.reshape(k, -1), axis=1), 1e-300)
+        w = self.grid.weights[:, None]
+
+        def l2(v):  # weighted L2 norms of the two (n, 2) halves, summed
+            return np.sqrt(np.sum(w * np.abs(v) ** 2, axis=(2, 3))).sum(axis=1)
+
+        stability = l2(x) / np.maximum(l2(rhs), 1e-300)
+        logger.debug(
+            "transmission solve: %d right-hand sides, max residual %.3e, "
+            "max stability ratio %.3e",
+            k,
+            residual.max(initial=0.0),
+            stability.max(initial=0.0),
         )
-        x = sla.lu_solve(self._lu, rhs)
-        out = []
-        for i in range(k):
-            phi = x[: 2 * n, i].reshape(n, 2)
-            psi = x[2 * n :, i].reshape(n, 2)
-            out.append(DensityPair(phi=phi, psi=psi))
-        return out
+        return [
+            DensityPair(x[i, 0], x[i, 1], float(residual[i]), float(stability[i]))
+            for i in range(k)
+        ]
 
 
 def _rcond_from_lu(lu: np.ndarray, anorm: float) -> float:

@@ -18,6 +18,12 @@ the test suite against two independent computations of W):
                     (W* the conjugate transpose; equivalently
                     I + (i/(2 rho0 w^2)) W-arranged is unitary)
 
+On a mirror-symmetric grid the transmission solver works in the
+reflection's eigenbases (see escat.bie), so mirror parity of W holds by
+construction, to rounding, and is no longer an independent check there.
+Reciprocity, the energy identity and the analytic disk oracle remain the
+independent gates; the test suite checks parity on the unsplit system.
+
 The elementwise-conjugate variants of these identities (Hermitian-type
 statements) do not hold for the definition above; verify_symmetries and
 verify_optical report the non-conjugated/true defects as the primary

@@ -38,7 +38,7 @@ from .wavefields import (
     plane_wave_mode_field,
     plane_wave_traction,
 )
-from .specialfun import hankel1_sequence
+from .specialfun import hankel1_orders
 
 logger = logging.getLogger(__name__)
 
@@ -226,16 +226,14 @@ def _gh_factors(config: MsrConfig, K: int):
     out = {}
     for mode in MODES:
         kappa = ext.kappa(omega, mode)
-        h, hp = hankel1_sequence(K, kappa * R)
+        h, hp = hankel1_orders(K, kappa * R)
         n = np.arange(-K, K + 1)
-        habs = np.concatenate([((-1.0) ** np.arange(K, 0, -1)) * h[K:0:-1], h])
-        hpabs = np.concatenate([((-1.0) ** np.arange(K, 0, -1)) * hp[K:0:-1], hp])
         if mode == "P":
-            out["gP"] = kappa * hpabs
-            out["hP"] = (1j * n / R) * habs
+            out["gP"] = kappa * hp
+            out["hP"] = (1j * n / R) * h
         else:
-            out["gS"] = (1j * n / R) * habs
-            out["hS"] = -kappa * hpabs
+            out["gS"] = (1j * n / R) * h
+            out["hS"] = -kappa * hp
     return out
 
 

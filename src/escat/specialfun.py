@@ -122,3 +122,15 @@ def hankel1_sequence(n_max: int, argument: float) -> tuple[np.ndarray, np.ndarra
     """H^(1)_n and derivatives for n = 0..n_max at one argument."""
     j, y, jp, yp = bessel_sequence(n_max, argument)
     return j + 1j * y, jp + 1j * yp
+
+
+def hankel1_orders(n_max: int, argument: float) -> tuple[np.ndarray, np.ndarray]:
+    """H^(1)_n and derivatives for n = -n_max..n_max at one argument.
+
+    The hankel1_sequence tables are extended to negative orders by the
+    parity identity H_{-n} = (-1)^n H_n.
+    """
+    sign = (-1.0) ** np.arange(n_max, 0, -1)
+    return tuple(
+        np.concatenate([sign * v[n_max:0:-1], v]) for v in hankel1_sequence(n_max, argument)
+    )

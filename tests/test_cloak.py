@@ -548,7 +548,7 @@ class TestParallelStarts:
             "from escat import cloak\n"
             "cloak._available_cpus = lambda: 2\n"
             "def slow(x):\n"
-            "    print(os.getpid(), flush=True)\n"
+            "    os.write(1, b'%d\\n' % os.getpid())  # one atomic pipe write per worker\n"
             "    time.sleep(60)\n"
             "    return 0.0\n"
             "cloak._map_starts(slow, [np.zeros(1)] * 2, maxiter=1)\n"

@@ -14,6 +14,7 @@ from escat.specialfun import (
     bessel_jy,
     bessel_sequence,
     hankel1,
+    hankel1_orders,
     hankel1_sequence,
 )
 
@@ -151,3 +152,18 @@ class TestSequences:
             hv, hd = hankel1(n, 1.1)
             assert abs(h[n] - hv) < 1e-13 * abs(hv)
             assert abs(hp[n] - hd) < 1e-12 * abs(hd)
+
+    @pytest.mark.parametrize("n_max, t", [(0, 2.0), (1, 0.7), (6, 1.1), (12, 6.3e3)])
+    def test_negative_order_fold(self, n_max, t):
+        # the table fold the MSR model matrices used before: same bits
+        h, hp = hankel1_sequence(n_max, t)
+        sign = (-1.0) ** np.arange(n_max, 0, -1)
+        want_h = np.concatenate([sign * h[n_max:0:-1], h])
+        want_hp = np.concatenate([sign * hp[n_max:0:-1], hp])
+        got_h, got_hp = hankel1_orders(n_max, t)
+        assert got_h.tobytes() == want_h.tobytes()
+        assert got_hp.tobytes() == want_hp.tobytes()
+        for n in range(-n_max, n_max + 1):
+            hv, hd = hankel1(n, t)
+            assert abs(got_h[n + n_max] - hv) < 1e-13 * abs(hv)
+            assert abs(got_hp[n + n_max] - hd) < 1e-12 * abs(hd)
