@@ -295,21 +295,24 @@ def layered_esc(structure: LayeredStructure, omega: float, n: int) -> np.ndarray
     chain with a J-only innermost field.
     """
     rho_w2 = structure.exterior.rho * omega * omega
-    if structure.inner == "cavity":
-        _, q21, q22 = propagate_Q(structure, omega, n)
-        a0 = -_inv_guarded(q22[None], [f"Q22(n={n})"])[0] @ q21  # columns: incident P, S
-    else:
-        # solid core: innermost field b^P JP + b^S JS with core material; the
-        # unknowns are (b^P, b^S, a^P, a^S), one column per incident mode
-        chain, m_core = _interface_chain(structure, omega, n)
-        lhs = np.empty((4, 4), dtype=complex)
-        lhs[:, :2] = m_core[:, :2]  # core J columns
-        lhs[:, 2:] = -chain[:, 2:]  # unknown exterior H coefficients
-        try:
-            a0 = np.linalg.solve(lhs, chain[:, :2])[2:]
-        except np.linalg.LinAlgError as exc:
-            raise ResonanceError(f"solid-core system (n={n}) is singular") from exc
-    w = ESC_SCALE * rho_w2 * a0
+    # a chain product or Bessel value that overflows on the way ends in a
+    # non-finite matrix, which the guards and the check below reject
+    with np.errstate(over="ignore", invalid="ignore"):
+        if structure.inner == "cavity":
+            _, q21, q22 = propagate_Q(structure, omega, n)
+            a0 = -_inv_guarded(q22[None], [f"Q22(n={n})"])[0] @ q21  # columns: incident P, S
+        else:
+            # solid core: innermost field b^P JP + b^S JS with core material; the
+            # unknowns are (b^P, b^S, a^P, a^S), one column per incident mode
+            chain, m_core = _interface_chain(structure, omega, n)
+            lhs = np.empty((4, 4), dtype=complex)
+            lhs[:, :2] = m_core[:, :2]  # core J columns
+            lhs[:, 2:] = -chain[:, 2:]  # unknown exterior H coefficients
+            try:
+                a0 = np.linalg.solve(lhs, chain[:, :2])[2:]
+            except np.linalg.LinAlgError as exc:
+                raise ResonanceError(f"solid-core system (n={n}) is singular") from exc
+        w = ESC_SCALE * rho_w2 * a0
     if not np.isfinite(w).all():
         raise ResonanceError(f"W_(n={n}) at omega={omega:g} is not finite")
     return w
@@ -374,9 +377,9 @@ PENALTY = 1e12
 class _CoatObjective:
     """Stage-1 design objective F(x) and the structure x encodes.
 
-    x holds log(lam, mu, rho) of each layer, then (when the radii are
-    optimized) the L-1 interior interfaces as fractions of the coat
-    thickness.  A module-level value, so it pickles to worker processes.
+    x holds log(lam, mu, rho) of each layer, then the L-1 interior
+    interfaces as fractions of the coat thickness.  A module-level value,
+    so it pickles to worker processes.
     """
 
     L: int
@@ -389,7 +392,6 @@ class _CoatObjective:
     exterior: Material
     r_outer: float
     r_cavity: float
-    n_rad: int
 
     def structure(self, x) -> LayeredStructure:
         L, r_outer, r_cavity = self.L, self.r_outer, self.r_cavity
@@ -397,14 +399,10 @@ class _CoatObjective:
         for j in range(L):
             lam, mu, rho = np.exp(x[3 * j : 3 * j + 3])
             mats.append(Material(lam, mu, rho))
-        if self.n_rad:
-            # interior interface radii strictly between r_outer and r_cavity,
-            # ordered by construction from sorted fractions
-            fr = np.sort(x[3 * L :])[::-1]
-            inner = r_cavity + (r_outer - r_cavity) * fr
-            radii = (r_outer, *inner, r_cavity)
-        else:
-            radii = (r_outer, *np.linspace(r_outer, r_cavity, L + 1)[1:-1], r_cavity)
+        # interior interface radii strictly between r_outer and r_cavity,
+        # ordered by construction from sorted fractions
+        fr = np.sort(x[3 * L :])[::-1]
+        radii = (r_outer, *(r_cavity + (r_outer - r_cavity) * fr), r_cavity)
         return LayeredStructure(
             radii=radii, layers=tuple(mats), exterior=self.exterior, inner="cavity"
         )
@@ -412,10 +410,9 @@ class _CoatObjective:
     def __call__(self, x) -> float:
         if np.any(x < self.lo_vec - 1e-12) or np.any(x > self.hi_vec + 1e-12):
             return PENALTY
-        if self.n_rad:
-            fr = np.sort(np.concatenate([[0.0], x[3 * self.L :], [1.0]]))
-            if np.min(np.diff(fr)) < 1e-3:
-                return PENALTY  # interface collapsed onto a neighbor
+        fr = np.sort(np.concatenate([[0.0], x[3 * self.L :], [1.0]]))
+        if np.min(np.diff(fr)) < 1e-3:
+            return PENALTY  # interface collapsed onto a neighbor
         try:
             s = self.structure(x)
             return sum(
@@ -525,23 +522,23 @@ def design_svanishing(
     n_starts: int = 16,
     seed: int = 0,
     mode_mask: str = "PS",
-    optimize_radii: bool = True,
     maxiter: int = 2000,
     polish: bool = True,
-    coeff_probe: float | None = None,
+    coeff_probe: list | None = None,
 ) -> DesignReport:
     """Design an L-layer coat minimizing the leading cavity ESC.
 
     Stage 1 minimizes F = sum_w sum_{n<=N} sum_modes |W_n(w)|^2 / s_n(w)
     with s_n(w) the bare-cavity power (relative reduction objective),
-    over log-parametrized layer materials (and interior radii when
-    enabled), by multi-start Nelder-Mead inside box bounds.  The starts
-    run in up to one process per available CPU; the report does not
-    depend on the number of processes.  Stage 2 (polish) refines the
-    best candidate by bounded least squares on the W-entry residuals; a
-    probe frequency below the working band (by default min(omega_set)/100)
-    is appended so the leading low-frequency coefficient itself is
-    cancelled, not just the band values.
+    over log-parametrized layer materials and interior radii, by
+    multi-start Nelder-Mead inside box bounds.  The starts run in up to
+    one process per available CPU; the report does not depend on the
+    number of processes.  Stage 2 (polish) refines the
+    best candidate by bounded least squares on the W-entry residuals; probe
+    frequencies below the working band (coeff_probe, by default
+    min(omega_set)/100 and min(omega_set)/1000) are appended so the
+    leading low-frequency coefficient itself is cancelled, not just the
+    band values.
 
     Parameters
     ----------
@@ -551,6 +548,8 @@ def design_svanishing(
     mode_mask : 'PS', 'P' or 'S'
         Which incident-mode columns enter the objective (P-only or
         S-only cloaks use the corresponding column).
+    coeff_probe : list of float, optional
+        The polish's probe frequencies; None takes the defaults above.
     """
     if L < 1:
         raise DomainError("need at least one coating layer")
@@ -568,15 +567,14 @@ def design_svanishing(
         for n in range(N + 1)
     }
 
-    n_rad = (L - 1) if optimize_radii else 0
     lo_vec = np.concatenate(
-        [np.log([bounds[k][0] for k in ("lam", "mu", "rho")] * L), np.full(n_rad, 5e-3)]
+        [np.log([bounds[k][0] for k in ("lam", "mu", "rho")] * L), np.full(L - 1, 5e-3)]
     )
     hi_vec = np.concatenate(
-        [np.log([bounds[k][1] for k in ("lam", "mu", "rho")] * L), np.full(n_rad, 1 - 5e-3)]
+        [np.log([bounds[k][1] for k in ("lam", "mu", "rho")] * L), np.full(L - 1, 1 - 5e-3)]
     )
     objective = _CoatObjective(
-        L, N, omega_set, mask, scales, lo_vec, hi_vec, exterior, r_outer, r_cavity, n_rad
+        L, N, omega_set, mask, scales, lo_vec, hi_vec, exterior, r_outer, r_cavity
     )
 
     rng = np.random.default_rng(seed)
@@ -594,11 +592,9 @@ def design_svanishing(
     n_evaluations = sum(start_evaluations)
     if polish:
         probes = (
-            list(coeff_probe)
-            if np.iterable(coeff_probe)
-            else [coeff_probe]
-            if coeff_probe
-            else [min(omega_set) / 100.0, min(omega_set) / 1000.0]
+            [min(omega_set) / 100.0, min(omega_set) / 1000.0]
+            if coeff_probe is None
+            else list(coeff_probe)
         )
         best_x = _polish_design(best_x, objective, bare, probes)
         best_f = objective(best_x)
@@ -638,47 +634,35 @@ def _polish_design(x0, objective, bare, probes):
 
     Residuals are the (bare-normalized) W_n entries at the working
     frequencies plus at probe frequencies far below them; zeroing the
-    probe entries cancels the leading low-frequency coefficients.  Two
-    passes: the first normalizes all probe entries by the overall bare
-    scale (cancels the dominant leading coefficient), the second starts
-    from that point and normalizes each probe entry by its own bare
-    magnitude (pressures the weaker channels, e.g. the torsional one).
+    probe entries cancels the leading low-frequency coefficients.  Stage 0
+    is least squares with each W_n normalized by its largest bare entry;
+    stage 1 zeroes the real part of each diagonal probe entry, normalized
+    by its bare magnitude, by a square Newton iteration.
     """
     N, mask = objective.N, objective.mask
     lo_vec, hi_vec, to_structure = objective.lo_vec, objective.hi_vec, objective.structure
     freqs = list(objective.omega_set) + list(probes)
+    bare_abs = {(w, n): np.abs(layered_esc(bare, w, n)) for w in freqs for n in range(N + 1)}
+    norms = {key: max(wb.max(), 1e-300) for key, wb in bare_abs.items()}
 
-    def make_residuals(per_entry):
-        norms = {}
-        for w in freqs:
-            for n in range(N + 1):
-                wb = np.abs(layered_esc(bare, w, n))
-                floor = 1e-8 * max(wb.max(), 1e-300)
-                norms[(w, n)] = (
-                    np.maximum(wb, floor) if per_entry else np.full_like(wb, max(wb.max(), 1e-300))
-                )
-
-        def residuals(x):
-            try:
-                s = to_structure(np.clip(x, lo_vec, hi_vec))
-                out = []
-                for w in freqs:
-                    for n in range(N + 1):
-                        wmat = layered_esc(s, w, n) / norms[(w, n)]
-                        if mask == "P":
-                            wmat = wmat[:, :1]
-                        elif mask == "S":
-                            wmat = wmat[:, 1:]
-                        z = wmat.ravel()
-                        out.extend([z.real, z.imag])
-                return np.concatenate(out)
-            except (ResonanceError, DomainError):
-                return np.full(2 * len(freqs) * (N + 1) * (2 if mask else 4), 1e6)
-
-        return residuals
+    def residuals(x):
+        try:
+            s = to_structure(np.clip(x, lo_vec, hi_vec))
+            out = []
+            for w in freqs:
+                for n in range(N + 1):
+                    wmat = layered_esc(s, w, n) / norms[(w, n)]
+                    if mask == "P":
+                        wmat = wmat[:, :1]
+                    elif mask == "S":
+                        wmat = wmat[:, 1:]
+                    z = wmat.ravel()
+                    out.extend([z.real, z.imag])
+            return np.concatenate(out)
+        except (ResonanceError, DomainError):
+            return np.full(2 * len(freqs) * (N + 1) * (2 if mask else 4), 1e6)
 
     x = np.clip(x0, lo_vec + 1e-9, hi_vec - 1e-9)
-    residuals = make_residuals(per_entry=False)
     try:
         res = sopt.least_squares(
             residuals,
@@ -701,6 +685,7 @@ def _polish_design(x0, objective, bare, probes):
     # stage 1: exact cancellation of the per-channel leading coefficients
     # (real parts of the diagonal probe entries, one condition per mode)
     channels = [0, 1] if mask is None else [0 if mask == "P" else 1]
+    diag = {key: [max(wb[c, c], 1e-300) for c in channels] for key, wb in bare_abs.items()}
 
     def coeff_residuals(x):
         s = to_structure(np.clip(x, lo_vec, hi_vec))
@@ -708,9 +693,8 @@ def _polish_design(x0, objective, bare, probes):
         for w in probes:
             for n in range(N + 1):
                 wmat = layered_esc(s, w, n)
-                wb = np.abs(layered_esc(bare, w, n))
-                for c in channels:
-                    out.append(wmat[c, c].real / max(wb[c, c], 1e-300))
+                for c, d in zip(channels, diag[(w, n)]):
+                    out.append(wmat[c, c].real / d)
         return np.array(out)
 
     x = _subset_newton(x, coeff_residuals, lo_vec, hi_vec)

@@ -26,6 +26,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special as sp
 
 from .bie import TransmissionSolver, build_grid
 from .curves import BoundaryCurve
@@ -38,7 +39,7 @@ from .wavefields import (
     plane_wave_mode_field,
     plane_wave_traction,
 )
-from .specialfun import hankel1_orders
+from .specialfun import _check, _fold
 
 logger = logging.getLogger(__name__)
 
@@ -223,11 +224,12 @@ def _b_factor(material: Material, omega: float, mode: str) -> float:
 def _gh_factors(config: MsrConfig, K: int):
     """g^a_n and h^a_n tables over n = -K..K at the receiver radius."""
     ext, omega, R = config.exterior, config.omega, config.radius
+    n = np.arange(-K, K + 1)
     out = {}
     for mode in MODES:
         kappa = ext.kappa(omega, mode)
-        h, hp = hankel1_orders(K, kappa * R)
-        n = np.arange(-K, K + 1)
+        _check(K, kappa * R)
+        h, hp = np.array([_fold(sp.hankel1, m, kappa * R) for m in n]).T
         if mode == "P":
             out["gP"] = kappa * hp
             out["hP"] = (1j * n / R) * h
@@ -352,8 +354,6 @@ def reconstruct(
     data: MsrDataset,
     K: int,
     method: str = "pseudo_inverse",
-    n_projection_iters: int = 20,
-    projection_step: float = 0.5,
 ) -> tuple[EscMatrix, dict]:
     """Estimate the truncated ESC matrix from response data.
 
@@ -385,9 +385,7 @@ def reconstruct(
         g = np.linalg.solve(xtx, model.X.conj().T @ a @ model.Y)
         g = np.linalg.solve(yty.T, g.T).T
         if method == "lsq_constrained":
-            g = _project_constraints(
-                g, cfg, K, n_iters=n_projection_iters, step=projection_step
-            )
+            g = _project_constraints(g, cfg, K)
     else:
         raise DomainError(f"unknown reconstruction method {method!r}")
     est = EscMatrix.from_global(g, cfg.omega, rho0=cfg.exterior.rho)
@@ -418,13 +416,14 @@ def _reciprocity_projection(g: np.ndarray, K: int) -> np.ndarray:
     return out
 
 
-def _project_constraints(g, cfg, K, n_iters=20, step=0.5):
+def _project_constraints(g, cfg, K):
+    """20 damped (step 0.5) alternating projections onto reciprocity and energy."""
     rho_w2 = cfg.exterior.rho * cfg.omega**2
-    for _ in range(n_iters):
+    for _ in range(20):
         g = _reciprocity_projection(g, K)
         res = g @ g.conj().T / (4.0 * rho_w2) + 0.5j * (g - g.conj().T)
         # move along the anti-Hermitian direction that cancels the residual
-        g = g - step * (-2.0j) * 0.5 * (res + res.conj().T)
+        g = g - 0.5 * (-2.0j) * 0.5 * (res + res.conj().T)
     return g
 
 

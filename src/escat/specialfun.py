@@ -7,11 +7,13 @@ scipy.special (AMOS/cephes), which covers the required envelope
 the test suite pins this against independent power-series and Miller
 recurrence oracles.
 
-Negative orders are folded with the parity identity
-J_{-n} = (-1)^n J_n (same for Y, H and the derivatives).  Batch helpers
-return all orders 0..n_max for a common argument, which is the access
-pattern of every consumer (Nystrom assembly, transfer matrices, model
-matrices all evaluate full order sweeps at repeated arguments).
+One routine, _fold, gives Z_n and Z_n' for Z in (J, Y, H^(1)) at one
+order and a scalar or an array of arguments: the value, the derivative
+(Z_{n-1} - Z_{n+1}) / 2 and the parity identity Z_{-n} = (-1)^n Z_n for
+negative orders.  The cylindrical waves, the transfer matrices, the MSR
+model matrices and bessel_jy all take their values from it; only the
+Kupradze kernel tables (bie, wavefields) call scipy for orders 0 and 1
+directly.
 """
 
 from __future__ import annotations
@@ -82,55 +84,3 @@ def bessel_jy(order: int, argument: float) -> BesselEval:
     j, jp = _fold(sp.jv, order, argument)
     y, yp = _fold(sp.yv, order, argument)
     return BesselEval(order, argument, j, y, jp, yp)
-
-
-def hankel1(order: int, argument: float) -> tuple[complex, complex]:
-    """H^(1)_n and its derivative, from one J/Y evaluation.
-
-    Returns
-    -------
-    (value, derivative) : tuple of complex
-        H^(1)_n(t) = J_n(t) + i Y_n(t) and d/dt H^(1)_n(t).
-    """
-    ev = bessel_jy(order, argument)
-    return ev.j + 1j * ev.y, ev.jp + 1j * ev.yp
-
-
-def bessel_sequence(n_max: int, argument: float) -> tuple[np.ndarray, ...]:
-    """All of J_n, Y_n, J_n', Y_n' for n = 0..n_max at one argument.
-
-    One call serves every order a consumer needs; recurrence-based
-    derivatives reuse the J/Y tables (J_n' = J_{n-1} - (n/t) J_n).
-    """
-    _check(n_max, argument)
-    t = float(argument)
-    n = np.arange(n_max + 1)
-    j = sp.jv(n, t)
-    y = sp.yv(n, t)
-    jm1 = np.empty(n_max + 1)
-    ym1 = np.empty(n_max + 1)
-    jm1[0] = -j[1] if n_max >= 1 else -sp.jv(1, t)
-    ym1[0] = -y[1] if n_max >= 1 else -sp.yv(1, t)
-    jm1[1:] = j[:-1]
-    ym1[1:] = y[:-1]
-    jp = jm1 - (n / t) * j
-    yp = ym1 - (n / t) * y
-    return j, y, jp, yp
-
-
-def hankel1_sequence(n_max: int, argument: float) -> tuple[np.ndarray, np.ndarray]:
-    """H^(1)_n and derivatives for n = 0..n_max at one argument."""
-    j, y, jp, yp = bessel_sequence(n_max, argument)
-    return j + 1j * y, jp + 1j * yp
-
-
-def hankel1_orders(n_max: int, argument: float) -> tuple[np.ndarray, np.ndarray]:
-    """H^(1)_n and derivatives for n = -n_max..n_max at one argument.
-
-    The hankel1_sequence tables are extended to negative orders by the
-    parity identity H_{-n} = (-1)^n H_n.
-    """
-    sign = (-1.0) ** np.arange(n_max, 0, -1)
-    return tuple(
-        np.concatenate([sign * v[n_max:0:-1], v]) for v in hankel1_sequence(n_max, argument)
-    )

@@ -146,14 +146,19 @@ def _polar(points: np.ndarray):
     return pts, r, phi
 
 
-def _field_from_radial(m, kappa, r, phi, z, zp):
-    """Assemble kappa z' P_m + (im/r) z S_m in Cartesian components."""
+def _field_from_radial(mode, m, kappa, r, phi, z, zp):
+    """Cartesian components of the P or S wave built on Z_m = z, Z_m' = zp.
+
+    P: kappa z' P_m + (im/r) z S_m;  S: (im/r) z P_m - kappa z' S_m.
+    """
     er = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
     et = np.stack([-np.sin(phi), np.cos(phi)], axis=-1)
     phase = np.exp(1j * m * phi)
-    coeff_r = kappa * zp * phase
-    coeff_t = (1j * m / r) * z * phase
-    return coeff_r[:, None] * er + coeff_t[:, None] * et
+    radial = kappa * zp * phase
+    angular = (1j * m / r) * z * phase
+    if mode == "P":
+        return radial[:, None] * er + angular[:, None] * et
+    return angular[:, None] * er - radial[:, None] * et
 
 
 def cyl_wave_J(idx: ModeIndex, point, material: Material, omega: float) -> np.ndarray:
@@ -183,16 +188,7 @@ def cyl_wave_J(idx: ModeIndex, point, material: Material, omega: float) -> np.nd
     if np.any(~at0):
         rr = r[~at0]
         z, zp = _fold(sp.jv, m, kappa * rr)
-        if idx.mode == "P":
-            out[~at0] = _field_from_radial(m, kappa, rr, phi[~at0], z, zp)
-        else:
-            # JS_m = (im/r) J_m P_m - kappa J_m' S_m
-            er = np.stack([np.cos(phi[~at0]), np.sin(phi[~at0])], axis=-1)
-            et = np.stack([-np.sin(phi[~at0]), np.cos(phi[~at0])], axis=-1)
-            phase = np.exp(1j * m * phi[~at0])
-            out[~at0] = ((1j * m / rr) * z * phase)[:, None] * er - (
-                kappa * zp * phase
-            )[:, None] * et
+        out[~at0] = _field_from_radial(idx.mode, m, kappa, rr, phi[~at0], z, zp)
     if np.any(at0):
         # grad[J_m(kr) e^{imf}] at 0: (k/2)(1, i) for m=1, -(k/2)(1, -i) for m=-1
         if m == 1:
@@ -218,15 +214,7 @@ def cyl_wave_H(idx: ModeIndex, point, material: Material, omega: float) -> np.nd
     if np.any(r < 1e-14):
         raise DomainError("H-type wave functions are singular at the origin")
     z, zp = _fold(sp.hankel1, m, kappa * r)
-    if idx.mode == "P":
-        out = _field_from_radial(m, kappa, r, phi, z, zp)
-    else:
-        er = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-        et = np.stack([-np.sin(phi), np.cos(phi)], axis=-1)
-        phase = np.exp(1j * m * phi)
-        out = ((1j * m / r) * z * phase)[:, None] * er - (kappa * zp * phase)[
-            :, None
-        ] * et
+    out = _field_from_radial(idx.mode, m, kappa, r, phi, z, zp)
     return out[0] if np.asarray(point).ndim == 1 else out
 
 

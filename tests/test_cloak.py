@@ -6,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -337,7 +338,9 @@ class TestLayeredEsc:
             layers=(Material(3.0, 0.5, 2.0), Material(1.0, 2.0, 0.7)),
             exterior=exterior,
         )
-        with np.errstate(over="ignore", invalid="ignore"):
+        # and the overflow on the way is not reported as a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ResonanceError, match=r"Q22\(n=30\) is not finite"):
                 layered_esc(s, 3e-4, 30)
         assert "DLASCL" not in "".join(capfd.readouterr())

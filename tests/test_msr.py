@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from escat.curves import Circle
-from escat.errors import ConfigError, DomainError
+from escat.errors import ConfigError, DomainError, RangeError
 from escat.esc import EscMatrix, compute_esc, verify_symmetries
 from escat.msr import (
     MsrConfig,
@@ -58,6 +58,12 @@ class TestModelMatrices:
     def test_truncation_precondition(self, cfg):
         with pytest.raises(DomainError):
             assemble_model(cfg, 6)  # 2K+1 = 13 > 12
+
+    def test_order_above_bessel_range(self, exterior):
+        # K = MAX_ORDER + 1 = 257 needs 2K+1 = 515 sources and receivers
+        with pytest.raises(RangeError, match="257"):
+            assemble_model(far_config(exterior, ns=515, nr=515), 257)
+        assert assemble_model(far_config(exterior, ns=513, nr=513), 256).Y.shape == (1026, 1026)
 
     def test_yty_offdiagonal_decay_slope(self, exterior):
         slopes_src = []

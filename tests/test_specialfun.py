@@ -8,15 +8,7 @@ from numpy.testing import assert_allclose
 from scipy import special as sp
 
 from escat.errors import DomainError, RangeError
-from escat.specialfun import (
-    BesselEval,
-    _fold,
-    bessel_jy,
-    bessel_sequence,
-    hankel1,
-    hankel1_orders,
-    hankel1_sequence,
-)
+from escat.specialfun import BesselEval, _fold, bessel_jy
 
 
 def j_series(n, t, terms=40):
@@ -116,54 +108,41 @@ class TestBesselJy:
 
 class TestHankel1:
     def test_definition(self):
-        for t in (0.3, 1.7, 9.0):
-            h, hp = hankel1(0, t)
-            ev = bessel_jy(0, t)
-            assert h == ev.j + 1j * ev.y
-            assert hp == ev.jp + 1j * ev.yp
+        # H = J + iY holds to rounding: the H path is not J + iY itself
+        for t in (0.3, 1.7, 9.0, 6.3e3):
+            for n in (0, 1, 7):
+                h, hp = _fold(sp.hankel1, n, t)
+                ev = bessel_jy(n, t)
+                assert abs(h - (ev.j + 1j * ev.y)) < 1e-14 * abs(h)
+                assert abs(hp - (ev.jp + 1j * ev.yp)) < 1e-14 * abs(hp)
 
     def test_recurrence(self):
         t = 2.2
         for n in range(1, 20):
-            hm, _ = hankel1(n - 1, t)
-            h, _ = hankel1(n, t)
-            hp_, _ = hankel1(n + 1, t)
+            hm, _ = _fold(sp.hankel1, n - 1, t)
+            h, _ = _fold(sp.hankel1, n, t)
+            hp_, _ = _fold(sp.hankel1, n + 1, t)
             resid = hm + hp_ - (2.0 * n / t) * h
             assert abs(resid) / abs(h) < 1e-11
 
     def test_small_argument_growth(self):
         # |H_5(t)| ~ (2/t)^5 Gamma(5) / pi for small t
-        h, _ = hankel1(5, 0.1)
+        h, _ = _fold(sp.hankel1, 5, 0.1)
         leading = (2.0 / 0.1) ** 5 * math.factorial(4) / np.pi
         assert abs(abs(h) - leading) / leading < 0.05
 
 
 class TestSequences:
-    def test_sequence_matches_scalars(self):
-        t = 3.3
-        j, y, jp, yp = bessel_sequence(12, t)
-        for n in range(13):
-            ev = bessel_jy(n, t)
-            assert_allclose([j[n], y[n], jp[n], yp[n]], [ev.j, ev.y, ev.jp, ev.yp], rtol=1e-13)
-
-    def test_hankel_sequence(self):
-        h, hp = hankel1_sequence(6, 1.1)
-        for n in range(7):
-            hv, hd = hankel1(n, 1.1)
-            assert abs(h[n] - hv) < 1e-13 * abs(hv)
-            assert abs(hp[n] - hd) < 1e-12 * abs(hd)
+    """Order sweeps -n_max..n_max, as the MSR model matrices take them."""
 
     @pytest.mark.parametrize("n_max, t", [(0, 2.0), (1, 0.7), (6, 1.1), (12, 6.3e3)])
     def test_negative_order_fold(self, n_max, t):
-        # the table fold the MSR model matrices used before: same bits
-        h, hp = hankel1_sequence(n_max, t)
-        sign = (-1.0) ** np.arange(n_max, 0, -1)
-        want_h = np.concatenate([sign * h[n_max:0:-1], h])
-        want_hp = np.concatenate([sign * hp[n_max:0:-1], hp])
-        got_h, got_hp = hankel1_orders(n_max, t)
-        assert got_h.tobytes() == want_h.tobytes()
-        assert got_hp.tobytes() == want_hp.tobytes()
+        # every order against J + iY with the recurrence derivative
+        # Z_n' = Z_{n-1} - (n/t) Z_n, the route the model matrices took before
         for n in range(-n_max, n_max + 1):
-            hv, hd = hankel1(n, t)
-            assert abs(got_h[n + n_max] - hv) < 1e-13 * abs(hv)
-            assert abs(got_hp[n + n_max] - hd) < 1e-12 * abs(hd)
+            h, hp = _fold(sp.hankel1, n, t)
+            lo, ev = bessel_jy(n - 1, t), bessel_jy(n, t)
+            want_h = ev.j + 1j * ev.y
+            want_hp = (lo.j + 1j * lo.y) - (n / t) * want_h
+            assert abs(h - want_h) < 1e-13 * abs(want_h)
+            assert abs(hp - want_hp) < 1e-12 * abs(want_hp)
