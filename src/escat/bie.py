@@ -562,40 +562,40 @@ def single_layer_apply(
 ) -> np.ndarray:
     """Single-layer potential S[density](target) off the boundary.
 
+    density is one (n, 2) density or a stack (k, n, 2); target is one
+    point (2,) or an array (t, 2).  The result is (k, t, 2), without the
+    axes the inputs do not have.
+
     Plain trapezoidal quadrature (the integrand is smooth off-surface);
-    warns when the target is within one node spacing of the boundary.
+    warns once when a target is within one node spacing of the boundary.
     On-node targets are evaluated with the singular on-surface rule.
     """
+    n = grid.n_nodes
+    dens = np.asarray(density, dtype=complex)
+    flat = dens.reshape(-1, 2 * n)
+    wd = flat * np.repeat(grid.weights, 2)
     tgt = np.asarray(target, dtype=float)
-    single = tgt.ndim == 1
-    tgts = np.atleast_2d(tgt)
-    dens = np.asarray(density, dtype=complex).reshape(grid.n_nodes, 2)
-    out = np.empty((len(tgts), 2), dtype=complex)
-    w = grid.weights
-    spacing = grid.spacing()
-    on_rows = {}
-    for i, p in enumerate(tgts):
-        d = np.hypot(grid.nodes[:, 0] - p[0], grid.nodes[:, 1] - p[1])
-        jmin = int(np.argmin(d))
-        if d[jmin] < 1e-12:
-            on_rows[i] = jmin
-            continue
-        if d[jmin] < spacing:
-            warnings.warn(
-                "target within one node spacing of the boundary; "
-                "accuracy degraded",
-                NearBoundaryWarning,
-            )
-        dv = p[None, :] - grid.nodes
-        r = d
-        gam = _gamma_tensor(dv, r, omega, material)
-        out[i] = np.einsum("jkl,jl,j->k", gam, dens, w)
-    if on_rows:
-        smat = single_layer_matrix(grid, omega, material)
-        vals = (smat @ dens.reshape(-1)).reshape(grid.n_nodes, 2)
-        for i, j in on_rows.items():
-            out[i] = vals[j]
-    return out[0] if single else out
+    dv = tgt.reshape(-1, 1, 2) - grid.nodes[None, :, :]
+    r = np.hypot(dv[..., 0], dv[..., 1])
+    nearest = np.argmin(r, axis=1)
+    dmin = r[np.arange(len(r)), nearest]
+    on = dmin < 1e-12
+    if np.any(dmin[~on] < grid.spacing()):
+        warnings.warn(
+            "target within one node spacing of the boundary; accuracy degraded",
+            NearBoundaryWarning,
+        )
+    out = np.empty((len(r), 2, len(wd)), dtype=complex)  # (t, 2, k)
+    off = ~on
+    gam = _gamma_tensor(dv[off], r[off], omega, material).transpose(0, 2, 1, 3)
+    out[off] = (gam.reshape(-1, 2 * n) @ wd.T).reshape(-1, 2, len(wd))
+    if on.any():
+        smat = single_layer_matrix(grid, omega, material).reshape(n, 2, 2 * n)
+        out[on] = smat[nearest[on]] @ flat.T
+    u = out.transpose(2, 0, 1)
+    if tgt.ndim == 1:
+        u = u[:, 0]
+    return u if dens.ndim == 3 else u[0]
 
 
 def scattered_field(

@@ -33,6 +33,7 @@ residuals and the conjugated variants as diagnostics.
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
 from dataclasses import dataclass, field
 
@@ -81,24 +82,22 @@ class EscMatrix:
         Rows follow the incident index (b, m), columns the scattered
         index (a, n), compatible with the data model A = X G Y*.
         """
-        k = 2 * self.K + 1
-        g = np.empty((2 * k, 2 * k), dtype=complex)
-        for ib, b in enumerate(MODES):
-            for ia, a in enumerate(MODES):
-                g[ib * k : (ib + 1) * k, ia * k : (ia + 1) * k] = self.blocks[a + b]
-        return g
+        return np.block([[self.blocks[a + b] for a in MODES] for b in MODES]).astype(
+            complex, copy=False
+        )
 
     @classmethod
     def from_global(
         cls, g: np.ndarray, omega: float, rho0: float = 1.0, **meta
     ) -> "EscMatrix":
         k = g.shape[0] // 2
-        K = (k - 1) // 2
-        blocks = {}
-        for ib, b in enumerate(MODES):
-            for ia, a in enumerate(MODES):
-                blocks[a + b] = g[ib * k : (ib + 1) * k, ia * k : (ia + 1) * k].copy()
-        return cls(K=K, blocks=blocks, omega=omega, rho0=rho0, **meta)
+        g4 = g.reshape(2, k, 2, k)  # [b, m, a, n]
+        blocks = {
+            a + b: g4[ib, :, ia, :].copy()
+            for ib, b in enumerate(MODES)
+            for ia, a in enumerate(MODES)
+        }
+        return cls(K=(k - 1) // 2, blocks=blocks, omega=omega, rho0=rho0, **meta)
 
     def scale(self) -> float:
         return max(np.abs(self.blocks[a + b]).max() for a in MODES for b in MODES)
@@ -112,7 +111,7 @@ class EscMatrix:
             "rho0": self.rho0,
             "curve": self.curve_descriptor,
             "blocks": {
-                key: [[[float(z.real), float(z.imag)] for z in row] for row in blk]
+                key: np.stack([blk.real, blk.imag], axis=-1).tolist()
                 for key, blk in self.blocks.items()
             },
         }
@@ -125,8 +124,9 @@ class EscMatrix:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EscMatrix":
+        # each [re, im] pair read back as one complex double, bit for bit
         blocks = {
-            key: np.array([[complex(re, im) for re, im in row] for row in blk])
+            key: np.array(blk, dtype=float).view(complex)[..., 0]
             for key, blk in d["blocks"].items()
         }
         pair = None
@@ -145,14 +145,14 @@ class EscMatrix:
         )
 
     def save_csv(self, path) -> None:
+        m, n = (np.indices((2 * self.K + 1,) * 2) - self.K).reshape(2, -1).tolist()
         with open(path, "w", newline="") as f:
             wr = csv.writer(f)
             wr.writerow(["m", "n", "block", "re", "im"])
             for key, blk in self.blocks.items():
-                for i in range(2 * self.K + 1):
-                    for j in range(2 * self.K + 1):
-                        z = blk[i, j]
-                        wr.writerow([i - self.K, j - self.K, key, repr(float(z.real)), repr(float(z.imag))])
+                z = np.asarray(blk, dtype=complex).ravel()
+                re, im = map(repr, z.real.tolist()), map(repr, z.imag.tolist())
+                wr.writerows(zip(m, n, itertools.repeat(key), re, im))
 
 
 def compute_esc(
@@ -173,40 +173,21 @@ def compute_esc(
     ext = pair.exterior
     grid = build_grid(curve, n_nodes)
     solver = TransmissionSolver(grid, pair, omega)
-    orders = range(-K, K + 1)
-
-    jfields = {
-        (a, n): cyl_wave_J(ModeIndex(a, n), grid.nodes, ext, omega)
-        for a in MODES
-        for n in orders
-    }
-    traces, tractions, keys = [], [], []
-    for b in MODES:
-        for m in orders:
-            idx = ModeIndex(b, m)
-            traces.append(jfields[(b, m)])
-            tractions.append(
-                cyl_wave_traction(idx, grid.nodes, grid.normals, ext, omega, "J")
-            )
-            keys.append((b, m))
-    densities = solver.solve_many(np.asarray(traces), np.asarray(tractions))
-
-    w = grid.weights[:, None]
-    proj = {
-        (a, n): np.conj(jfields[(a, n)]) * w for a in MODES for n in orders
-    }
-    blocks = {a + b: np.empty((2 * K + 1, 2 * K + 1), dtype=complex) for a in MODES for b in MODES}
-    for (b, m), dens in zip(keys, densities):
-        for a in MODES:
-            for n in orders:
-                blocks[a + b][m + K, n + K] = np.sum(proj[(a, n)] * dens.psi)
-    return EscMatrix(
-        K=K,
-        blocks=blocks,
-        omega=omega,
+    modes = [ModeIndex(a, n) for a in MODES for n in range(-K, K + 1)]
+    j_stack = np.array([cyl_wave_J(idx, grid.nodes, ext, omega) for idx in modes])
+    tractions = np.array(
+        [cyl_wave_traction(idx, grid.nodes, grid.normals, ext, omega, "J") for idx in modes]
+    )
+    densities = solver.solve_many(j_stack, tractions)
+    # G[(b,m),(a,n)] = sum_j psi^b_m(y_j) . conj(J^a_n(y_j)) w_j
+    psi_stack = np.stack([dens.psi for dens in densities]).reshape(len(modes), -1)
+    proj = (np.conj(j_stack) * grid.weights[:, None]).reshape(len(modes), -1)
+    return EscMatrix.from_global(
+        psi_stack @ proj.T,
+        omega,
+        rho0=ext.rho,
         pair=pair,
         curve_descriptor=curve.to_dict(),
-        rho0=ext.rho,
     )
 
 
@@ -215,7 +196,7 @@ def gamma_coeffs(esc: EscMatrix, incident_coeffs: dict) -> dict:
 
     gamma^b_n = sum_m (d^P_m W^{b,P}_{m,n} + d^S_m W^{b,S}_{m,n}) with
     d^b_m = i a^b_m / (4 rho0 w^2); incident_coeffs maps 'P'/'S' to
-    arrays over m = -K..K (shorter tables are zero-padded).
+    arrays over m = -M..M with M <= K (shorter tables are zero-padded).
     """
     K = esc.K
     dfac = 1j / (4.0 * esc.rho0 * esc.omega**2)
@@ -224,6 +205,10 @@ def gamma_coeffs(esc: EscMatrix, incident_coeffs: dict) -> dict:
         a = np.asarray(incident_coeffs[b], dtype=complex)
         if len(a) > 2 * K + 1:
             raise DomainError("incident coefficient table exceeds truncation order")
+        if len(a) % 2 == 0:
+            raise DomainError(
+                f"incident coefficient table of length {len(a)} is not over m = -M..M"
+            )
         pad = np.zeros(2 * K + 1, dtype=complex)
         off = K - (len(a) - 1) // 2
         pad[off : off + len(a)] = a
@@ -237,7 +222,9 @@ def gamma_coeffs(esc: EscMatrix, incident_coeffs: dict) -> dict:
 FAR_PHASE = {"P": 1.0, "S": -1.0}
 
 
-def far_field_amplitude_factor(mode: str, n: int, material: Material, omega: float) -> complex:
+def far_field_amplitude_factor(
+    mode: str, n: int | np.ndarray, material: Material, omega: float
+) -> complex | np.ndarray:
     """A^{inf,a}_n in H^a_n ~ (e^{i k r}/sqrt r) A^{inf,a}_n (P_n or S_n)."""
     kappa = material.kappa(omega, mode)
     return FAR_PHASE[mode] * (1.0 + 1.0j) * np.sqrt(kappa / np.pi) * np.exp(-0.5j * n * np.pi)
@@ -261,17 +248,37 @@ def far_field(esc: EscMatrix, incident_coeffs: dict, directions) -> FarFieldPatt
     et = np.stack([-np.sin(th), np.cos(th)], axis=-1)
     orders = np.arange(-esc.K, esc.K + 1)
     phases = np.exp(1j * np.outer(th, orders))  # e^{i n theta}
-    ap = np.array(
-        [far_field_amplitude_factor("P", n, ext, esc.omega) for n in orders]
-    )
-    as_ = np.array(
-        [far_field_amplitude_factor("S", n, ext, esc.omega) for n in orders]
-    )
+    ap = far_field_amplitude_factor("P", orders, ext, esc.omega)
+    as_ = far_field_amplitude_factor("S", orders, ext, esc.omega)
     up_scalar = phases @ (gam["P"] * ap)
     us_scalar = phases @ (gam["S"] * as_)
     return FarFieldPattern(
         directions=th, uP=up_scalar[:, None] * er, uS=us_scalar[:, None] * et
     )
+
+
+def _order_flip(g: np.ndarray) -> np.ndarray:
+    """G with the orders m, n -> -m, -n inside each of its four blocks."""
+    k = g.shape[0] // 2
+    return g.reshape(2, k, 2, k)[:, ::-1, :, ::-1].reshape(2 * k, 2 * k)
+
+
+def _order_signs(g: np.ndarray) -> np.ndarray:
+    """(-1)^m along the global index (b, m) of G."""
+    K = g.shape[0] // 4  # G is (4K+2)^2
+    return np.tile((-1.0) ** np.arange(-K, K + 1), 2)
+
+
+def _reciprocity_image(g: np.ndarray) -> np.ndarray:
+    """(-1)^{m+n} W^{b,a}_{-n,-m} at entry [(b,m),(a,n)] of G; equal to G if W is reciprocal."""
+    s = _order_signs(g)
+    return s[:, None] * s[None, :] * _order_flip(g.T)
+
+
+def _energy_residual(g: np.ndarray, rho0: float, omega: float) -> np.ndarray:
+    """W W* / (4 rho0 w^2) + (i/2)(W - W*): zero for a lossless scatterer."""
+    rho_w2 = rho0 * omega**2
+    return g @ g.conj().T / (4.0 * rho_w2) + 0.5j * (g - g.conj().T)
 
 
 def verify_optical(esc: EscMatrix) -> dict:
@@ -287,7 +294,7 @@ def verify_optical(esc: EscMatrix) -> dict:
     norm = np.linalg.norm(g)
     if norm == 0:
         return {"residual": 0.0, "residual_elementwise": 0.0, "norm": 0.0}
-    res = g @ g.conj().T / (4.0 * rho_w2) + 0.5j * (g - g.conj().T)
+    res = _energy_residual(g, esc.rho0, esc.omega)
     res_elem = g @ np.conj(g) / (4.0 * rho_w2) + g.imag
     return {
         "residual": float(np.linalg.norm(res) / norm),
@@ -309,37 +316,20 @@ def verify_symmetries(esc: EscMatrix) -> dict:
     The conjugated (Hermitian/conjugate-parity) defects are reported for
     diagnosis; they are O(1) for generic frequencies.
     """
-    K = esc.K
-    scale = esc.scale()
+    g = esc.to_global()
+    scale = np.abs(g).max()
     if scale == 0:
         return {"reciprocity": 0.0, "mirror": 0.0, "hermitian_conj": 0.0, "parity_conj": 0.0}
-    rec = 0.0
-    mir = 0.0
-    herm = 0.0
-    par = 0.0
-    for a in MODES:
-        for b in MODES:
-            blk = esc.blocks[a + b]
-            swap = esc.blocks[b + a]
-            sgn_ab = MIRROR_SIGN[a] * MIRROR_SIGN[b]
-            for m in range(-K, K + 1):
-                for n in range(-K, K + 1):
-                    v = blk[m + K, n + K]
-                    rec = max(rec, abs(v - (-1.0) ** (m + n) * swap[-n + K, -m + K]))
-                    mir = max(
-                        mir,
-                        abs(blk[-m + K, -n + K] - sgn_ab * (-1.0) ** (m + n) * v),
-                    )
-                    herm = max(herm, abs(v - np.conj(swap[n + K, m + K])))
-                    par = max(
-                        par, abs(blk[-m + K, -n + K] - (-1.0) ** (m + n) * np.conj(v))
-                    )
-    return {
-        "reciprocity": rec / scale,
-        "mirror": mir / scale,
-        "hermitian_conj": herm / scale,
-        "parity_conj": par / scale,
+    s = _order_signs(g)
+    sm = s * np.repeat([MIRROR_SIGN[b] for b in MODES], 2 * esc.K + 1)  # s_b (-1)^m
+    flipped = _order_flip(g)
+    defects = {
+        "reciprocity": g - _reciprocity_image(g),
+        "mirror": flipped - sm[:, None] * sm[None, :] * g,
+        "hermitian_conj": g - g.conj().T,
+        "parity_conj": flipped - s[:, None] * s[None, :] * np.conj(g),
     }
+    return {key: float(np.abs(d).max() / scale) for key, d in defects.items()}
 
 
 def decay_profile(esc: EscMatrix) -> dict:
@@ -350,20 +340,13 @@ def decay_profile(esc: EscMatrix) -> dict:
     the normalized residual spread of the fit.
     """
     K = esc.K
+    mag = np.abs(esc.to_global())
+    level = np.tile(np.abs(np.arange(-K, K + 1)), 2)  # |m| along the global index
     prof = np.zeros(K + 1)
-    for a in MODES:
-        for b in MODES:
-            blk = np.abs(esc.blocks[a + b])
-            for m in range(-K, K + 1):
-                for n in range(-K, K + 1):
-                    k = max(abs(m), abs(n))
-                    prof[k] = max(prof[k], blk[m + K, n + K])
-    diag = np.array(
-        [
-            max(abs(esc.entry(a, b, k, k)) for a in MODES for b in MODES)
-            for k in range(K + 1)
-        ]
-    )
+    np.maximum.at(prof, np.maximum.outer(level, level).ravel(), mag.ravel())
+    # max over the four blocks of |W^{a,b}_{k,k}|, k = 0..K
+    size = 2 * K + 1
+    diag = mag.reshape(2, size, 2, size).diagonal(axis1=1, axis2=3).max(axis=(0, 1))[K:]
     out = {"profile": prof.tolist(), "diag": diag.tolist()}
     ks = np.arange(1, K + 1)
     vals = diag[1:]

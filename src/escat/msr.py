@@ -28,17 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as sp
 
-from .bie import TransmissionSolver, build_grid
+from .bie import TransmissionSolver, build_grid, single_layer_apply
 from .curves import BoundaryCurve
 from .errors import ConfigError, DomainError, ReconstructionError
-from .esc import EscMatrix, compute_esc
-from .wavefields import (
-    Material,
-    MaterialPair,
-    _gamma_tensor,
-    plane_wave_mode_field,
-    plane_wave_traction,
-)
+from .esc import EscMatrix, _energy_residual, _reciprocity_image, compute_esc
+from .wavefields import Material, MaterialPair, plane_wave_mode_field, plane_wave_traction
 from .specialfun import _check, _fold
 
 logger = logging.getLogger(__name__)
@@ -162,8 +156,16 @@ class MsrDataset:
 
     @classmethod
     def load(cls, prefix) -> "MsrDataset":
-        with open(f"{prefix}.json") as f:
-            config = MsrConfig.from_dict(json.load(f)["config"])
+        header = f"{prefix}.json"
+        try:
+            with open(header) as f:
+                config = MsrConfig.from_dict(json.load(f)["config"])
+        except OSError as e:
+            raise ConfigError(f"{header}: cannot be read ({e.strerror})") from e
+        except KeyError as e:
+            raise ConfigError(f"{header}: missing key {e}") from e
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"{header}: not a dataset header ({e})") from e
         ns, nr = config.n_sources, config.n_receivers
         mats = {}
         for name in ("par_par", "par_perp", "perp_par", "perp_perp"):
@@ -172,8 +174,11 @@ class MsrDataset:
                 # a file without rows is reported below, as missing entries
                 warnings.simplefilter("ignore", UserWarning)
                 try:
-                    rows = np.loadtxt(path, dtype=_CSV_ROW, delimiter=",", comments=None,
-                                      skiprows=1, ndmin=1)
+                    with open(path) as f:
+                        rows = np.loadtxt(f, dtype=_CSV_ROW, delimiter=",", comments=None,
+                                          skiprows=1, ndmin=1)
+                except OSError as e:
+                    raise ConfigError(f"{path}: cannot be read ({e.strerror})") from e
                 except ValueError as e:
                     raise ConfigError(f"{path}: malformed row ({e})") from e
             s, r = rows["s"], rows["r"]
@@ -301,30 +306,23 @@ def simulate_msr(
     omega = config.omega
     grid = build_grid(curve, n_nodes)
     solver = TransmissionSolver(grid, pair, omega)
-    dirs = config.incident_directions()
-    traces, tractions = [], []
-    for mode_w in MODES:
-        for d in dirs:
-            traces.append(plane_wave_mode_field(d, grid.nodes, ext, omega, mode_w))
-            tractions.append(
-                plane_wave_traction(d, grid.nodes, grid.normals, ext, omega, mode_w)
-            )
-    densities = solver.solve_many(np.asarray(traces), np.asarray(tractions))
+    waves = [(d, mode_w) for mode_w in MODES for d in config.incident_directions()]
+    traces = np.array([plane_wave_mode_field(d, grid.nodes, ext, omega, m) for d, m in waves])
+    tractions = np.array(
+        [plane_wave_traction(d, grid.nodes, grid.normals, ext, omega, m) for d, m in waves]
+    )
+    densities = solver.solve_many(traces, tractions)
 
-    rec = config.receiver_points()
-    dv = rec[:, None, :] - grid.nodes[None, :, :]
-    r = np.hypot(dv[..., 0], dv[..., 1])
-    nr, n = r.shape
-    gam = _gamma_tensor(dv, r, omega, ext).transpose(0, 2, 1, 3).reshape(2 * nr, 2 * n)
-    # receiver fields of every incidence at once: (2 Nr x 2n) @ (2n x k)
-    wpsi = np.stack([dens.psi for dens in densities]) * grid.weights[None, :, None]
-    u = (gam @ wpsi.reshape(len(densities), 2 * n).T).reshape(nr, 2, -1)
+    # receiver fields of every incidence at once, (k, Nr, 2)
+    u = single_layer_apply(
+        grid, omega, ext, np.stack([dens.psi for dens in densities]), config.receiver_points()
+    )
     th_r = config.receiver_angles()
     d_r = np.stack([np.cos(th_r), np.sin(th_r)], axis=-1)
     d_rp = np.stack([-np.sin(th_r), np.cos(th_r)], axis=-1)
     # row k of the stacked matrix is incidence k: P sources (par rows), then S (perp rows)
     a = np.concatenate(
-        [np.einsum("rck,rc->kr", u, d_r), np.einsum("rck,rc->kr", u, d_rp)], axis=1
+        [np.einsum("krc,rc->kr", u, d_r), np.einsum("krc,rc->kr", u, d_rp)], axis=1
     )
     return MsrDataset.from_stacked(a, config)
 
@@ -385,7 +383,7 @@ def reconstruct(
         g = np.linalg.solve(xtx, model.X.conj().T @ a @ model.Y)
         g = np.linalg.solve(yty.T, g.T).T
         if method == "lsq_constrained":
-            g = _project_constraints(g, cfg, K)
+            g = _project_constraints(g, cfg)
     else:
         raise DomainError(f"unknown reconstruction method {method!r}")
     est = EscMatrix.from_global(g, cfg.omega, rho0=cfg.exterior.rho)
@@ -400,28 +398,11 @@ def reconstruct(
     return est, report
 
 
-def _reciprocity_projection(g: np.ndarray, K: int) -> np.ndarray:
-    """Average G with its reciprocity image (exact symmetry of the ESC)."""
-    k = 2 * K + 1
-    out = g.copy()
-    for ib in range(2):
-        for ia in range(2):
-            blk = g[ib * k : (ib + 1) * k, ia * k : (ia + 1) * k]
-            # W^{a,b}_{m,n} = (-1)^{m+n} W^{b,a}_{-n,-m}
-            swap = g[ia * k : (ia + 1) * k, ib * k : (ib + 1) * k]
-            m = np.arange(-K, K + 1)
-            signs = (-1.0) ** (m[:, None] + m[None, :])
-            image = signs * swap[::-1, ::-1].T
-            out[ib * k : (ib + 1) * k, ia * k : (ia + 1) * k] = 0.5 * (blk + image)
-    return out
-
-
-def _project_constraints(g, cfg, K):
+def _project_constraints(g, cfg):
     """20 damped (step 0.5) alternating projections onto reciprocity and energy."""
-    rho_w2 = cfg.exterior.rho * cfg.omega**2
     for _ in range(20):
-        g = _reciprocity_projection(g, K)
-        res = g @ g.conj().T / (4.0 * rho_w2) + 0.5j * (g - g.conj().T)
+        g = 0.5 * (g + _reciprocity_image(g))
+        res = _energy_residual(g, cfg.exterior.rho, cfg.omega)
         # move along the anti-Hermitian direction that cancels the residual
         g = g - 0.5 * (-2.0j) * 0.5 * (res + res.conj().T)
     return g

@@ -463,11 +463,7 @@ def _traction_components(a, rhat, nrm):
 def _gamma_tensor(dv, r, omega, material):
     phi, chi, _ = _hankel_radial(r, omega, material)
     comp = _gamma_components(phi, chi, dv / r[..., None])
-    out = np.empty(r.shape + (2, 2), dtype=complex)
-    for k in (0, 1):
-        for l in (0, 1):
-            out[..., k, l] = comp[k][l]
-    return out
+    return np.stack([np.stack(row, axis=-1) for row in comp], axis=-2)
 
 
 def _traction_bc(mode: str, n: int, t, lam: float, mu: float, z, zp):

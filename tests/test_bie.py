@@ -1,5 +1,7 @@
 """Boundary grids, singular quadrature and the transmission solver."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -162,6 +164,39 @@ class TestSingleLayer:
         dens = np.ones((32, 2), dtype=complex)
         with pytest.warns(NearBoundaryWarning):
             single_layer_apply(grid, OMEGA, exterior, dens, np.array([1.01, 0.0]))
+
+    def test_density_stack_equals_single_calls(self, exterior):
+        grid = build_grid(Kite(0.5), 64)
+        rng = np.random.default_rng(5)
+        stack = rng.standard_normal((3, 64, 2)) + 1j * rng.standard_normal((3, 64, 2))
+        targets = np.array([[1.8, 0.9], [-2.0, 0.4], [0.1, -3.0], [40.0, 25.0]])
+        got = single_layer_apply(grid, OMEGA, exterior, stack, targets)
+        assert got.shape == (3, 4, 2)
+        one = single_layer_apply(grid, OMEGA, exterior, stack, targets[1])
+        assert one.shape == (3, 2)
+        for k, dens in enumerate(stack):
+            want = single_layer_apply(grid, OMEGA, exterior, dens, targets)
+            assert_allclose(got[k], want, rtol=1e-14)
+            assert_allclose(one[k], want[1], rtol=1e-14)
+
+    def test_mixed_targets_in_one_call(self, exterior):
+        grid = build_grid(Circle(1.0), 32)
+        rng = np.random.default_rng(6)
+        dens = rng.standard_normal((32, 2)) + 1j * rng.standard_normal((32, 2))
+        targets = np.array(
+            [[3.0, 0.5], grid.nodes[3], [1.01, 0.0], [0.0, -1.02], grid.nodes[17], [0.2, -0.1]]
+        )
+        with pytest.warns(NearBoundaryWarning) as caught:
+            got = single_layer_apply(grid, OMEGA, exterior, dens, targets)
+        assert sum(issubclass(w.category, NearBoundaryWarning) for w in caught) == 1
+        on_surface = (single_layer_matrix(grid, OMEGA, exterior) @ dens.reshape(-1)).reshape(-1, 2)
+        assert_allclose(got[1], on_surface[3], rtol=1e-14)
+        assert_allclose(got[4], on_surface[17], rtol=1e-14)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NearBoundaryWarning)
+            for i in (0, 2, 3, 5):
+                want = single_layer_apply(grid, OMEGA, exterior, dens, targets[i])
+                assert_allclose(got[i], want, rtol=1e-14)
 
     def test_kernel_reciprocity(self, exterior):
         # Green-kernel blocks: kernel(x_i, x_j) = kernel(x_j, x_i)^T

@@ -104,6 +104,29 @@ class TestMsr:
         doc = json.loads(out.read_text())
         assert doc["report"]["relative_data_residual"] < 1e-9
 
+    @pytest.mark.parametrize(
+        "damage, culprit",
+        [
+            (lambda p: p.with_name("data.json").unlink(), "data.json"),
+            (lambda p: p.with_name("data_par_perp.csv").unlink(), "data_par_perp.csv"),
+            (lambda p: p.with_name("data.json").write_text("{not json"), "data.json"),
+            (lambda p: p.with_name("data.json").write_text('{"cfg": {}}'), "data.json"),
+        ],
+        ids=["no-header", "no-csv", "header-not-json", "header-without-config"],
+    )
+    def test_bad_dataset_exits_2(self, tmp_path, capsys, damage, culprit):
+        cfg = write(tmp_path, "acq.json", dict(ACQ, mode="expansion"))
+        prefix = tmp_path / "data"
+        assert main(["msr", "simulate", "--config", cfg, "--out", str(prefix)]) == 0
+        damage(prefix)
+        capsys.readouterr()
+        argv = ["msr", "reconstruct", "--config", cfg, "--data", str(prefix),
+                "--out", str(tmp_path / "recon.json")]
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "config"
+        assert culprit in err["message"]
+
     def test_analyze_resolving_order(self, tmp_path):
         doc = dict(ACQ)
         # epsilon * SNR = 100 -> K = 4: perimeter 2 pi, R = 1000 wl

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from escat.bie import TransmissionSolver, build_grid, scattered_field
 from escat.cloak import analytic_disk_esc
-from escat.curves import Circle, Ellipse, Kite
+from escat.curves import Circle, Ellipse, FourierRadius, Kite
 from escat.errors import DomainError
 from escat.esc import (
     EscMatrix,
@@ -23,6 +23,8 @@ from escat.wavefields import (
     MaterialPair,
     ModeIndex,
     cyl_wave_H,
+    cyl_wave_J,
+    cyl_wave_traction,
     plane_wave_coeffs,
     plane_wave_field,
 )
@@ -76,6 +78,30 @@ class TestComputeEsc:
         for key in a.blocks:
             assert np.abs(a.blocks[key] - b.blocks[key]).max() < 1e-8 * a.scale()
 
+    def test_matches_entrywise_projection(self, pair):
+        # the per-entry boundary integral that the single product replaced
+        curve, K, n = FourierRadius(0.9, cos_coeffs=(0.12,), sin_coeffs=(0.0, 0.05)), 2, 64
+        esc = compute_esc(curve, pair, OMEGA, K=K, n_nodes=n)
+        grid = build_grid(curve, n)
+        solver = TransmissionSolver(grid, pair, OMEGA)
+        ext, orders = pair.exterior, range(-K, K + 1)
+        w = grid.weights[:, None]
+        proj = {
+            (a, q): np.conj(cyl_wave_J(ModeIndex(a, q), grid.nodes, ext, OMEGA)) * w
+            for a in "PS"
+            for q in orders
+        }
+        for b in "PS":
+            for m in orders:
+                idx = ModeIndex(b, m)
+                psi = solver.solve(
+                    cyl_wave_J(idx, grid.nodes, ext, OMEGA),
+                    cyl_wave_traction(idx, grid.nodes, grid.normals, ext, OMEGA, "J"),
+                ).psi
+                for (a, q), p in proj.items():
+                    want = np.sum(p * psi)
+                    assert abs(esc.entry(a, b, m, q) - want) <= 1e-14 * esc.scale()
+
     def test_negative_k_rejected(self, pair):
         with pytest.raises(DomainError):
             compute_esc(Circle(1.0), pair, OMEGA, K=-1)
@@ -114,6 +140,11 @@ class TestGammaCoeffs:
         K = disk_esc.K
         assert_allclose(gam["P"], d00 * disk_esc.block("P", "P")[K, :], rtol=1e-13)
         assert_allclose(gam["S"], d00 * disk_esc.block("S", "P")[K, :], rtol=1e-13)
+
+    def test_even_length_table_rejected(self, disk_esc):
+        # a table over m = -M..M has odd length; [1, 2] has no centre order
+        with pytest.raises(DomainError, match="length 2"):
+            gamma_coeffs(disk_esc, {"P": np.array([1.0, 2.0]), "S": np.zeros(3)})
 
     def test_linearity(self, kite_esc):
         rng = np.random.default_rng(3)
@@ -261,7 +292,57 @@ class TestVerifySymmetries:
         assert verify_symmetries(bad)["reciprocity"] > 0.1
 
 
+def _symmetry_defects_by_entry(esc):
+    """Reference oracle: each defining identity of verify_symmetries, entry by entry."""
+    K, w = esc.K, esc.entry
+    sign = {"P": 1.0, "S": -1.0}
+    rec = mir = herm = par = 0.0
+    for a in "PS":
+        for b in "PS":
+            for m in range(-K, K + 1):
+                for n in range(-K, K + 1):
+                    v, p = w(a, b, m, n), (-1.0) ** (m + n)
+                    rec = max(rec, abs(v - p * w(b, a, -n, -m)))
+                    mir = max(mir, abs(w(a, b, -m, -n) - sign[a] * sign[b] * p * v))
+                    herm = max(herm, abs(v - np.conj(w(b, a, n, m))))
+                    par = max(par, abs(w(a, b, -m, -n) - p * np.conj(v)))
+    scale = max(abs(w(a, b, m, n)) for a in "PS" for b in "PS"
+                for m in range(-K, K + 1) for n in range(-K, K + 1))
+    return {"reciprocity": rec / scale, "mirror": mir / scale,
+            "hermitian_conj": herm / scale, "parity_conj": par / scale}
+
+
+def _random_esc(K, seed):
+    rng = np.random.default_rng(seed)
+    dim = 4 * K + 2
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return EscMatrix.from_global(g, OMEGA)
+
+
+class TestSymmetryOracle:
+    @pytest.mark.parametrize("K", [0, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_defects_match_entrywise_identities(self, K, seed):
+        esc = _random_esc(K, seed)
+        got, want = verify_symmetries(esc), _symmetry_defects_by_entry(esc)
+        assert got.keys() == want.keys()
+        for key in want:
+            assert want[key] > 0.1  # a random matrix has none of the symmetries
+            assert abs(got[key] - want[key]) <= 1e-15 * want[key], key
+
+
 class TestDecayProfile:
+    @pytest.mark.parametrize("K", [0, 3])
+    def test_profile_matches_entrywise_max(self, K):
+        esc = _random_esc(K, seed=4)
+        want = np.zeros(K + 1)
+        for key, blk in esc.blocks.items():
+            for m in range(-K, K + 1):
+                for n in range(-K, K + 1):
+                    k = max(abs(m), abs(n))
+                    want[k] = max(want[k], abs(blk[m + K, n + K]))
+        assert decay_profile(esc)["profile"] == pytest.approx(want, rel=1e-15, abs=0)
+
     def test_disk_profile_monotone(self, disk_esc):
         prof = np.array(decay_profile(disk_esc)["profile"])
         assert np.all(np.diff(prof[2:]) < 0)

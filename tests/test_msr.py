@@ -2,9 +2,13 @@
 
 import csv
 import io
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from escat.curves import Circle
 from escat.errors import ConfigError, DomainError, RangeError
@@ -20,6 +24,7 @@ from escat.msr import (
     singular_values,
     snr_estimate,
 )
+from escat.wavefields import Material
 
 OMEGA = 1.0
 
@@ -414,3 +419,47 @@ class TestDatasetIO:
         path.write_bytes("".join(edit(rows)).encode())
         with pytest.raises(ConfigError, match=rf"run_par_perp\.csv: .*{message}"):
             MsrDataset.load(tmp_path / "run")
+
+    @pytest.mark.parametrize(
+        "damage, culprit",
+        [
+            (lambda p: os.remove(f"{p}.json"), "run.json"),
+            (lambda p: os.remove(f"{p}_perp_perp.csv"), "run_perp_perp.csv"),
+            (lambda p: open(f"{p}.json", "w").write("{not json"), "run.json"),
+            (lambda p: open(f"{p}.json", "w").write('{"cfg": {}}'), "run.json"),
+        ],
+        ids=["no-header", "no-csv", "header-not-json", "header-without-config"],
+    )
+    def test_unreadable_dataset_rejected(self, tmp_path, exterior, damage, culprit):
+        prefix = tmp_path / "run"
+        self.special_values_dataset(exterior).save(prefix)
+        damage(prefix)
+        with pytest.raises(ConfigError, match=rf"{culprit}: "):
+            MsrDataset.load(prefix)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -2.5e-310, 1e300, -1e300]
+)
+
+
+@st.composite
+def _datasets(draw):
+    ns, nr = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    parts = st.lists(_FINITE, min_size=2 * ns * nr, max_size=2 * ns * nr)
+    blocks = [np.array(draw(parts)).view(complex).reshape(ns, nr) for _ in range(4)]
+    config = MsrConfig(radius=10.0, n_sources=ns, n_receivers=nr, omega=OMEGA,
+                       exterior=Material(2.0, 1.0, 1.0))
+    return MsrDataset(*blocks, config=config)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_datasets())
+def test_dataset_round_trip_is_bit_exact(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        data.save(os.path.join(tmp, "run"))
+        back = MsrDataset.load(os.path.join(tmp, "run"))
+    for name in ("a_par_par", "a_par_perp", "a_perp_par", "a_perp_perp"):
+        got, want = getattr(back, name), getattr(data, name)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
