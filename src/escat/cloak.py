@@ -276,12 +276,17 @@ def propagate_Q(structure: LayeredStructure, omega: float, n: int):
     Q = B_n prod_{j=L..1} M_{n,j}^{-1}(r_j) M_{n,j-1}(r_j), where B_n is
     the traction-only matrix at the innermost radius (top two rows zero);
     Q a_0 = 0 encodes the traction-free cavity condition.  The top 2x4
-    rows of Q are exactly zero by construction.
+    rows of Q are exactly zero by construction.  A chain that overflows
+    to inf or NaN is a ResonanceError.
     """
     if structure.inner != "cavity":
         raise DomainError("propagate_Q applies to cavity structures")
+    with np.errstate(over="ignore", invalid="ignore"):
+        chain = _interface_chain(structure, omega, n)[0]
+    if not np.isfinite(chain[2:]).all():
+        raise ResonanceError(f"Q(n={n}) at omega={omega:g} is not finite")
     q = np.zeros((4, 4), dtype=complex)
-    q[2:, :] = _interface_chain(structure, omega, n)[0][2:, :]
+    q[2:, :] = chain[2:, :]
     return q, q[2:, :2].copy(), q[2:, 2:].copy()
 
 
@@ -291,20 +296,21 @@ def layered_esc(structure: LayeredStructure, omega: float, n: int) -> np.ndarray
     Returns the 2x2 matrix W_n[alpha, beta] (alpha = scattered mode row,
     beta = incident mode column).  For the cavity case
     W_n = -ESC_SCALE rho0 w^2 Q22^{-1} Q21 applied to unit incident
-    coefficient vectors; a solid core goes through the same interface
-    chain with a J-only innermost field.
+    coefficient vectors (Q21, Q22 the traction rows of the interface
+    chain, as in propagate_Q); a solid core goes through the same chain
+    with a J-only innermost field.
     """
     rho_w2 = structure.exterior.rho * omega * omega
     # a chain product or Bessel value that overflows on the way ends in a
     # non-finite matrix, which the guards and the check below reject
     with np.errstate(over="ignore", invalid="ignore"):
-        if structure.inner == "cavity":
-            _, q21, q22 = propagate_Q(structure, omega, n)
-            a0 = -_inv_guarded(q22[None], [f"Q22(n={n})"])[0] @ q21  # columns: incident P, S
+        chain, m_core = _interface_chain(structure, omega, n)
+        if m_core is None:
+            # columns: incident P, S
+            a0 = -_inv_guarded(chain[None, 2:, 2:], [f"Q22(n={n})"])[0] @ chain[2:, :2]
         else:
             # solid core: innermost field b^P JP + b^S JS with core material; the
             # unknowns are (b^P, b^S, a^P, a^S), one column per incident mode
-            chain, m_core = _interface_chain(structure, omega, n)
             lhs = np.empty((4, 4), dtype=complex)
             lhs[:, :2] = m_core[:, :2]  # core J columns
             lhs[:, 2:] = -chain[:, 2:]  # unknown exterior H coefficients
@@ -351,21 +357,18 @@ class DesignReport:
     start_evaluations: list = field(default_factory=list)
     # evaluations that returned the rejection value PENALTY
     penalty_hits: int = 0
+    # structure evaluations of the polish (stages 0 and 1), not in n_evaluations
+    polish_evaluations: int = 0
 
 
-def _bare_cavity(exterior: Material, r_cavity: float) -> LayeredStructure:
-    return LayeredStructure(
-        radii=(r_cavity,), layers=(), exterior=exterior, inner="cavity"
-    )
+def _w_stack(structure: LayeredStructure, freqs, N: int) -> np.ndarray:
+    """W_n(w) for w in freqs and n = 0..N, shape (len(freqs), N+1, 2, 2)."""
+    return np.array([[layered_esc(structure, w, n) for n in range(N + 1)] for w in freqs])
 
 
-def _w_power(structure, omega, n, mask):
-    w = layered_esc(structure, omega, n)
-    if mask == "P":
-        w = w[:, :1]
-    elif mask == "S":
-        w = w[:, 1:]
-    return float(np.sum(np.abs(w) ** 2))
+def _power(w, cols):
+    """sum |W_n|^2 over both scattered modes and the incident columns cols, per W_n."""
+    return np.sum(np.abs(w[..., cols]) ** 2, axis=(-2, -1))
 
 
 # objective value of a point outside the box, with a collapsed interface
@@ -385,8 +388,10 @@ class _CoatObjective:
     L: int
     N: int
     omega_set: list
-    mask: str | None
-    scales: dict
+    # incident-mode columns of W_n that enter the design
+    cols: slice
+    # scales[i][n]: bare-cavity power at omega_set[i] and order n
+    scales: list
     lo_vec: np.ndarray
     hi_vec: np.ndarray
     exterior: Material
@@ -413,12 +418,14 @@ class _CoatObjective:
         fr = np.sort(np.concatenate([[0.0], x[3 * self.L :], [1.0]]))
         if np.min(np.diff(fr)) < 1e-3:
             return PENALTY  # interface collapsed onto a neighbor
+        # one layered_esc call per term, not _w_stack: this runs ~10^4
+        # times per design, and the stacked array costs time per call
         try:
             s = self.structure(x)
             return sum(
-                _w_power(s, w, n, self.mask) / self.scales[(w, n)]
-                for w in self.omega_set
-                for n in range(self.N + 1)
+                float(_power(layered_esc(s, w, n), self.cols)) / scale
+                for w, row in zip(self.omega_set, self.scales)
+                for n, scale in enumerate(row)
             )
         except (ResonanceError, DomainError):
             return PENALTY
@@ -558,14 +565,16 @@ def design_svanishing(
         lo, hi = bounds[key]
         if not (0 < lo < hi):
             raise DomainError(f"bounds for {key} must satisfy 0 < lo < hi")
-    mask = None if mode_mask == "PS" else mode_mask
-
-    bare = _bare_cavity(exterior, r_cavity)
-    scales = {
-        (w, n): max(_w_power(bare, w, n, mask), 1e-300)
-        for w in omega_set
-        for n in range(N + 1)
-    }
+    cols = {"PS": slice(None), "P": slice(0, 1), "S": slice(1, 2)}.get(mode_mask)
+    if cols is None:
+        raise DomainError(f"mode_mask must be 'PS', 'P' or 'S', not {mode_mask!r}")
+    if coeff_probe is None:
+        coeff_probe = [min(omega_set) / 100.0, min(omega_set) / 1000.0]
+    probes = list(coeff_probe) if polish else []
+    # the bare cavity at the working, then the probe frequencies: the one
+    # evaluation the objective's scales, the polish and the report share
+    bare_cavity = LayeredStructure(radii=(r_cavity,), layers=(), exterior=exterior)
+    bare = _w_stack(bare_cavity, omega_set + probes, N)
 
     lo_vec = np.concatenate(
         [np.log([bounds[k][0] for k in ("lam", "mu", "rho")] * L), np.full(L - 1, 5e-3)]
@@ -573,8 +582,9 @@ def design_svanishing(
     hi_vec = np.concatenate(
         [np.log([bounds[k][1] for k in ("lam", "mu", "rho")] * L), np.full(L - 1, 1 - 5e-3)]
     )
+    scales = np.maximum(_power(bare[: len(omega_set)], cols), 1e-300).tolist()
     objective = _CoatObjective(
-        L, N, omega_set, mask, scales, lo_vec, hi_vec, exterior, r_outer, r_cavity
+        L, N, omega_set, cols, scales, lo_vec, hi_vec, exterior, r_outer, r_cavity
     )
 
     rng = np.random.default_rng(seed)
@@ -590,77 +600,65 @@ def design_svanishing(
     )
 
     n_evaluations = sum(start_evaluations)
+    polish_evaluations = 0
     if polish:
-        probes = (
-            [min(omega_set) / 100.0, min(omega_set) / 1000.0]
-            if coeff_probe is None
-            else list(coeff_probe)
-        )
-        best_x = _polish_design(best_x, objective, bare, probes)
+        best_x, polish_evaluations = _polish_design(best_x, objective, bare, probes)
         best_f = objective(best_x)
         n_evaluations += 1
         penalty_hits += int(best_f == PENALTY)
 
     structure = objective.structure(best_x)
-    w_main = omega_set[0]
-    designed_power = sum(_w_power(structure, w_main, n, mask) for n in range(N + 1))
-    bare_power = sum(_w_power(bare, w_main, n, mask) for n in range(N + 1))
-    reduction = bare_power / max(designed_power, 1e-300)
-    report = DesignReport(
+    designed = _w_stack(structure, omega_set, N)
+    # the reduction at omega_set[0], summed over n as Python floats
+    designed_power = sum(_power(designed[0], cols).tolist())
+    bare_power = sum(_power(bare[0], cols).tolist())
+    keys = [(i, w, n) for i, w in enumerate(omega_set) for n in range(N + 1)]
+    return DesignReport(
         structure=structure,
         objective=best_f,
-        reduction_factor=reduction,
+        reduction_factor=bare_power / max(designed_power, 1e-300),
         objective_trace=[float(f) for _, f, _ in results],
-        w_table={
-            (w, n): layered_esc(structure, w, n).tolist()
-            for w in omega_set
-            for n in range(N + 1)
-        },
-        bare_w_table={
-            (w, n): layered_esc(bare, w, n).tolist()
-            for w in omega_set
-            for n in range(N + 1)
-        },
+        w_table={(w, n): designed[i, n].tolist() for i, w, n in keys},
+        bare_w_table={(w, n): bare[i, n].tolist() for i, w, n in keys},
         n_evaluations=n_evaluations,
         seed=seed,
         start_evaluations=start_evaluations,
         penalty_hits=penalty_hits,
+        polish_evaluations=polish_evaluations,
     )
-    return report
 
 
 def _polish_design(x0, objective, bare, probes):
     """Bounded least-squares refinement of a design candidate.
 
-    Residuals are the (bare-normalized) W_n entries at the working
+    bare is the bare cavity's W stack at the working frequencies, then at
+    probes.  Residuals are the (bare-normalized) W_n entries at the working
     frequencies plus at probe frequencies far below them; zeroing the
     probe entries cancels the leading low-frequency coefficients.  Stage 0
     is least squares with each W_n normalized by its largest bare entry;
     stage 1 zeroes the real part of each diagonal probe entry, normalized
-    by its bare magnitude, by a square Newton iteration.
+    by its bare magnitude, by a square Newton iteration.  Returns the
+    refined x and the number of structures both stages evaluated.
     """
-    N, mask = objective.N, objective.mask
-    lo_vec, hi_vec, to_structure = objective.lo_vec, objective.hi_vec, objective.structure
-    freqs = list(objective.omega_set) + list(probes)
-    bare_abs = {(w, n): np.abs(layered_esc(bare, w, n)) for w in freqs for n in range(N + 1)}
-    norms = {key: max(wb.max(), 1e-300) for key, wb in bare_abs.items()}
+    N, cols = objective.N, objective.cols
+    lo_vec, hi_vec = objective.lo_vec, objective.hi_vec
+    freqs = objective.omega_set + probes
+    bare_abs = np.abs(bare)
+    norms = np.maximum(bare_abs.max(axis=(-2, -1)), 1e-300)[..., None, None]
+    evaluations = 0
+
+    def w_stack(x, at):
+        nonlocal evaluations
+        evaluations += 1
+        return _w_stack(objective.structure(np.clip(x, lo_vec, hi_vec)), at, N)
 
     def residuals(x):
+        # per (w, n): the real, then the imaginary parts of the entries
         try:
-            s = to_structure(np.clip(x, lo_vec, hi_vec))
-            out = []
-            for w in freqs:
-                for n in range(N + 1):
-                    wmat = layered_esc(s, w, n) / norms[(w, n)]
-                    if mask == "P":
-                        wmat = wmat[:, :1]
-                    elif mask == "S":
-                        wmat = wmat[:, 1:]
-                    z = wmat.ravel()
-                    out.extend([z.real, z.imag])
-            return np.concatenate(out)
+            z = (w_stack(x, freqs) / norms)[..., cols].reshape(*bare.shape[:2], -1)
         except (ResonanceError, DomainError):
-            return np.full(2 * len(freqs) * (N + 1) * (2 if mask else 4), 1e6)
+            return np.full(2 * bare[..., cols].size, 1e6)
+        return np.concatenate([z.real, z.imag], axis=-1).ravel()
 
     x = np.clip(x0, lo_vec + 1e-9, hi_vec - 1e-9)
     try:
@@ -684,21 +682,16 @@ def _polish_design(x0, objective, bare, probes):
             x = res.x
     # stage 1: exact cancellation of the per-channel leading coefficients
     # (real parts of the diagonal probe entries, one condition per mode)
-    channels = [0, 1] if mask is None else [0 if mask == "P" else 1]
-    diag = {key: [max(wb[c, c], 1e-300) for c in channels] for key, wb in bare_abs.items()}
+    bare_diag = np.diagonal(bare_abs[len(objective.omega_set) :], axis1=-2, axis2=-1)
+    diag = np.maximum(bare_diag[..., cols], 1e-300)
 
     def coeff_residuals(x):
-        s = to_structure(np.clip(x, lo_vec, hi_vec))
-        out = []
-        for w in probes:
-            for n in range(N + 1):
-                wmat = layered_esc(s, w, n)
-                for c, d in zip(channels, diag[(w, n)]):
-                    out.append(wmat[c, c].real / d)
-        return np.array(out)
+        w = np.diagonal(w_stack(x, probes), axis1=-2, axis2=-1)[..., cols]
+        return (w.real / diag).ravel()
 
     x = _subset_newton(x, coeff_residuals, lo_vec, hi_vec)
-    return x
+    logger.info("design polish: %d structure evaluations", evaluations)
+    return x, evaluations
 
 
 def _subset_newton(x0, residuals, lo_vec, hi_vec, max_iter=40, tol=1e-10):

@@ -15,6 +15,7 @@ import os
 import tempfile
 
 import jsonschema
+import numpy as np
 
 from .errors import ConfigError, EscatError
 
@@ -202,9 +203,15 @@ def config_hash(doc: dict) -> str:
 def _format_json(obj, indent=0, path="") -> str:
     """JSON text with floats at 17 significant digits (round-trip exact).
 
+    numpy arrays and scalars are written as the lists and Python numbers
+    they convert to, a complex number as [re, im], and keys as str(key).
     JSON has no inf or NaN: a non-finite float raises EscatError naming
     its key path instead of being written as invalid or null text.
     """
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    elif isinstance(obj, (np.integer, np.floating, np.complexfloating)):
+        obj = obj.item()
     pad = " " * indent
     if isinstance(obj, dict):
         if not obj:
@@ -237,7 +244,7 @@ def _format_json(obj, indent=0, path="") -> str:
 
 def atomic_write_json(path, obj) -> None:
     """Serialize to a temp file and rename (never a partial output)."""
-    atomic_write_text(path, _format_json(_sanitize(obj)) + "\n")
+    atomic_write_text(path, _format_json(obj) + "\n")
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -252,23 +259,3 @@ def atomic_write_text(path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _sanitize(obj):
-    """Convert numpy scalars/arrays and complexes to JSON-ready values."""
-    import numpy as np
-
-    if isinstance(obj, dict):
-        return {str(k): _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _sanitize(obj.tolist())
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.complexfloating, complex)):
-        z = complex(obj)
-        return [z.real, z.imag]
-    return obj

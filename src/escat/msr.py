@@ -399,12 +399,22 @@ def reconstruct(
 
 
 def _project_constraints(g, cfg):
-    """20 damped (step 0.5) alternating projections onto reciprocity and energy."""
-    for _ in range(20):
-        g = 0.5 * (g + _reciprocity_image(g))
-        res = _energy_residual(g, cfg.exterior.rho, cfg.omega)
-        # move along the anti-Hermitian direction that cancels the residual
-        g = g - 0.5 * (-2.0j) * 0.5 * (res + res.conj().T)
+    """20 damped (step 0.5) alternating projections onto reciprocity and energy.
+
+    Far from a W that meets the energy identity the energy step grows like
+    |G|^2 and the iteration overflows: a non-finite estimate is a
+    ReconstructionError, not a result.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(20):
+            g = 0.5 * (g + _reciprocity_image(g))
+            res = _energy_residual(g, cfg.exterior.rho, cfg.omega)
+            # move along the anti-Hermitian direction that cancels the residual
+            g = g - 0.5 * (-2.0j) * 0.5 * (res + res.conj().T)
+    if not np.isfinite(g).all():
+        raise ReconstructionError(
+            "lsq_constrained: the constraint projections diverged to a non-finite estimate"
+        )
     return g
 
 

@@ -316,19 +316,11 @@ def plane_wave_coeffs(
 def plane_wave_field(direction, point, material: Material, omega: float) -> np.ndarray:
     """Combined P+S plane wave with incidence direction d.
 
-    u(x) = (1/(rho cS^2)) e^{i kS x.d} d_perp + (1/(rho cP^2)) e^{i kP x.d} d
+    u(x) = (1/(rho cS^2)) e^{i kS x.d} d_perp + (1/(rho cP^2)) e^{i kP x.d} d,
+    the sum of the two plane_wave_mode_field waves.
     """
-    d = np.asarray(direction, dtype=float)
-    pts = np.atleast_2d(np.asarray(point, dtype=float))
-    xd = pts @ d
-    up = (np.exp(1j * material.kappa_p(omega) * xd) / (material.rho * material.c_p**2))[
-        :, None
-    ] * d
-    us = (np.exp(1j * material.kappa_s(omega) * xd) / (material.rho * material.c_s**2))[
-        :, None
-    ] * perp(d)
-    out = up + us
-    return out[0] if np.asarray(point).ndim == 1 else out
+    up = plane_wave_mode_field(direction, point, material, omega, "P")
+    return up + plane_wave_mode_field(direction, point, material, omega, "S")
 
 
 def _single_plane_wave(direction, point, material, omega, mode):

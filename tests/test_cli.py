@@ -193,6 +193,7 @@ class TestCloak:
         assert len(diagnostics["start_evaluations"]) == 2
         assert sum(diagnostics["start_evaluations"]) + 1 == rep["n_evaluations"]
         assert 0 <= diagnostics["penalty_hits"] <= rep["n_evaluations"]
+        assert diagnostics["polish_evaluations"] > 0
 
     def test_scaling_emits_exponents(self, tmp_path):
         doc = {

@@ -312,6 +312,19 @@ class TestPropagateQ:
                 failures += 1
         assert failures == 0
 
+    def test_overflow_is_a_resonance(self, exterior):
+        # the chain product of layered_esc's overflow test: Q itself is
+        # rejected, and the overflow on the way is not a RuntimeWarning
+        s = LayeredStructure(
+            radii=(2.0, 1.5, 1.0),
+            layers=(Material(3.0, 0.5, 2.0), Material(1.0, 2.0, 0.7)),
+            exterior=exterior,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ResonanceError, match=r"Q\(n=30\) at omega=0.0003 is not finite"):
+                propagate_Q(s, 3e-4, 30)
+
     def test_telescoping_interface(self, exterior, interior):
         # inserting a fictitious interface with equal materials on both
         # sides leaves Q unchanged
@@ -482,6 +495,12 @@ class TestDesign:
         w_d = layered_esc(rep.structure, 0.1, 0)[:, 1]
         assert np.sum(np.abs(w_d) ** 2) < np.sum(np.abs(w_b) ** 2)
 
+    def test_unknown_mode_mask_rejected(self, exterior):
+        with pytest.raises(DomainError, match="mode_mask"):
+            design_svanishing(
+                L=1, N=0, omega_set=[0.1], bounds=BOUNDS, exterior=exterior, mode_mask="SP"
+            )
+
     def test_infeasible_bounds_rejected(self, exterior):
         with pytest.raises(DomainError):
             design_svanishing(
@@ -491,6 +510,85 @@ class TestDesign:
                 bounds={"lam": (2.0, 1.0), "mu": (0.1, 1.0), "rho": (0.1, 1.0)},
                 exterior=exterior,
             )
+
+
+BAND_OMEGAS = (0.2, 0.3)
+
+
+@pytest.fixture(scope="module")
+def band_design(exterior):
+    """A P-mask design at N=1 on two frequencies, in one process.
+
+    Returns the report, the (omega, n) of every bare-cavity layered_esc
+    call and the number of _w_stack calls on coated structures.
+    """
+    bare_calls, coated_stacks = [], []
+    w_stack = cloak._w_stack
+
+    def counted_esc(structure, omega, n):
+        if structure.n_layers == 0:
+            bare_calls.append((omega, n))
+        return layered_esc(structure, omega, n)
+
+    def counted_stack(structure, freqs, N):
+        if structure.n_layers > 0:
+            coated_stacks.append(structure)
+        return w_stack(structure, freqs, N)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cloak, "_available_cpus", lambda: 1)
+        mp.setattr(cloak, "layered_esc", counted_esc)
+        mp.setattr(cloak, "_w_stack", counted_stack)
+        rep = design_svanishing(
+            L=1,
+            N=1,
+            omega_set=list(BAND_OMEGAS),
+            bounds=BOUNDS,
+            exterior=exterior,
+            n_starts=2,
+            seed=1,
+            maxiter=200,
+            mode_mask="P",
+        )
+    return rep, bare_calls, len(coated_stacks)
+
+
+class TestBandDesign:
+    KEYS = [(w, n) for w in BAND_OMEGAS for n in (0, 1)]
+
+    def test_w_tables_are_layered_esc(self, band_design, exterior):
+        rep = band_design[0]
+        assert list(rep.w_table) == self.KEYS and list(rep.bare_w_table) == self.KEYS
+        for w, n in self.KEYS:
+            assert rep.w_table[(w, n)] == layered_esc(rep.structure, w, n).tolist()
+            assert rep.bare_w_table[(w, n)] == layered_esc(bare_cavity(exterior), w, n).tolist()
+
+    def test_objective_and_reduction_use_the_p_column(self, band_design, exterior):
+        rep = band_design[0]
+
+        def power(structure, w, n):
+            return float(np.sum(np.abs(layered_esc(structure, w, n)[:, :1]) ** 2))
+
+        bare = bare_cavity(exterior)
+        objective = sum(power(rep.structure, w, n) / power(bare, w, n) for w, n in self.KEYS)
+        assert rep.objective == objective
+        w0 = BAND_OMEGAS[0]
+        designed = sum(power(rep.structure, w0, n) for n in (0, 1))
+        assert rep.reduction_factor == sum(power(bare, w0, n) for n in (0, 1)) / designed
+
+    def test_bare_cavity_evaluated_once_per_frequency_and_order(self, band_design):
+        # working frequencies and the default probes min(omega)/100, /1000
+        bare_calls = band_design[1]
+        w0 = min(BAND_OMEGAS)
+        freqs = [*BAND_OMEGAS, w0 / 100.0, w0 / 1000.0]
+        assert sorted(bare_calls) == sorted((w, n) for w in freqs for n in (0, 1))
+
+    def test_polish_evaluations_count_the_polish_structures(self, band_design):
+        # every coated W stack but the report's own is a polish evaluation
+        rep, _, coated_stacks = band_design
+        assert rep.polish_evaluations > 0
+        assert coated_stacks == rep.polish_evaluations + 1
+        assert sum(rep.start_evaluations) + 1 == rep.n_evaluations
 
 
 def _broken_objective(x):

@@ -4,6 +4,7 @@ import csv
 import io
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from escat.curves import Circle
-from escat.errors import ConfigError, DomainError, RangeError
+from escat.errors import ConfigError, DomainError, RangeError, ReconstructionError
 from escat.esc import EscMatrix, compute_esc, verify_symmetries
 from escat.msr import (
     MsrConfig,
@@ -225,6 +226,18 @@ class TestReconstruct:
         con, _ = reconstruct(data, 3, method="lsq_constrained")
         assert verify_symmetries(con)["reciprocity"] < 1e-12
         assert verify_optical(con)["residual"] <= verify_optical(raw)["residual"]
+
+    def test_constrained_divergence_is_an_error(self, pair, cfg):
+        # far from the energy identity the projections overflow: an error
+        # naming the method, not an all-NaN estimate or RuntimeWarnings
+        rng = np.random.default_rng(0)
+        g = rng.uniform(1.0, 5.0, (10, 10)) * np.exp(2j * np.pi * rng.random((10, 10)))
+        esc = EscMatrix.from_global(g, OMEGA, rho0=1.0)
+        data = simulate_msr(Circle(1.0), pair, cfg, mode="expansion", esc=esc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ReconstructionError, match="lsq_constrained"):
+                reconstruct(data, 2, method="lsq_constrained")
 
     def test_k_too_large_rejected(self, pair, cfg):
         data = simulate_msr(Circle(1.0), pair, cfg, mode="expansion", esc=synthetic_esc(3))

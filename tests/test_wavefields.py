@@ -166,6 +166,19 @@ class TestPlaneWave:
         direct = plane_wave_field(d, pts, exterior, OMEGA)
         assert np.abs(acc - direct).max() / np.abs(direct).max() < 1e-8
 
+    def test_field_is_the_closed_form(self, exterior):
+        # (1/(rho cP^2)) e^{i kP x.d} d + (1/(rho cS^2)) e^{i kS x.d} d_perp,
+        # to rounding: within 2 eps of the size of the two terms per point
+        d = np.array([np.cos(0.4), np.sin(0.4)])
+        pts = np.array([[0.5, 0.2], [-1.0, 0.7], [2.0, -3.0]])
+        rho, cp, cs = exterior.rho, exterior.c_p, exterior.c_s
+        up = np.exp(1j * exterior.kappa_p(OMEGA) * pts @ d)[:, None] / (rho * cp**2) * d
+        us = np.exp(1j * exterior.kappa_s(OMEGA) * pts @ d)[:, None] / (rho * cs**2) * perp(d)
+        got = plane_wave_field(d, pts, exterior, OMEGA)
+        size = np.linalg.norm(up, axis=1) + np.linalg.norm(us, axis=1)
+        assert np.all(np.abs(got - (up + us)).max(axis=1) <= 2 * np.finfo(float).eps * size)
+        assert np.array_equal(plane_wave_field(d, pts[1], exterior, OMEGA), got[1])
+
     def test_vertical_incidence_phases_are_one(self, exterior):
         d = np.array([0.0, 1.0])  # theta_d = pi/2
         coeffs = plane_wave_coeffs(d, OMEGA, exterior, 5)
