@@ -363,7 +363,8 @@ class DesignReport:
 
 def _w_stack(structure: LayeredStructure, freqs, N: int) -> np.ndarray:
     """W_n(w) for w in freqs and n = 0..N, shape (len(freqs), N+1, 2, 2)."""
-    return np.array([[layered_esc(structure, w, n) for n in range(N + 1)] for w in freqs])
+    w = [[layered_esc(structure, f, n) for n in range(N + 1)] for f in freqs]
+    return np.array(w, dtype=complex).reshape(len(w), N + 1, 2, 2)
 
 
 def _power(w, cols):
@@ -390,8 +391,8 @@ class _CoatObjective:
     omega_set: list
     # incident-mode columns of W_n that enter the design
     cols: slice
-    # scales[i][n]: bare-cavity power at omega_set[i] and order n
-    scales: list
+    # scales[i, n]: bare-cavity power at omega_set[i] and order n
+    scales: np.ndarray
     lo_vec: np.ndarray
     hi_vec: np.ndarray
     exterior: Material
@@ -418,17 +419,12 @@ class _CoatObjective:
         fr = np.sort(np.concatenate([[0.0], x[3 * self.L :], [1.0]]))
         if np.min(np.diff(fr)) < 1e-3:
             return PENALTY  # interface collapsed onto a neighbor
-        # one layered_esc call per term, not _w_stack: this runs ~10^4
-        # times per design, and the stacked array costs time per call
         try:
-            s = self.structure(x)
-            return sum(
-                float(_power(layered_esc(s, w, n), self.cols)) / scale
-                for w, row in zip(self.omega_set, self.scales)
-                for n, scale in enumerate(row)
-            )
+            w = _w_stack(self.structure(x), self.omega_set, self.N)
         except (ResonanceError, DomainError):
             return PENALTY
+        # Python floats summed in (w, n) order
+        return sum((_power(w, self.cols) / self.scales).ravel().tolist())
 
 
 def _run_start(objective, k, x0, maxiter):
@@ -582,7 +578,7 @@ def design_svanishing(
     hi_vec = np.concatenate(
         [np.log([bounds[k][1] for k in ("lam", "mu", "rho")] * L), np.full(L - 1, 1 - 5e-3)]
     )
-    scales = np.maximum(_power(bare[: len(omega_set)], cols), 1e-300).tolist()
+    scales = np.maximum(_power(bare[: len(omega_set)], cols), 1e-300)
     objective = _CoatObjective(
         L, N, omega_set, cols, scales, lo_vec, hi_vec, exterior, r_outer, r_cavity
     )
@@ -680,6 +676,8 @@ def _polish_design(x0, objective, bare, probes):
         logger.info("design polish stage 0: residual %.3e -> %.3e", before, np.sum(res.fun**2))
         if np.sum(res.fun**2) < before:
             x = res.x
+    if not probes:
+        return x, evaluations
     # stage 1: exact cancellation of the per-channel leading coefficients
     # (real parts of the diagonal probe entries, one condition per mode)
     bare_diag = np.diagonal(bare_abs[len(objective.omega_set) :], axis1=-2, axis2=-1)

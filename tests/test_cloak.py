@@ -520,9 +520,9 @@ def band_design(exterior):
     """A P-mask design at N=1 on two frequencies, in one process.
 
     Returns the report, the (omega, n) of every bare-cavity layered_esc
-    call and the number of _w_stack calls on coated structures.
+    call and the frequencies of every _w_stack call on a coated structure.
     """
-    bare_calls, coated_stacks = [], []
+    bare_calls, coated_freqs = [], []
     w_stack = cloak._w_stack
 
     def counted_esc(structure, omega, n):
@@ -532,7 +532,7 @@ def band_design(exterior):
 
     def counted_stack(structure, freqs, N):
         if structure.n_layers > 0:
-            coated_stacks.append(structure)
+            coated_freqs.append(list(freqs))
         return w_stack(structure, freqs, N)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -550,7 +550,7 @@ def band_design(exterior):
             maxiter=200,
             mode_mask="P",
         )
-    return rep, bare_calls, len(coated_stacks)
+    return rep, bare_calls, coated_freqs
 
 
 class TestBandDesign:
@@ -584,11 +584,32 @@ class TestBandDesign:
         assert sorted(bare_calls) == sorted((w, n) for w in freqs for n in (0, 1))
 
     def test_polish_evaluations_count_the_polish_structures(self, band_design):
-        # every coated W stack but the report's own is a polish evaluation
-        rep, _, coated_stacks = band_design
+        # the objective and the report evaluate the working band only; the
+        # polish evaluates the working band with the probes, then the probes
+        rep, _, coated_freqs = band_design
+        polish = [f for f in coated_freqs if f != list(BAND_OMEGAS)]
         assert rep.polish_evaluations > 0
-        assert coated_stacks == rep.polish_evaluations + 1
+        assert len(polish) == rep.polish_evaluations
+        # the objective skips the stack for a point outside the box
+        assert len(coated_freqs) - len(polish) <= rep.n_evaluations + 1
         assert sum(rep.start_evaluations) + 1 == rep.n_evaluations
+
+    def test_polish_without_probes(self, exterior):
+        # an empty probe list polishes by stage 0 alone
+        rep = design_svanishing(
+            L=1,
+            N=1,
+            omega_set=[0.1],
+            bounds=BOUNDS,
+            exterior=exterior,
+            n_starts=1,
+            seed=5,
+            maxiter=40,
+            coeff_probe=[],
+        )
+        assert rep.polish_evaluations > 0
+        assert rep.objective < cloak.PENALTY
+        assert list(rep.w_table) == [(0.1, 0), (0.1, 1)]
 
 
 def _broken_objective(x):
