@@ -202,6 +202,7 @@ def cmd_cloak_design(args) -> int:
             "start_evaluations": rep.start_evaluations,
             "penalty_hits": rep.penalty_hits,
             "polish_evaluations": rep.polish_evaluations,
+            "polish_stage_evaluations": rep.polish_stage_evaluations,
         },
         "w_table": {f"{w:g}|n={n}": v for (w, n), v in rep.w_table.items()},
         "bare_w_table": {f"{w:g}|n={n}": v for (w, n), v in rep.bare_w_table.items()},

@@ -357,8 +357,13 @@ class DesignReport:
     start_evaluations: list = field(default_factory=list)
     # evaluations that returned the rejection value PENALTY
     penalty_hits: int = 0
-    # structure evaluations of the polish (stages 0 and 1), not in n_evaluations
-    polish_evaluations: int = 0
+    # structure evaluations of polish stages 0 and 1, not in n_evaluations
+    polish_stage_evaluations: list = field(default_factory=lambda: [0, 0])
+
+    @property
+    def polish_evaluations(self) -> int:
+        """Structure evaluations of both polish stages."""
+        return sum(self.polish_stage_evaluations)
 
 
 def _w_stack(structure: LayeredStructure, freqs, N: int) -> np.ndarray:
@@ -596,9 +601,9 @@ def design_svanishing(
     )
 
     n_evaluations = sum(start_evaluations)
-    polish_evaluations = 0
+    polish_stage_evaluations = [0, 0]
     if polish:
-        best_x, polish_evaluations = _polish_design(best_x, objective, bare, probes)
+        best_x, polish_stage_evaluations = _polish_design(best_x, objective, bare, probes)
         best_f = objective(best_x)
         n_evaluations += 1
         penalty_hits += int(best_f == PENALTY)
@@ -620,7 +625,7 @@ def design_svanishing(
         seed=seed,
         start_evaluations=start_evaluations,
         penalty_hits=penalty_hits,
-        polish_evaluations=polish_evaluations,
+        polish_stage_evaluations=polish_stage_evaluations,
     )
 
 
@@ -634,7 +639,7 @@ def _polish_design(x0, objective, bare, probes):
     is least squares with each W_n normalized by its largest bare entry;
     stage 1 zeroes the real part of each diagonal probe entry, normalized
     by its bare magnitude, by a square Newton iteration.  Returns the
-    refined x and the number of structures both stages evaluated.
+    refined x and the numbers of structures stages 0 and 1 evaluated.
     """
     N, cols = objective.N, objective.cols
     lo_vec, hi_vec = objective.lo_vec, objective.hi_vec
@@ -676,8 +681,9 @@ def _polish_design(x0, objective, bare, probes):
         logger.info("design polish stage 0: residual %.3e -> %.3e", before, np.sum(res.fun**2))
         if np.sum(res.fun**2) < before:
             x = res.x
+    stage0 = evaluations
     if not probes:
-        return x, evaluations
+        return x, [stage0, 0]
     # stage 1: exact cancellation of the per-channel leading coefficients
     # (real parts of the diagonal probe entries, one condition per mode)
     bare_diag = np.diagonal(bare_abs[len(objective.omega_set) :], axis1=-2, axis2=-1)
@@ -688,8 +694,11 @@ def _polish_design(x0, objective, bare, probes):
         return (w.real / diag).ravel()
 
     x = _subset_newton(x, coeff_residuals, lo_vec, hi_vec)
-    logger.info("design polish: %d structure evaluations", evaluations)
-    return x, evaluations
+    logger.info(
+        "design polish: %d structure evaluations in stage 0, %d in stage 1",
+        stage0, evaluations - stage0,
+    )
+    return x, [stage0, evaluations - stage0]
 
 
 def _subset_newton(x0, residuals, lo_vec, hi_vec, max_iter=40, tol=1e-10):

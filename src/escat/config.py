@@ -200,41 +200,60 @@ def config_hash(doc: dict) -> str:
     ).hexdigest()[:16]
 
 
-def _format_json(obj, indent=0, path="") -> str:
+class _NonFinite(Exception):
+    """A non-finite float met by _format_json; keys is its key path, innermost first."""
+
+    def __init__(self, value: float):
+        super().__init__(value)
+        self.value = value
+        self.keys = []
+
+
+def _format_json(obj, indent=0) -> str:
     """JSON text with floats at 17 significant digits (round-trip exact).
 
     numpy arrays and scalars are written as the lists and Python numbers
     they convert to, a complex number as [re, im], and keys as str(key).
-    JSON has no inf or NaN: a non-finite float raises EscatError naming
-    its key path instead of being written as invalid or null text.
+    JSON has no inf or NaN: a non-finite float raises _NonFinite, and the
+    containers it passes through add their keys to it.
     """
+    if type(obj) is float:  # most of a document: tested first, no key path built
+        if math.isfinite(obj):
+            return f"{obj:.17g}"
+        raise _NonFinite(obj)
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     elif isinstance(obj, (np.integer, np.floating, np.complexfloating)):
         obj = obj.item()
-    pad = " " * indent
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = ",\n".join(
-            f'{pad} {json.dumps(str(k))}: '
-            f'{_format_json(v, indent + 1, f"{path}.{k}" if path else str(k))}'
-            for k, v in obj.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
+        pad = " " * indent
+        items = []
+        for k, v in obj.items():
+            try:
+                items.append(f"{pad} {json.dumps(str(k))}: {_format_json(v, indent + 1)}")
+            except _NonFinite as exc:
+                exc.keys.append(f".{k}")
+                raise
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = (_format_json(v, indent, f"{path}[{i}]") for i, v in enumerate(obj))
+        items = []
+        for v in obj:
+            try:
+                items.append(_format_json(v, indent))
+            except _NonFinite as exc:
+                exc.keys.append(f"[{len(items)}]")
+                raise
         return "[" + ", ".join(items) + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise EscatError(f"non-finite result {obj} at {path or 'top level'}; not written")
-        return f"{obj:.17g}"
+    if isinstance(obj, float):  # a numpy float converted above, or a float subclass
+        return _format_json(float(obj), indent)
     if isinstance(obj, complex):
-        return _format_json([obj.real, obj.imag], indent, path)
+        return _format_json([obj.real, obj.imag], indent)
     if isinstance(obj, int):
         return str(obj)
     if obj is None:
@@ -243,8 +262,19 @@ def _format_json(obj, indent=0, path="") -> str:
 
 
 def atomic_write_json(path, obj) -> None:
-    """Serialize to a temp file and rename (never a partial output)."""
-    atomic_write_text(path, _format_json(obj) + "\n")
+    """Serialize to a temp file and rename (never a partial output).
+
+    A non-finite float raises EscatError naming its key path; nothing is written.
+    """
+    try:
+        text = _format_json(obj)
+    except _NonFinite as exc:
+        where = "".join(reversed(exc.keys))
+        where = where[1:] if where.startswith(".") else where  # a top-level key has no dot
+        raise EscatError(
+            f"non-finite result {exc.value} at {where or 'top level'}; not written"
+        ) from None
+    atomic_write_text(path, text + "\n")
 
 
 def atomic_write_text(path, text: str) -> None:

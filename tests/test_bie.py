@@ -1,5 +1,8 @@
 """Boundary grids, singular quadrature and the transmission solver."""
 
+import logging
+import re
+import threading
 import warnings
 
 import numpy as np
@@ -8,6 +11,7 @@ from numpy.testing import assert_allclose
 from scipy import linalg as sla
 
 from conftest import fd_lame_residual
+from escat import bie
 from escat.bie import (
     NearBoundaryWarning,
     TransmissionSolver,
@@ -509,3 +513,92 @@ class TestMirrorSplit:
         # one column or a batch: BLAS may order the sums differently (~cond * eps)
         assert_allclose(one.psi, dens[3].psi, rtol=0, atol=1e-10 * np.abs(one.psi).max())
         assert one.residual < 1e-10 and one.stability_ratio == pytest.approx(dens[3].stability_ratio)
+
+
+def _factored(caplog, grid, pair):
+    """A solver on grid and the way its INFO line says it factored the blocks."""
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="escat.bie"):
+        solver = TransmissionSolver(grid, pair, 1.0)
+    (line,) = [r.getMessage() for r in caplog.records if "transmission solver" in r.message]
+    return solver, line
+
+
+def _kite_solve(pair, exterior, monkeypatch, caplog, concurrent):
+    """Solver, W and solve_many densities of the README kite at n=256, with the
+    BLAS probe patched to choose the serial or the concurrent path."""
+    monkeypatch.setattr(bie, "_blas_single_threaded", lambda: concurrent)
+    grid = build_grid(Kite(0.4), 256)
+    solver, line = _factored(caplog, grid, pair)
+    assert ("factored concurrently" if concurrent else "factored serially") in line
+    dens = solver.solve_many(*_incident(grid, exterior, 1.0, 6))
+    w = compute_esc(Kite(0.4), pair, 1.0, K=6, n_nodes=256).to_global()
+    return solver, w, dens
+
+
+class TestConcurrentBlocks:
+    def test_paths_give_identical_bytes(self, pair, exterior, monkeypatch, caplog):
+        serial = _kite_solve(pair, exterior, monkeypatch, caplog, False)
+        concurrent = _kite_solve(pair, exterior, monkeypatch, caplog, True)
+        for solver in (serial[0], concurrent[0]):
+            assert len(solver._lu) == 2
+            for (lu, piv), b in zip(solver._lu, solver._blocks):
+                ref_lu, ref_piv = sla.lu_factor(b)
+                assert lu.tobytes() == ref_lu.tobytes() and piv.tobytes() == ref_piv.tobytes()
+        assert serial[0].condition_estimate == concurrent[0].condition_estimate
+        assert serial[1].tobytes() == concurrent[1].tobytes()
+        for d_s, d_c in zip(serial[2], concurrent[2]):
+            assert (d_s.residual, d_s.stability_ratio) == (d_c.residual, d_c.stability_ratio)
+            assert d_s.psi.tobytes() == d_c.psi.tobytes()
+
+    def test_threads_end_before_return(self, pair, exterior, monkeypatch, caplog):
+        before = threading.active_count()
+        _kite_solve(pair, exterior, monkeypatch, caplog, True)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("concurrent", [False, True])
+    def test_nan_in_second_block_raises_lu_factor_error(self, pair, monkeypatch, concurrent):
+        monkeypatch.setattr(bie, "_blas_single_threaded", lambda: concurrent)
+        build = bie._block_matrix
+
+        def nan_in_block_1(basis, spec, a):
+            b = build(basis, spec, a)
+            if spec is basis.blocks[1]:
+                b[3, 5] = np.nan
+            return b
+
+        monkeypatch.setattr(bie, "_block_matrix", nan_in_block_1)
+        bad = build_grid(Kite(0.4), 64)
+        before = threading.active_count()
+        with pytest.raises(ValueError) as got:
+            TransmissionSolver(bad, pair, 1.0)
+        assert threading.active_count() == before
+        with pytest.raises(ValueError) as want:
+            sla.lu_factor(np.array([[np.nan]]))
+        assert str(got.value) == str(want.value)
+
+    def test_error_in_second_thread_reaches_caller(self):
+        def fn(i):
+            if i > 0:
+                raise np.linalg.LinAlgError(f"block {i} failed")
+            return i
+
+        before = threading.active_count()
+        with pytest.raises(np.linalg.LinAlgError, match="^block 1 failed$"):
+            bie._map_blocks(fn, [(0,), (1,), (2,)], True)
+        assert threading.active_count() == before
+        assert bie._map_blocks(fn, [(0,)], True) == [0]
+
+    def test_asymmetric_grid_runs_inline(self, pair, monkeypatch, caplog):
+        monkeypatch.setattr(bie, "_blas_single_threaded", lambda: True)
+        curve = FourierRadius(1.0, cos_coeffs=(0.1,), sin_coeffs=(0.0, 0.1))
+        _, line = _factored(caplog, build_grid(curve, 64), pair)
+        assert line.startswith("transmission solver: 1 block(s) factored serially in ")
+
+    def test_info_line(self, pair, caplog):
+        solver, line = _factored(caplog, build_grid(Kite(0.4), 64), pair)
+        assert re.fullmatch(
+            r"transmission solver: 2 block\(s\) factored (concurrently|serially) in \d+\.\d{3} s, "
+            "condition estimate " + re.escape(f"{solver.condition_estimate:.3e}"),
+            line,
+        )

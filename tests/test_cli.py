@@ -194,6 +194,7 @@ class TestCloak:
         assert sum(diagnostics["start_evaluations"]) + 1 == rep["n_evaluations"]
         assert 0 <= diagnostics["penalty_hits"] <= rep["n_evaluations"]
         assert diagnostics["polish_evaluations"] > 0
+        assert sum(diagnostics["polish_stage_evaluations"]) == diagnostics["polish_evaluations"]
 
     def test_scaling_emits_exponents(self, tmp_path):
         doc = {
@@ -246,11 +247,19 @@ class TestOutputFormat:
         from escat.config import atomic_write_json
         from escat.errors import EscatError
 
-        cases = ((np.inf, "a.b[1]"), (np.nan, "a.b[1]"), (complex(1.0, -np.inf), "a.b[1][1]"))
-        for bad, where in cases:
+        cases = [
+            ({"a": {"b": [1.0, bad]}}, "a.b[1]" + tail)
+            for bad, tail in ((np.inf, ""), (np.nan, ""), (complex(1.0, -np.inf), "[1]"))
+        ]
+        cases += [
+            (np.nan, "top level"),
+            ([1.0, np.float64(np.inf)], "[1]"),
+            ([[{"k": -np.inf}]], "[0][0].k"),
+        ]
+        for doc, where in cases:
             p = tmp_path / "f.json"
-            with pytest.raises(EscatError, match=re.escape(where)):
-                atomic_write_json(p, {"a": {"b": [1.0, bad]}})
+            with pytest.raises(EscatError, match=rf" at {re.escape(where)}; not written$"):
+                atomic_write_json(p, doc)
             assert not p.exists()
             assert list(tmp_path.iterdir()) == []
 

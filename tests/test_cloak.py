@@ -588,8 +588,11 @@ class TestBandDesign:
         # polish evaluates the working band with the probes, then the probes
         rep, _, coated_freqs = band_design
         polish = [f for f in coated_freqs if f != list(BAND_OMEGAS)]
-        assert rep.polish_evaluations > 0
-        assert len(polish) == rep.polish_evaluations
+        probes = [min(BAND_OMEGAS) / 100.0, min(BAND_OMEGAS) / 1000.0]
+        stages = [polish.count([*BAND_OMEGAS, *probes]), polish.count(probes)]
+        assert min(stages) > 0 and sum(stages) == len(polish)
+        assert rep.polish_stage_evaluations == stages
+        assert rep.polish_evaluations == len(polish)
         # the objective skips the stack for a point outside the box
         assert len(coated_freqs) - len(polish) <= rep.n_evaluations + 1
         assert sum(rep.start_evaluations) + 1 == rep.n_evaluations
@@ -607,7 +610,7 @@ class TestBandDesign:
             maxiter=40,
             coeff_probe=[],
         )
-        assert rep.polish_evaluations > 0
+        assert rep.polish_stage_evaluations[0] > 0 and rep.polish_stage_evaluations[1] == 0
         assert rep.objective < cloak.PENALTY
         assert list(rep.w_table) == [(0.1, 0), (0.1, 1)]
 
