@@ -634,17 +634,6 @@ class TransmissionSolver:
         ]
 
 
-def solve_transmission(
-    grid: QuadratureGrid,
-    pair: MaterialPair,
-    omega: float,
-    incident_trace: np.ndarray,
-    incident_traction: np.ndarray,
-) -> DensityPair:
-    """One-shot transmission solve (assembles and factorizes internally)."""
-    return TransmissionSolver(grid, pair, omega).solve(incident_trace, incident_traction)
-
-
 def single_layer_apply(
     grid: QuadratureGrid,
     omega: float,
@@ -718,43 +707,6 @@ def interior_total_field(
 ) -> np.ndarray:
     """Total field inside the inclusion, St[phi](target)."""
     return single_layer_apply(grid, omega, material_interior, phi, target)
-
-
-def grid_to_csv(grid: QuadratureGrid, path) -> None:
-    """Write the grid nodes as CSV (index, x, y, nx, ny, jacobian)."""
-    import csv
-
-    with open(path, "w", newline="") as f:
-        wr = csv.writer(f)
-        wr.writerow(["index", "x", "y", "nx", "ny", "jacobian"])
-        for i in range(grid.n_nodes):
-            wr.writerow(
-                [i]
-                + [repr(float(v)) for v in grid.nodes[i]]
-                + [repr(float(v)) for v in grid.normals[i]]
-                + [repr(float(grid.jacobians[i]))]
-            )
-
-
-def density_to_csv(grid: QuadratureGrid, density: np.ndarray, path) -> None:
-    """Write a nodal density as CSV (index, x, y, re/im per component)."""
-    import csv
-
-    dens = np.asarray(density, dtype=complex).reshape(grid.n_nodes, 2)
-    with open(path, "w", newline="") as f:
-        wr = csv.writer(f)
-        wr.writerow(["index", "x", "y", "re_1", "im_1", "re_2", "im_2"])
-        for i in range(grid.n_nodes):
-            wr.writerow(
-                [i]
-                + [repr(float(v)) for v in grid.nodes[i]]
-                + [
-                    repr(float(dens[i, 0].real)),
-                    repr(float(dens[i, 0].imag)),
-                    repr(float(dens[i, 1].real)),
-                    repr(float(dens[i, 1].imag)),
-                ]
-            )
 
 
 def traction_of_single_layer(

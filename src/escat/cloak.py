@@ -34,7 +34,6 @@ processes.
 from __future__ import annotations
 
 import logging
-import multiprocessing
 import os
 import threading
 import time
@@ -42,7 +41,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy import optimize as sopt
 from scipy import special as sp
 
 from .errors import DomainError, ResonanceError
@@ -434,6 +432,8 @@ class _CoatObjective:
 
 def _run_start(objective, k, x0, maxiter):
     """One Nelder-Mead start: (k, f, x, evaluations, penalty hits)."""
+    from scipy import optimize as sopt
+
     evaluations = penalty_hits = 0
 
     def counted(x):
@@ -472,6 +472,8 @@ def _start_method() -> str:
     1 s); forking a process with other threads can copy a lock one of
     them holds, so such a process spawns its workers.
     """
+    import multiprocessing
+
     if "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1:
         return "fork"
     return "spawn"
@@ -501,12 +503,14 @@ def _map_starts(objective, starts, maxiter) -> list:
     children.  The objective reaches the workers pickled, so forked and
     spawned workers compute the same.
     """
+    # imported here: only a design needs them, and they add to every start-up
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     run = partial(_run_start, objective, maxiter=maxiter)
     workers = min(len(starts), _available_cpus())
     if workers <= 1 or multiprocessing.current_process().daemon:
         return [run(k, x0) for k, x0 in enumerate(starts)]
-    # imported here: only a design needs it, and it adds to every start-up
-    from concurrent.futures import ProcessPoolExecutor
 
     context = multiprocessing.get_context(_start_method())
     pool = ProcessPoolExecutor(
@@ -577,6 +581,9 @@ def design_svanishing(
     bare_cavity = LayeredStructure(radii=(r_cavity,), layers=(), exterior=exterior)
     bare = _w_stack(bare_cavity, omega_set + probes, N)
 
+    # loaded once here, so forked workers inherit it rather than import it
+    import scipy.optimize  # noqa: F401
+
     lo_vec = np.concatenate(
         [np.log([bounds[k][0] for k in ("lam", "mu", "rho")] * L), np.full(L - 1, 5e-3)]
     )
@@ -641,6 +648,8 @@ def _polish_design(x0, objective, bare, probes):
     by its bare magnitude, by a square Newton iteration.  Returns the
     refined x and the numbers of structures stages 0 and 1 evaluated.
     """
+    from scipy import optimize as sopt
+
     N, cols = objective.N, objective.cols
     lo_vec, hi_vec = objective.lo_vec, objective.hi_vec
     freqs = objective.omega_set + probes

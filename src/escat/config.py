@@ -14,7 +14,6 @@ import math
 import os
 import tempfile
 
-import jsonschema
 import numpy as np
 
 from .errors import ConfigError, EscatError
@@ -174,6 +173,9 @@ SCALING_SCHEMA = {
 
 def load_config(path, schema: dict) -> dict:
     """Read and schema-validate a JSON config document."""
+    # imported here: only a config read needs it, and it adds to every start-up
+    import jsonschema
+
     try:
         with open(path) as f:
             doc = json.load(f)

@@ -37,7 +37,6 @@ __all__ = [
     "cyl_wave_H",
     "cyl_wave_traction",
     "plane_wave_coeffs",
-    "plane_wave_field",
     "plane_wave_traction",
     "fundamental_solution",
     "traction_coeffs",
@@ -311,16 +310,6 @@ def plane_wave_coeffs(
         kappa = omega / c
         out[mode] = -1j / (material.rho * c * c * kappa) * phase
     return out
-
-
-def plane_wave_field(direction, point, material: Material, omega: float) -> np.ndarray:
-    """Combined P+S plane wave with incidence direction d.
-
-    u(x) = (1/(rho cS^2)) e^{i kS x.d} d_perp + (1/(rho cP^2)) e^{i kP x.d} d,
-    the sum of the two plane_wave_mode_field waves.
-    """
-    up = plane_wave_mode_field(direction, point, material, omega, "P")
-    return up + plane_wave_mode_field(direction, point, material, omega, "S")
 
 
 def _single_plane_wave(direction, point, material, omega, mode):

@@ -23,7 +23,6 @@ from escat.bie import (
     scattered_field,
     single_layer_apply,
     single_layer_matrix,
-    solve_transmission,
     traction_layer_matrix,
     traction_of_single_layer,
 )
@@ -254,7 +253,7 @@ class TestTractionOperator:
 class TestTransmission:
     def test_zero_incident_gives_zero_densities(self, pair):
         grid = build_grid(Circle(1.0), 64)
-        dens = solve_transmission(grid, pair, OMEGA, np.zeros((64, 2)), np.zeros((64, 2)))
+        dens = TransmissionSolver(grid, pair, OMEGA).solve(np.zeros((64, 2)), np.zeros((64, 2)))
         assert np.abs(dens.phi).max() < 1e-14
         assert np.abs(dens.psi).max() < 1e-14
 
@@ -377,20 +376,6 @@ class TestTransmission:
             1
         ] * cyl_wave_J(ModeIndex("S", 1), x_in, interior, OMEGA)
         assert np.abs(u_in - want).max() < 1e-8 * np.abs(want).max()
-
-    def test_csv_exports(self, pair, exterior, tmp_path):
-        from escat.bie import density_to_csv, grid_to_csv
-
-        grid = build_grid(Circle(1.0), 32)
-        grid_to_csv(grid, tmp_path / "grid.csv")
-        lines = (tmp_path / "grid.csv").read_text().splitlines()
-        assert lines[0] == "index,x,y,nx,ny,jacobian"
-        assert len(lines) == 33
-        dens = np.ones((32, 2)) * (1 + 2j)
-        density_to_csv(grid, dens, tmp_path / "dens.csv")
-        lines = (tmp_path / "dens.csv").read_text().splitlines()
-        assert len(lines) == 33
-        assert lines[1].split(",")[3] == "1.0" and lines[1].split(",")[4] == "2.0"
 
     def test_resonance_guard(self, exterior):
         # omega^2 rho_1 at an interior Dirichlet eigenvalue: for the unit

@@ -1,12 +1,16 @@
 """Command-line front end: exit codes, outputs, determinism."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import escat
 from escat.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -316,3 +320,26 @@ class TestReadmeUsage:
         for ln in lines:
             argv = ln.replace("[", " ").replace("]", " ").split()[1:]
             assert build_parser().parse_args(argv).func is not None, ln
+
+
+class TestImports:
+    def test_heavy_modules_load_where_they_run(self, tmp_path):
+        # the optimizer, the pool and the schema validator stay out of a
+        # fresh process until a design runs or a config is read
+        script = (
+            "import json, sys\n"
+            "import escat, escat.cli, escat.config\n"
+            "heavy = ('scipy.optimize', 'jsonschema', 'multiprocessing')\n"
+            "print(json.dumps([m for m in heavy if m in sys.modules]))\n"
+            "escat.config.load_config(sys.argv[1], escat.config.SCENE_SCHEMA)\n"
+            "print(json.dumps('jsonschema' in sys.modules))\n"
+        )
+        cfg = write(tmp_path, "scene.json", SCENE)
+        src = os.path.dirname(os.path.dirname(escat.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run(
+            [sys.executable, "-c", script, cfg],
+            capture_output=True, text=True, env=env, check=True,
+        ).stdout.splitlines()
+        assert json.loads(out[0]) == []
+        assert json.loads(out[1]) is True

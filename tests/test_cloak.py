@@ -2,6 +2,7 @@
 
 import dataclasses
 import logging
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -10,6 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.optimize
 from numpy.testing import assert_allclose
 
 from conftest import fd_traction
@@ -647,7 +649,7 @@ class TestParallelStarts:
 
         monkeypatch.setattr(cloak, "_available_cpus", lambda: 2)
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
-        monkeypatch.setattr(cloak.multiprocessing.current_process(), "daemon", True)
+        monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
         runs = cloak._map_starts(_quadratic, [np.ones(2), np.full(2, 2.0)], maxiter=50)
         assert [r[0] for r in runs] == [0, 1]
         assert all(r[1] < 1e-6 and r[3] > 0 for r in runs)
@@ -712,7 +714,7 @@ class TestPolishFailures:
         def broken(*args, **kwargs):
             raise TypeError("unexpected keyword")
 
-        monkeypatch.setattr(cloak.sopt, "least_squares", broken)
+        monkeypatch.setattr(scipy.optimize, "least_squares", broken)
         with pytest.raises(TypeError, match="unexpected keyword"):
             self.design(exterior)
 
@@ -720,7 +722,7 @@ class TestPolishFailures:
         def failing(*args, **kwargs):
             raise ValueError("residuals are not finite")
 
-        monkeypatch.setattr(cloak.sopt, "least_squares", failing)
+        monkeypatch.setattr(scipy.optimize, "least_squares", failing)
         monkeypatch.setattr(cloak, "_subset_newton", lambda x, *args, **kwargs: x)
         with caplog.at_level(logging.WARNING, logger="escat.cloak"):
             rep = self.design(exterior)

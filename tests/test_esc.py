@@ -26,7 +26,7 @@ from escat.wavefields import (
     cyl_wave_J,
     cyl_wave_traction,
     plane_wave_coeffs,
-    plane_wave_field,
+    plane_wave_mode_field,
 )
 
 OMEGA = 1.0
@@ -172,7 +172,8 @@ class TestGammaCoeffs:
             acc += gam["S"][i] * cyl_wave_H(ModeIndex("S", n), x, exterior, OMEGA)
         grid = build_grid(Kite(0.4), 160)
         solver = TransmissionSolver(grid, pair, OMEGA)
-        tr = plane_wave_field(d, grid.nodes, exterior, OMEGA)
+        tr = plane_wave_mode_field(d, grid.nodes, exterior, OMEGA, "P") + \
+            plane_wave_mode_field(d, grid.nodes, exterior, OMEGA, "S")
         from escat.wavefields import plane_wave_traction
 
         tc = plane_wave_traction(d, grid.nodes, grid.normals, exterior, OMEGA, "P") + \
@@ -206,7 +207,8 @@ class TestFarField:
         solver = TransmissionSolver(grid, pair, OMEGA)
         from escat.wavefields import plane_wave_traction
 
-        tr = plane_wave_field(d, grid.nodes, exterior, OMEGA)
+        tr = plane_wave_mode_field(d, grid.nodes, exterior, OMEGA, "P") + \
+            plane_wave_mode_field(d, grid.nodes, exterior, OMEGA, "S")
         tc = plane_wave_traction(d, grid.nodes, grid.normals, exterior, OMEGA, "P") + \
             plane_wave_traction(d, grid.nodes, grid.normals, exterior, OMEGA, "S")
         dens = solver.solve(tr, tc)
