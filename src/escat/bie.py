@@ -74,7 +74,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import logging
-import threading
 import time
 import warnings
 from dataclasses import dataclass
@@ -504,33 +503,19 @@ def _blas_single_threaded() -> bool:
 
 
 def _map_blocks(fn, args: list, concurrent: bool) -> list:
-    """[fn(*a) for a in args]; when concurrent, every call after the first
-    runs in a thread of its own, joined before this returns.
+    """[fn(*a) for a in args]; when concurrent, the calls after the first
+    run in a pool of len(args) - 1 threads, joined before this returns.
 
     The first error in block order is raised on the calling thread.
     """
     if not concurrent or len(args) < 2:
         return [fn(*a) for a in args]
-    results, errors = [None] * len(args), [None] * len(args)
+    from concurrent.futures import ThreadPoolExecutor
 
-    def run(i):
-        try:
-            results[i] = fn(*args[i])
-        except BaseException as exc:  # re-raised below, on the calling thread
-            errors[i] = exc
-
-    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, len(args))]
-    for t in threads:
-        t.start()
-    try:
-        run(0)
-    finally:
-        for t in threads:
-            t.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return results
+    with ThreadPoolExecutor(len(args) - 1) as pool:
+        futures = [pool.submit(fn, *a) for a in args[1:]]
+        first = fn(*args[0])
+        return [first] + [f.result() for f in futures]
 
 
 def _factor(a: np.ndarray, anorm: float):
@@ -688,25 +673,14 @@ def scattered_field(
 ) -> np.ndarray:
     """Exterior scattered field u_sc(target) = S[psi](target).
 
-    Targets inside the inclusion are rejected (the interior branch uses
-    the phi density with the interior material; see interior_total_field).
+    Targets inside the inclusion are rejected (the interior total field
+    is single_layer_apply of the phi density with the interior material).
     """
     tgt = np.asarray(target, dtype=float)
     for p in np.atleast_2d(tgt):
         if grid.curve.contains(p):
             raise DomainError(f"target {p} lies inside the inclusion")
     return single_layer_apply(grid, omega, material, psi, target)
-
-
-def interior_total_field(
-    grid: QuadratureGrid,
-    phi: np.ndarray,
-    omega: float,
-    material_interior: Material,
-    target,
-) -> np.ndarray:
-    """Total field inside the inclusion, St[phi](target)."""
-    return single_layer_apply(grid, omega, material_interior, phi, target)
 
 
 def traction_of_single_layer(

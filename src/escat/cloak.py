@@ -51,9 +51,6 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "LayeredStructure",
-    "LayerMatrix",
-    "layer_matrix",
-    "propagate_Q",
     "layered_esc",
     "analytic_disk_esc",
     "design_svanishing",
@@ -119,31 +116,15 @@ class LayeredStructure:
         )
 
 
-@dataclass(frozen=True)
-class LayerMatrix:
-    """4x4 interface matrix of one material at one radius and order."""
-
-    order: int
-    radius: float
-    matrix: np.ndarray
-
-
-def layer_matrix(n: int, r: float, material: Material, omega: float) -> LayerMatrix:
-    """Interface matrix M_n(r) for one material.
-
-    Columns: (JP_n, JS_n, HP_n, HS_n); rows: scaled radial/tangential
-    traces then scaled radial/tangential tractions, built from the modal
-    traction coefficients.
-    """
-    return LayerMatrix(order=n, radius=r, matrix=_layer_matrices(n, [r], [material], omega)[0])
-
-
 def _layer_matrices(n: int, radii, materials, omega: float) -> np.ndarray:
     """Stack of M_n(radii[i]) for materials[i], shape (k, 4, 4).
 
-    One J and one H evaluation serve all k matrices.  The entries are
-    formed on Python scalars: at k ~ 5 that is cheaper than array
-    arithmetic, and it keeps the operation order of the closed forms.
+    Columns: (JP_n, JS_n, HP_n, HS_n); rows: scaled radial/tangential
+    traces then scaled radial/tangential tractions, built from the modal
+    traction coefficients.  One J and one H evaluation serve all k
+    matrices.  The entries are formed on Python scalars: at k ~ 5 that is
+    cheaper than array arithmetic, and it keeps the operation order of
+    the closed forms.
     """
     if omega <= 0 or min(radii) <= 0:
         raise DomainError("radius and omega must be positive")
@@ -268,34 +249,14 @@ def _interface_chain(structure: LayeredStructure, omega: float, n: int):
     return stack[2 * length] @ prop, (stack[-1] if core else None)
 
 
-def propagate_Q(structure: LayeredStructure, omega: float, n: int):
-    """Global response matrix Q^(n) and its lower 2x2 blocks (Q21, Q22).
-
-    Q = B_n prod_{j=L..1} M_{n,j}^{-1}(r_j) M_{n,j-1}(r_j), where B_n is
-    the traction-only matrix at the innermost radius (top two rows zero);
-    Q a_0 = 0 encodes the traction-free cavity condition.  The top 2x4
-    rows of Q are exactly zero by construction.  A chain that overflows
-    to inf or NaN is a ResonanceError.
-    """
-    if structure.inner != "cavity":
-        raise DomainError("propagate_Q applies to cavity structures")
-    with np.errstate(over="ignore", invalid="ignore"):
-        chain = _interface_chain(structure, omega, n)[0]
-    if not np.isfinite(chain[2:]).all():
-        raise ResonanceError(f"Q(n={n}) at omega={omega:g} is not finite")
-    q = np.zeros((4, 4), dtype=complex)
-    q[2:, :] = chain[2:, :]
-    return q, q[2:, :2].copy(), q[2:, 2:].copy()
-
-
 def layered_esc(structure: LayeredStructure, omega: float, n: int) -> np.ndarray:
     """Order-n scattering-coefficient matrix W_n of a layered structure.
 
     Returns the 2x2 matrix W_n[alpha, beta] (alpha = scattered mode row,
     beta = incident mode column).  For the cavity case
     W_n = -ESC_SCALE rho0 w^2 Q22^{-1} Q21 applied to unit incident
-    coefficient vectors (Q21, Q22 the traction rows of the interface
-    chain, as in propagate_Q); a solid core goes through the same chain
+    coefficient vectors (Q21, Q22 the blocks of the traction rows of the
+    interface chain); a solid core goes through the same chain
     with a J-only innermost field.
     """
     rho_w2 = structure.exterior.rho * omega * omega
@@ -535,7 +496,6 @@ def design_svanishing(
     seed: int = 0,
     mode_mask: str = "PS",
     maxiter: int = 2000,
-    polish: bool = True,
     coeff_probe: list | None = None,
 ) -> DesignReport:
     """Design an L-layer coat minimizing the leading cavity ESC.
@@ -565,6 +525,10 @@ def design_svanishing(
     """
     if L < 1:
         raise DomainError("need at least one coating layer")
+    if not 0 < r_cavity < r_outer:
+        raise DomainError(
+            f"need 0 < r_cavity < r_outer, got r_cavity={r_cavity}, r_outer={r_outer}"
+        )
     omega_set = list(omega_set)
     for key in ("lam", "mu", "rho"):
         lo, hi = bounds[key]
@@ -575,7 +539,7 @@ def design_svanishing(
         raise DomainError(f"mode_mask must be 'PS', 'P' or 'S', not {mode_mask!r}")
     if coeff_probe is None:
         coeff_probe = [min(omega_set) / 100.0, min(omega_set) / 1000.0]
-    probes = list(coeff_probe) if polish else []
+    probes = list(coeff_probe)
     # the bare cavity at the working, then the probe frequencies: the one
     # evaluation the objective's scales, the polish and the report share
     bare_cavity = LayeredStructure(radii=(r_cavity,), layers=(), exterior=exterior)
@@ -607,13 +571,10 @@ def design_svanishing(
         best_k, best_f, start_evaluations, penalty_hits,
     )
 
-    n_evaluations = sum(start_evaluations)
-    polish_stage_evaluations = [0, 0]
-    if polish:
-        best_x, polish_stage_evaluations = _polish_design(best_x, objective, bare, probes)
-        best_f = objective(best_x)
-        n_evaluations += 1
-        penalty_hits += int(best_f == PENALTY)
+    best_x, polish_stage_evaluations = _polish_design(best_x, objective, bare, probes)
+    best_f = objective(best_x)
+    n_evaluations = sum(start_evaluations) + 1
+    penalty_hits += int(best_f == PENALTY)
 
     structure = objective.structure(best_x)
     designed = _w_stack(structure, omega_set, N)

@@ -36,8 +36,8 @@ class BoundaryCurve:
 
     # -- validation -------------------------------------------------------
 
-    def validate(self, n_check: int = 256) -> None:
-        t = np.linspace(0.0, 2.0 * np.pi, n_check, endpoint=False)
+    def validate(self) -> None:
+        t = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
         x = self.position(t)
         v = self.velocity(t)
         speed = np.hypot(v[:, 0], v[:, 1])
@@ -77,8 +77,8 @@ class BoundaryCurve:
 
     # -- geometry helpers --------------------------------------------------
 
-    def diameter(self, n_sample: int = 256) -> float:
-        x = self.position(np.linspace(0, 2 * np.pi, n_sample, endpoint=False))
+    def diameter(self) -> float:
+        x = self.position(np.linspace(0, 2 * np.pi, 256, endpoint=False))
         d2 = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=-1)
         return float(np.sqrt(d2.max()))
 
@@ -93,12 +93,11 @@ class BoundaryCurve:
 
 
 class Circle(BoundaryCurve):
-    def __init__(self, radius: float = 1.0, validate: bool = True):
+    def __init__(self, radius: float = 1.0):
         if radius <= 0:
             raise DomainError("radius must be positive")
         self.radius = float(radius)
-        if validate:
-            self.validate()
+        self.validate()
 
     def position(self, t):
         t = np.asarray(t, dtype=float)
@@ -116,12 +115,11 @@ class Circle(BoundaryCurve):
 
 
 class Ellipse(BoundaryCurve):
-    def __init__(self, a: float, b: float, validate: bool = True):
+    def __init__(self, a: float, b: float):
         if a <= 0 or b <= 0:
             raise DomainError("semi-axes must be positive")
         self.a, self.b = float(a), float(b)
-        if validate:
-            self.validate()
+        self.validate()
 
     def position(self, t):
         t = np.asarray(t, dtype=float)
@@ -141,12 +139,11 @@ class Ellipse(BoundaryCurve):
 class Kite(BoundaryCurve):
     """Standard kite: (cos t + 0.65 cos 2t - 0.65, 1.5 sin t), scalable."""
 
-    def __init__(self, scale: float = 1.0, validate: bool = True):
+    def __init__(self, scale: float = 1.0):
         if scale <= 0:
             raise DomainError("scale must be positive")
         self.scale = float(scale)
-        if validate:
-            self.validate()
+        self.validate()
 
     def position(self, t):
         t = np.asarray(t, dtype=float)
@@ -173,12 +170,11 @@ class Kite(BoundaryCurve):
 class FourierRadius(BoundaryCurve):
     """Star-shaped curve r(t) = r0 (1 + sum_k eps_k cos kt + del_k sin kt)."""
 
-    def __init__(self, r0: float = 1.0, cos_coeffs=(), sin_coeffs=(), validate: bool = True):
+    def __init__(self, r0: float = 1.0, cos_coeffs=(), sin_coeffs=()):
         self.r0 = float(r0)
         self.cos_coeffs = np.asarray(cos_coeffs, dtype=float)
         self.sin_coeffs = np.asarray(sin_coeffs, dtype=float)
-        if validate:
-            self.validate()
+        self.validate()
 
     def _radius(self, t):
         r = np.ones_like(t)

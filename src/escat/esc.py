@@ -32,8 +32,6 @@ residuals and the conjugated variants as diagnostics.
 
 from __future__ import annotations
 
-import csv
-import itertools
 import logging
 from dataclasses import dataclass, field
 
@@ -143,16 +141,6 @@ class EscMatrix:
             curve_descriptor=d.get("curve", {}),
             pair=pair,
         )
-
-    def save_csv(self, path) -> None:
-        m, n = (np.indices((2 * self.K + 1,) * 2) - self.K).reshape(2, -1).tolist()
-        with open(path, "w", newline="") as f:
-            wr = csv.writer(f)
-            wr.writerow(["m", "n", "block", "re", "im"])
-            for key, blk in self.blocks.items():
-                z = np.asarray(blk, dtype=complex).ravel()
-                re, im = map(repr, z.real.tolist()), map(repr, z.imag.tolist())
-                wr.writerows(zip(m, n, itertools.repeat(key), re, im))
 
 
 def compute_esc(

@@ -10,34 +10,19 @@ recurrence oracles.
 One routine, _fold, gives Z_n and Z_n' for Z in (J, Y, H^(1)) at one
 order and a scalar or an array of arguments: the value, the derivative
 (Z_{n-1} - Z_{n+1}) / 2 and the parity identity Z_{-n} = (-1)^n Z_n for
-negative orders.  The cylindrical waves, the transfer matrices, the MSR
-model matrices and bessel_jy all take their values from it; only the
+negative orders.  The cylindrical waves, the transfer matrices and the
+MSR model matrices all take their values from it; only the
 Kupradze kernel tables (bie, wavefields) call scipy for orders 0 and 1
 directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy import special as sp
 
 from .errors import DomainError, RangeError
 
 MAX_ORDER = 256
-
-
-@dataclass(frozen=True)
-class BesselEval:
-    """J, Y and their argument-derivatives at one (order, argument)."""
-
-    order: int
-    argument: float
-    j: float
-    y: float
-    jp: float
-    yp: float
 
 
 def _check(order: int, argument: float) -> None:
@@ -63,24 +48,3 @@ def _fold(z, order: int, t):
         return -val, -der
     return val, der
 
-
-def bessel_jy(order: int, argument: float) -> BesselEval:
-    """Evaluate J_n, Y_n, J_n', Y_n' at a real positive argument.
-
-    Parameters
-    ----------
-    order : int
-        Integer order n, |n| <= 256.  Negative orders use the parity
-        identity (-1)^n times the positive-order values.
-    argument : float
-        Strictly positive real argument.
-
-    Returns
-    -------
-    BesselEval
-        All four values; finite for arguments in the supported envelope.
-    """
-    _check(order, argument)
-    j, jp = _fold(sp.jv, order, argument)
-    y, yp = _fold(sp.yv, order, argument)
-    return BesselEval(order, argument, j, y, jp, yp)

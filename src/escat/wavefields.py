@@ -32,14 +32,12 @@ __all__ = [
     "Material",
     "MaterialPair",
     "ModeIndex",
-    "TractionCoeffs",
     "cyl_wave_J",
     "cyl_wave_H",
     "cyl_wave_traction",
     "plane_wave_coeffs",
     "plane_wave_traction",
     "fundamental_solution",
-    "traction_coeffs",
     "perp",
 ]
 
@@ -116,20 +114,6 @@ class ModeIndex:
     def __post_init__(self):
         if self.mode not in ("P", "S"):
             raise DomainError(f"mode must be 'P' or 'S', got {self.mode!r}")
-
-
-@dataclass(frozen=True)
-class TractionCoeffs:
-    """Modal surface-traction coefficients on a circle |x| = r.
-
-    T H_n^a = (1/r^2) (B P_n + C S_n);  B_hat/C_hat are the J-based
-    analogues (J_n replacing H^(1)_n).
-    """
-
-    B: complex
-    C: complex
-    B_hat: complex
-    C_hat: complex
 
 
 def perp(d: np.ndarray) -> np.ndarray:
@@ -462,22 +446,3 @@ def _traction_bc(mode: str, n: int, t, lam: float, mu: float, z, zp):
         c = 2.0 * mu * t * zp + (mu * t * t - 2.0 * mu * n * n) * z
     return b, c
 
-
-def traction_coeffs(
-    idx: ModeIndex, radius: float, material: Material, omega: float
-) -> TractionCoeffs:
-    """Modal traction coefficients of H^a_n and J^a_n on |x| = radius.
-
-    T_{lam,mu} Z^a_n = (1/r^2) (B P_n + C S_n) at t = radius * kappa_a;
-    B_hat/C_hat are the J-based values.  C^P_n and B^S_n are the same
-    function (single shared implementation), and both vanish at n = 0.
-    """
-    if radius <= 0:
-        raise DomainError("radius must be positive")
-    n = idx.order
-    t = radius * material.kappa(omega, idx.mode)
-    h, hp = _fold(sp.hankel1, n, t)
-    j, jp = _fold(sp.jv, n, t)
-    b, c = _traction_bc(idx.mode, n, t, material.lam, material.mu, h, hp)
-    bh, ch = _traction_bc(idx.mode, n, t, material.lam, material.mu, j, jp)
-    return TractionCoeffs(B=b, C=c, B_hat=bh, C_hat=ch)

@@ -16,9 +16,9 @@ import pytest
 
 from escat.cloak import (
     LayeredStructure,
+    _layer_matrices,
     analytic_disk_esc,
     design_svanishing,
-    layer_matrix,
     layered_esc,
     scaling_report,
 )
@@ -366,7 +366,7 @@ def test_criterion_11_quasistatic_block_orders():
     }
     worst = 0.0
     for n, (want_m, want_i) in expected.items():
-        mats = [layer_matrix(n, 1.3, mat, e).matrix for e in eps]
+        mats = [_layer_matrices(n, [1.3], [mat], e)[0] for e in eps]
         invs = [np.linalg.inv(m) for m in mats]
         for bi in range(2):
             for bj in range(2):

@@ -18,7 +18,6 @@ from escat.bie import (
     assemble_system,
     build_grid,
     cot_weights,
-    interior_total_field,
     log_weights,
     scattered_field,
     single_layer_apply,
@@ -26,7 +25,7 @@ from escat.bie import (
     traction_layer_matrix,
     traction_of_single_layer,
 )
-from escat.cloak import analytic_disk_esc
+from escat.cloak import _layer_matrices, analytic_disk_esc
 from escat.curves import Circle, Ellipse, FourierRadius, Kite, curve_from_dict
 from escat.errors import DomainError, ResonanceError
 from escat.esc import EscMatrix, compute_esc, verify_optical, verify_symmetries
@@ -361,17 +360,15 @@ class TestTransmission:
         tc = cyl_wave_traction(idx, grid.nodes, grid.normals, exterior, OMEGA, "J")
         dens = solver.solve(tr, tc)
         # interior coefficients from the 4x4 interface system
-        from escat.cloak import layer_matrix
-
-        m_out = layer_matrix(1, 1.0, exterior, OMEGA).matrix
-        m_in = layer_matrix(1, 1.0, interior, OMEGA).matrix
+        m_out = _layer_matrices(1, [1.0], [exterior], OMEGA)[0]
+        m_in = _layer_matrices(1, [1.0], [interior], OMEGA)[0]
         lhs = np.empty((4, 4), dtype=complex)
         lhs[:, :2] = m_in[:, :2]
         lhs[:, 2:] = -m_out[:, 2:]
         sol = np.linalg.solve(lhs, m_out[:, :2] @ np.array([0.0, 1.0]))  # S incidence
         b = sol[:2]
         x_in = np.array([0.3, 0.2])
-        u_in = interior_total_field(grid, dens.phi, OMEGA, interior, x_in)
+        u_in = single_layer_apply(grid, OMEGA, interior, dens.phi, x_in)
         want = b[0] * cyl_wave_J(ModeIndex("P", 1), x_in, interior, OMEGA) + b[
             1
         ] * cyl_wave_J(ModeIndex("S", 1), x_in, interior, OMEGA)

@@ -1,7 +1,9 @@
 """Command-line front end: exit codes, outputs, determinism."""
 
+import importlib
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -343,3 +345,11 @@ class TestImports:
         ).stdout.splitlines()
         assert json.loads(out[0]) == []
         assert json.loads(out[1]) is True
+
+    def test_all_lists_only_existing_names(self):
+        # every name a module exports through __all__ is defined in it
+        modules = [importlib.import_module(f"escat.{m.name}") for m in pkgutil.iter_modules(escat.__path__)]
+        exporting = [mod for mod in [escat, *modules] if hasattr(mod, "__all__")]
+        assert {"escat", "escat.cloak", "escat.curves", "escat.wavefields"} <= {m.__name__ for m in exporting}
+        missing = [f"{mod.__name__}.{name}" for mod in exporting for name in mod.__all__ if not hasattr(mod, name)]
+        assert missing == []

@@ -24,9 +24,7 @@ from escat.cloak import (
     _layer_matrices,
     analytic_disk_esc,
     design_svanishing,
-    layer_matrix,
     layered_esc,
-    propagate_Q,
     scaling_report,
 )
 from escat.errors import DomainError, ResonanceError
@@ -36,7 +34,6 @@ from escat.wavefields import (
     ModeIndex,
     cyl_wave_H,
     cyl_wave_J,
-    traction_coeffs,
 )
 
 OMEGA = 0.9
@@ -80,7 +77,7 @@ class TestLayerMatrix:
         # rows 1-2 are r * (P_n, S_n)-components of the four basis fields
         # at theta = 0 (phase factor stripped)
         r, n = 1.3, 2
-        m = layer_matrix(n, r, exterior, OMEGA).matrix
+        m = _layer_matrices(n, [r], [exterior], OMEGA)[0]
         x = np.array([r, 0.0])
         er, et = np.array([1.0, 0.0]), np.array([0.0, 1.0])
         fields = [
@@ -93,18 +90,9 @@ class TestLayerMatrix:
             assert abs(m[0, col] - r * (u @ er)) < 1e-12 * max(abs(m[0, col]), 1e-12)
             assert abs(m[1, col] - r * (u @ et)) < 1e-12 * max(abs(m[1, col]), 1e-12)
 
-    @pytest.mark.parametrize("n", range(-3, 4))
-    def test_traction_rows_equal_traction_coeffs(self, exterior, n):
-        r = 1.3
-        m = layer_matrix(n, r, exterior, OMEGA).matrix
-        cp = traction_coeffs(ModeIndex("P", n), r, exterior, OMEGA)
-        cs = traction_coeffs(ModeIndex("S", n), r, exterior, OMEGA)
-        assert np.array_equal(m[2], [cp.B_hat, cs.B_hat, cp.B, cs.B])
-        assert np.array_equal(m[3], [cp.C_hat, cs.C_hat, cp.C, cs.C])
-
     def test_traction_rows_match_finite_differences(self, exterior):
         r, n = 1.1, 1
-        m = layer_matrix(n, r, exterior, OMEGA).matrix
+        m = _layer_matrices(n, [r], [exterior], OMEGA)[0]
         x = np.array([r, 0.0])
         nrm = np.array([1.0, 0.0])
         for col, (kind, mode) in enumerate(
@@ -133,7 +121,7 @@ class TestLayerMatrix:
         for n in (2, 3, 4):
             sl = np.zeros((2, 2))
             sl_i = np.zeros((2, 2))
-            vals = [layer_matrix(n, 1.3, mat, e).matrix for e in eps]
+            vals = [_layer_matrices(n, [1.3], [mat], e)[0] for e in eps]
             invs = [np.linalg.inv(v) for v in vals]
             for bi in range(2):
                 for bj in range(2):
@@ -144,7 +132,7 @@ class TestLayerMatrix:
             assert np.abs(sl - expected_m(n)).max() < 0.1
             assert np.abs(sl_i - expected_inv(n)).max() < 0.1
         # n = 1: near-rigid-body columns make the J-traction block O(t^3)
-        vals = [layer_matrix(1, 1.3, mat, e).matrix for e in eps]
+        vals = [_layer_matrices(1, [1.3], [mat], e)[0] for e in eps]
         v = [np.abs(m[2:, :2]).max() for m in vals]
         slope = np.polyfit(np.log(eps), np.log(v), 1)[0]
         assert abs(slope - 3.0) < 0.1
@@ -158,7 +146,7 @@ class TestLayerMatrixStack:
         stack = _layer_matrices(n, radii, mats, OMEGA)
         assert stack.shape == (5, 4, 4)
         for m, r, mat in zip(stack, radii, mats):
-            assert np.array_equal(m, layer_matrix(n, r, mat, OMEGA).matrix)
+            assert np.array_equal(m, _layer_matrices(n, [r], [mat], OMEGA)[0])
 
     @pytest.mark.parametrize("inner", ["cavity", "core"])
     def test_chain_equals_per_matrix_product(self, exterior, interior, inner):
@@ -176,15 +164,15 @@ class TestLayerMatrixStack:
             prop = np.eye(4, dtype=complex)
             for j in range(1, 4):
                 r = s.radii[j - 1]
-                mj = layer_matrix(n, r, s.material_of_annulus(j), OMEGA).matrix
-                mjm1 = layer_matrix(n, r, s.material_of_annulus(j - 1), OMEGA).matrix
+                mj = _layer_matrices(n, [r], [s.material_of_annulus(j)], OMEGA)[0]
+                mjm1 = _layer_matrices(n, [r], [s.material_of_annulus(j - 1)], OMEGA)[0]
                 prop = np.linalg.inv(mj) @ mjm1 @ prop
-            m_out = layer_matrix(n, 1.0, s.layers[-1], OMEGA).matrix
+            m_out = _layer_matrices(n, [1.0], [s.layers[-1]], OMEGA)[0]
             assert np.array_equal(chain, m_out @ prop)
             if inner == "cavity":
                 assert m_core is None
             else:
-                assert np.array_equal(m_core, layer_matrix(n, 1.0, core, OMEGA).matrix)
+                assert np.array_equal(m_core, _layer_matrices(n, [1.0], [core], OMEGA)[0])
 
 
 def svd_rejects(m):
@@ -280,21 +268,12 @@ class TestResonanceGuard:
 
 
 class TestPropagateQ:
+    # the traction rows (Q21 | Q22) of the interface chain, which
+    # layered_esc solves for the cavity's scattered coefficients
     def test_bare_cavity_is_boundary_matrix(self, exterior):
-        s = bare_cavity(exterior)
-        q, q21, q22 = propagate_Q(s, OMEGA, 1)
-        m = layer_matrix(1, 1.0, exterior, OMEGA).matrix
-        assert_allclose(q[2:, :], m[2:, :], rtol=1e-14)
-
-    def test_top_rows_exactly_zero(self, exterior, interior):
-        s = LayeredStructure(
-            radii=(2.0, 1.4, 1.0),
-            layers=(interior, Material(1.0, 0.5, 2.0)),
-            exterior=exterior,
-        )
-        for n in (0, 1, 3):
-            q, _, _ = propagate_Q(s, OMEGA, n)
-            assert np.abs(q[:2, :]).max() == 0.0
+        q = _interface_chain(bare_cavity(exterior), OMEGA, 1)[0][2:]
+        m = _layer_matrices(1, [1.0], [exterior], OMEGA)[0]
+        assert_allclose(q, m[2:, :], rtol=1e-14)
 
     def test_q22_nonsingular_for_random_structures(self, exterior):
         rng = np.random.default_rng(17)
@@ -307,25 +286,12 @@ class TestPropagateQ:
             r2 = rng.uniform(1.05, 1.95)
             s = LayeredStructure(radii=(2.0, r2, 1.0), layers=mats, exterior=exterior)
             try:
-                _, _, q22 = propagate_Q(s, rng.uniform(0.05, 2.0), rng.integers(0, 4))
-                if abs(np.linalg.det(q22)) == 0.0:
+                q = _interface_chain(s, rng.uniform(0.05, 2.0), rng.integers(0, 4))[0][2:]
+                if not np.isfinite(q).all() or abs(np.linalg.det(q[:, 2:])) == 0.0:
                     failures += 1
             except ResonanceError:
                 failures += 1
         assert failures == 0
-
-    def test_overflow_is_a_resonance(self, exterior):
-        # the chain product of layered_esc's overflow test: Q itself is
-        # rejected, and the overflow on the way is not a RuntimeWarning
-        s = LayeredStructure(
-            radii=(2.0, 1.5, 1.0),
-            layers=(Material(3.0, 0.5, 2.0), Material(1.0, 2.0, 0.7)),
-            exterior=exterior,
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(ResonanceError, match=r"Q\(n=30\) at omega=0.0003 is not finite"):
-                propagate_Q(s, 3e-4, 30)
 
     def test_telescoping_interface(self, exterior, interior):
         # inserting a fictitious interface with equal materials on both
@@ -335,8 +301,8 @@ class TestPropagateQ:
             radii=(2.0, 1.5, 1.0), layers=(interior, interior), exterior=exterior
         )
         for n in (0, 2):
-            q1, _, _ = propagate_Q(s1, OMEGA, n)
-            q2, _, _ = propagate_Q(s2, OMEGA, n)
+            q1 = _interface_chain(s1, OMEGA, n)[0][2:]
+            q2 = _interface_chain(s2, OMEGA, n)[0][2:]
             assert np.abs(q1 - q2).max() < 1e-12 * np.abs(q1).max()
 
 
@@ -478,8 +444,9 @@ class TestDesign:
         slope = np.polyfit(np.log(eps), np.log(v), 1)[0]
         assert slope >= 2 * 1 + 2 - 0.2
 
-    def test_mode_mask_targets_one_column(self, exterior):
+    def test_mode_mask_targets_one_column(self, exterior, monkeypatch):
         # S-only cloak: objective sees only the shear-incidence column
+        monkeypatch.setattr(cloak, "_polish_design", lambda x0, objective, bare, probes: (x0, [0, 0]))
         rep = design_svanishing(
             L=1,
             N=0,
@@ -490,7 +457,6 @@ class TestDesign:
             seed=3,
             maxiter=400,
             mode_mask="S",
-            polish=False,
         )
         bare = bare_cavity(exterior)
         w_b = layered_esc(bare, 0.1, 0)[:, 1]
@@ -501,6 +467,23 @@ class TestDesign:
         with pytest.raises(DomainError, match="mode_mask"):
             design_svanishing(
                 L=1, N=0, omega_set=[0.1], bounds=BOUNDS, exterior=exterior, mode_mask="SP"
+            )
+
+    @pytest.mark.parametrize("r_outer,r_cavity", [(1.0, 2.0), (1.0, 1.0), (2.0, 0.0)])
+    def test_radii_checked_before_the_starts(self, exterior, monkeypatch, r_outer, r_cavity):
+        def no_starts(*args):
+            raise AssertionError("the starts ran")
+
+        monkeypatch.setattr(cloak, "_map_starts", no_starts)
+        with pytest.raises(DomainError, match=r"r_cavity=.*, r_outer="):
+            design_svanishing(
+                L=1,
+                N=0,
+                omega_set=[0.1],
+                bounds=BOUNDS,
+                exterior=exterior,
+                r_outer=r_outer,
+                r_cavity=r_cavity,
             )
 
     def test_infeasible_bounds_rejected(self, exterior):
@@ -697,7 +680,7 @@ class TestParallelStarts:
 
 class TestPolishFailures:
     @staticmethod
-    def design(exterior, polish=True):
+    def design(exterior):
         return design_svanishing(
             L=1,
             N=0,
@@ -707,7 +690,6 @@ class TestPolishFailures:
             n_starts=1,
             seed=5,
             maxiter=40,
-            polish=polish,
         )
 
     def test_coding_error_propagates(self, exterior, monkeypatch):
@@ -727,7 +709,8 @@ class TestPolishFailures:
         with caplog.at_level(logging.WARNING, logger="escat.cloak"):
             rep = self.design(exterior)
         assert "stage 0 failed (residuals are not finite)" in caplog.text
-        assert rep.structure == self.design(exterior, polish=False).structure
+        monkeypatch.setattr(cloak, "_polish_design", lambda x0, objective, bare, probes: (x0, [0, 0]))
+        assert rep.structure == self.design(exterior).structure
 
 
 class TestScalingReport:

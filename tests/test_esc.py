@@ -115,15 +115,11 @@ class TestComputeEsc:
         assert rep["reciprocity"] < 1e-8
         assert verify_optical(esc)["residual"] < 1e-4  # K=3 truncation tail
 
-    def test_serialization_round_trip(self, disk_esc, tmp_path):
+    def test_serialization_round_trip(self, disk_esc):
         d = disk_esc.to_dict()
         back = EscMatrix.from_dict(d)
         for key in disk_esc.blocks:
             assert_allclose(back.blocks[key], disk_esc.blocks[key])
-        disk_esc.save_csv(tmp_path / "esc.csv")
-        text = (tmp_path / "esc.csv").read_text().splitlines()
-        assert text[0] == "m,n,block,re,im"
-        assert len(text) == 1 + 4 * (2 * disk_esc.K + 1) ** 2
 
 
 class TestGammaCoeffs:

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import fd_lame_residual, fd_traction
+from escat.cloak import _layer_matrices
 from escat.errors import DomainError
 from escat.wavefields import (
     Material,
@@ -18,7 +19,6 @@ from escat.wavefields import (
     plane_wave_coeffs,
     plane_wave_mode_field,
     plane_wave_traction,
-    traction_coeffs,
 )
 
 OMEGA = 1.3
@@ -241,12 +241,20 @@ class TestFundamentalSolution:
             fundamental_solution(np.ones(2), np.ones(2), OMEGA, exterior)
 
 
+def traction_rows(n, r, material):
+    """(B, C) rows of M_n(r), r^2 times the modal traction coefficients.
+
+    Columns JP, JS, HP, HS: the J columns hold B_hat, C_hat and the H
+    columns B, C, with T Z^a_n = (1/r^2) (B P_n + C S_n) at t = r kappa_a.
+    """
+    return _layer_matrices(n, [r], [material], OMEGA)[0][2:]
+
+
 class TestTractionCoeffs:
     def test_order_zero_couplings_vanish(self, exterior):
-        cp = traction_coeffs(ModeIndex("P", 0), 1.3, exterior, OMEGA)
-        cs = traction_coeffs(ModeIndex("S", 0), 1.3, exterior, OMEGA)
-        assert cp.C == 0 and cp.C_hat == 0
-        assert cs.B == 0 and cs.B_hat == 0
+        b, c = traction_rows(0, 1.3, exterior)
+        assert c[2] == 0 and c[0] == 0  # C^P, C_hat^P
+        assert b[3] == 0 and b[1] == 0  # B^S, B_hat^S
 
     def test_shared_coupling_formula(self, exterior):
         # C^P_n(t) = B^S_n(t) exactly: evaluate at radii giving equal
@@ -254,24 +262,24 @@ class TestTractionCoeffs:
         r_p = 0.9
         r_s = r_p * exterior.kappa_p(OMEGA) / exterior.kappa_s(OMEGA)
         for n in (1, 2, 5):
-            cp = traction_coeffs(ModeIndex("P", n), r_p, exterior, OMEGA)
-            cs = traction_coeffs(ModeIndex("S", n), r_s, exterior, OMEGA)
-            assert cp.C == cs.B
-            assert cp.C_hat == cs.B_hat
+            (_, cp), (bs, _) = traction_rows(n, r_p, exterior), traction_rows(n, r_s, exterior)
+            assert cp[2] == bs[3]
+            assert cp[0] == bs[1]
 
-    @pytest.mark.parametrize("mode,n", [("P", 0), ("P", 2), ("S", 1), ("S", 3)])
+    @pytest.mark.parametrize("mode,n", [(m, n) for m in "PS" for n in range(-3, 4)])
     def test_traction_on_circle_matches_field_traction(self, exterior, mode, n):
         r = 1.2
         th = 0.77
         x = r * np.array([np.cos(th), np.sin(th)])
         nrm = x / r
-        tc = traction_coeffs(ModeIndex(mode, n), r, exterior, OMEGA)
+        b, c = traction_rows(n, r, exterior)
+        col = "PS".index(mode)
         er, et = nrm, np.array([-np.sin(th), np.cos(th)])
         phase = np.exp(1j * n * th)
-        want_h = (tc.B * phase * er + tc.C * phase * et) / r**2
+        want_h = (b[2 + col] * phase * er + c[2 + col] * phase * et) / r**2
         got_h = cyl_wave_traction(ModeIndex(mode, n), x, nrm, exterior, OMEGA, "H")
         assert np.abs(got_h - want_h).max() < 1e-11 * np.abs(want_h).max()
-        want_j = (tc.B_hat * phase * er + tc.C_hat * phase * et) / r**2
+        want_j = (b[col] * phase * er + c[col] * phase * et) / r**2
         got_j = cyl_wave_traction(ModeIndex(mode, n), x, nrm, exterior, OMEGA, "J")
         assert np.abs(got_j - want_j).max() < 1e-11 * max(np.abs(want_j).max(), 1e-14)
 
@@ -288,10 +296,7 @@ class TestTractionCoeffs:
         # B^P_n(t) ~ t^{-n}: log-log slope -n over t in [1e-4, 1e-3]
         for n in (1, 2, 4):
             rads = np.geomspace(1e-4, 1e-3, 5) / exterior.kappa_p(OMEGA)
-            vals = [
-                abs(traction_coeffs(ModeIndex("P", n), r, exterior, OMEGA).B)
-                for r in rads
-            ]
+            vals = [abs(traction_rows(n, r, exterior)[0, 2]) for r in rads]
             slope = np.polyfit(np.log(rads), np.log(vals), 1)[0]
             assert abs(slope + n) < 0.05
 
