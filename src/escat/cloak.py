@@ -45,7 +45,7 @@ from scipy import special as sp
 
 from .errors import DomainError, ResonanceError
 from .specialfun import _fold
-from .wavefields import Material, MaterialPair, _traction_bc
+from .wavefields import Material, MaterialPair, _modal
 
 logger = logging.getLogger(__name__)
 
@@ -119,12 +119,11 @@ class LayeredStructure:
 def _layer_matrices(n: int, radii, materials, omega: float) -> np.ndarray:
     """Stack of M_n(radii[i]) for materials[i], shape (k, 4, 4).
 
-    Columns: (JP_n, JS_n, HP_n, HS_n); rows: scaled radial/tangential
-    traces then scaled radial/tangential tractions, built from the modal
-    traction coefficients.  One J and one H evaluation serve all k
-    matrices.  The entries are formed on Python scalars: at k ~ 5 that is
-    cheaper than array arithmetic, and it keeps the operation order of
-    the closed forms.
+    Columns: (JP_n, JS_n, HP_n, HS_n), each the wavefields._modal tuple
+    (r u_r, r u_t, r^2 s_rr, r^2 s_rt) of that wave.  One J and one H
+    evaluation serve all k matrices.  The entries are formed on Python
+    scalars: at k ~ 5 that is cheaper than array arithmetic, and it keeps
+    the operation order of the closed forms.
     """
     if omega <= 0 or min(radii) <= 0:
         raise DomainError("radius and omega must be positive")
@@ -138,15 +137,15 @@ def _layer_matrices(n: int, radii, materials, omega: float) -> np.ndarray:
     for p, (tp, ts, material) in enumerate(zip(tps, tss, materials)):
         s = p + k
         lam, mu = material.lam, material.mu
-        bp, cp = _traction_bc("P", n, tp, lam, mu, h[p], hd[p])
-        bhp, chp = _traction_bc("P", n, tp, lam, mu, j[p], jd[p])
-        bs, cs = _traction_bc("S", n, ts, lam, mu, h[s], hd[s])
-        bhs, chs = _traction_bc("S", n, ts, lam, mu, j[s], jd[s])
+        a0, a1, a2, a3 = _modal("P", n, tp, lam, mu, j[p], jd[p])
+        b0, b1, b2, b3 = _modal("S", n, ts, lam, mu, j[s], jd[s])
+        c0, c1, c2, c3 = _modal("P", n, tp, lam, mu, h[p], hd[p])
+        d0, d1, d2, d3 = _modal("S", n, ts, lam, mu, h[s], hd[s])
         out += (
-            tp * jd[p], 1j * n * j[s], tp * hd[p], 1j * n * h[s],
-            1j * n * j[p], -ts * jd[s], 1j * n * h[p], -ts * hd[s],
-            bhp, bhs, bp, bs,
-            chp, chs, cp, cs,
+            a0, b0, c0, d0,
+            a1, b1, c1, d1,
+            a2, b2, c2, d2,
+            a3, b3, c3, d3,
         )
     return np.array(out, dtype=complex).reshape(k, 4, 4)
 

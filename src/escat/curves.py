@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 
 __all__ = ["BoundaryCurve", "Circle", "Ellipse", "Kite", "FourierRadius", "curve_from_dict"]
 
@@ -238,6 +238,9 @@ def curve_from_dict(d: dict) -> BoundaryCurve:
     if kind == "circle":
         return Circle(d.get("radius", 1.0))
     if kind == "ellipse":
+        for key in ("a", "b"):
+            if key not in d:
+                raise ConfigError(f"curve type 'ellipse' is missing parameter {key!r}")
         return Ellipse(d["a"], d["b"])
     if kind == "kite":
         return Kite(d.get("scale", 1.0))

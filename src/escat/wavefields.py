@@ -13,6 +13,10 @@ Conventions (frozen; the symmetry and energy identities depend on them):
 * HP_m, HS_m       same with H^(1)_m (outgoing, x != 0)
 * plane-wave perp  d_perp = (d2, -d1) for incidence direction d
 * traction         T u = lam (div u) n + mu (grad u + grad u^T) n
+* modal column     (r u_r, r u_t, r^2 s_rr, r^2 s_rt) of Z^a_m with the
+                   phase e^{imf} stripped, t = kappa_a r; one column of
+                   the layer matrix M_m(r).  _modal is the only closed form:
+                   the fields, the tractions and M_m(r) are all built on it.
 
 Everything here is a pure function of its inputs.
 """
@@ -122,26 +126,46 @@ def perp(d: np.ndarray) -> np.ndarray:
     return np.array([d[1], -d[0]])
 
 
-def _polar(points: np.ndarray):
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    r = np.hypot(pts[:, 0], pts[:, 1])
-    phi = np.arctan2(pts[:, 1], pts[:, 0])
-    return pts, r, phi
+def _modal(mode: str, n: int, t, lam: float, mu: float, z, zp):
+    """(r u_r, r u_t, r^2 s_rr, r^2 s_rt) of the order-n P or S wave; z = Z_n(t).
 
-
-def _field_from_radial(mode, m, kappa, r, phi, z, zp):
-    """Cartesian components of the P or S wave built on Z_m = z, Z_m' = zp.
-
-    P: kappa z' P_m + (im/r) z S_m;  S: (im/r) z P_m - kappa z' S_m.
+    The phase e^{inf} is stripped; the tuple is one column of M_n(r).
+    The P-mode shear stress and the S-mode radial stress are the same
+    function of (n, t, mu); it is written once.
     """
-    er = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-    et = np.stack([-np.sin(phi), np.cos(phi)], axis=-1)
-    phase = np.exp(1j * m * phi)
-    radial = kappa * zp * phase
-    angular = (1j * m / r) * z * phase
+    coupling = 2j * mu * n * (t * zp - z)
     if mode == "P":
-        return radial[:, None] * er + angular[:, None] * et
-    return angular[:, None] * er - radial[:, None] * et
+        s_rr = -2.0 * mu * t * zp + (2.0 * mu * n * n - (lam + 2.0 * mu) * t * t) * z
+        return t * zp, 1j * n * z, s_rr, coupling
+    s_rt = 2.0 * mu * t * zp + (mu * t * t - 2.0 * mu * n * n) * z
+    return 1j * n * z, -t * zp, coupling, s_rt
+
+
+def _wave_columns(idx: ModeIndex, point, material: Material, omega: float, kind: str):
+    """Shared prologue of the cylindrical-wave evaluators.
+
+    Checks omega and kind, and returns (at0, r, phi, t, z, column): the
+    mask of points at the origin, then for the other points the polar
+    coordinates, t = kappa r, z = Z_n(t) and the _modal column.
+    """
+    if omega <= 0:
+        raise DomainError("omega must be positive")
+    if kind not in ("J", "H"):
+        raise DomainError(f"kind must be 'J' or 'H', got {kind!r}")
+    pts = np.atleast_2d(np.asarray(point, dtype=float))
+    r, phi = np.hypot(pts[:, 0], pts[:, 1]), np.arctan2(pts[:, 1], pts[:, 0])
+    at0 = r < 1e-14
+    r, phi = r[~at0], phi[~at0]
+    t = material.kappa(omega, idx.mode) * r
+    z, zp = _fold(sp.jv if kind == "J" else sp.hankel1, idx.order, t)
+    col = _modal(idx.mode, idx.order, t, material.lam, material.mu, z, zp)
+    return at0, r, phi, t, z, col
+
+
+def _cartesian(phi, v_r, v_t, scale):
+    """Cartesian components of (v_r e_r + v_t e_t) * scale."""
+    c, s = np.cos(phi), np.sin(phi)
+    return np.stack([(v_r * c - v_t * s) * scale, (v_r * s + v_t * c) * scale], axis=-1)
 
 
 def cyl_wave_J(idx: ModeIndex, point, material: Material, omega: float) -> np.ndarray:
@@ -161,72 +185,24 @@ def cyl_wave_J(idx: ModeIndex, point, material: Material, omega: float) -> np.nd
         singular but the field is entire; the series limit is used there
         (nonzero only for |m| = 1).
     """
-    if omega <= 0:
-        raise DomainError("omega must be positive")
+    at0, r, phi, _, _, (ru_r, ru_t, _, _) = _wave_columns(idx, point, material, omega, "J")
     m = idx.order
-    kappa = material.kappa(omega, idx.mode)
-    pts, r, phi = _polar(point)
-    out = np.zeros((len(r), 2), dtype=complex)
-    at0 = r < 1e-14
-    if np.any(~at0):
-        rr = r[~at0]
-        z, zp = _fold(sp.jv, m, kappa * rr)
-        out[~at0] = _field_from_radial(idx.mode, m, kappa, rr, phi[~at0], z, zp)
-    if np.any(at0):
-        # grad[J_m(kr) e^{imf}] at 0: (k/2)(1, i) for m=1, -(k/2)(1, -i) for m=-1
-        if m == 1:
-            gp = 0.5 * kappa * np.array([1.0, 1j])
-        elif m == -1:
-            gp = -0.5 * kappa * np.array([1.0, -1j])
-        else:
-            gp = np.zeros(2, dtype=complex)
-        if idx.mode == "P":
-            out[at0] = gp
-        else:
-            out[at0] = np.array([gp[1], -gp[0]])
+    out = np.zeros((len(at0), 2), dtype=complex)
+    out[~at0] = _cartesian(phi, ru_r, ru_t, np.exp(1j * m * phi) / r)
+    if np.any(at0) and abs(m) == 1:
+        # grad[J_m(kr) e^{imf}] at 0 is (m k / 2)(1, i m) for |m| = 1, zero otherwise
+        gp = 0.5 * m * material.kappa(omega, idx.mode) * np.array([1.0, 1j * m])
+        out[at0] = gp if idx.mode == "P" else (gp[1], -gp[0])
     return out[0] if np.asarray(point).ndim == 1 else out
 
 
 def cyl_wave_H(idx: ModeIndex, point, material: Material, omega: float) -> np.ndarray:
     """Outgoing cylindrical eigenvector H^P_m or H^S_m (point != origin)."""
-    if omega <= 0:
-        raise DomainError("omega must be positive")
-    m = idx.order
-    kappa = material.kappa(omega, idx.mode)
-    pts, r, phi = _polar(point)
-    if np.any(r < 1e-14):
+    at0, r, phi, _, _, (ru_r, ru_t, _, _) = _wave_columns(idx, point, material, omega, "H")
+    if np.any(at0):
         raise DomainError("H-type wave functions are singular at the origin")
-    z, zp = _fold(sp.hankel1, m, kappa * r)
-    out = _field_from_radial(idx.mode, m, kappa, r, phi, z, zp)
+    out = _cartesian(phi, ru_r, ru_t, np.exp(1j * idx.order * phi) / r)
     return out[0] if np.asarray(point).ndim == 1 else out
-
-
-def _scalar_hessian_terms(m, kappa, r, phi, z, zp):
-    """Cartesian Hessian of w(x) = Z_m(kappa r) e^{imf} from radial data.
-
-    Z'' is eliminated with the Bessel ODE: Z'' = -Z'/t + (m^2/t^2 - 1) Z.
-    Returns (w, H) with H of shape (N, 2, 2).
-    """
-    t = kappa * r
-    phase = np.exp(1j * m * phi)
-    w = z * phase
-    w_r = kappa * zp * phase
-    zpp = -zp / t + (m * m / (t * t) - 1.0) * z
-    w_rr = kappa * kappa * zpp * phase
-    w_rf = 1j * m * kappa * zp * phase
-    w_ff = -(m * m) * w
-    c, s = np.cos(phi), np.sin(phi)
-    term_a = w_r / r + w_ff / (r * r)
-    term_b = w_rf / r - 1j * m * w / (r * r)  # w_f = i m w
-    h_xx = c * c * w_rr + s * s * term_a - 2 * s * c * term_b
-    h_yy = s * s * w_rr + c * c * term_a + 2 * s * c * term_b
-    h_xy = s * c * (w_rr - term_a) + (c * c - s * s) * term_b
-    hess = np.empty(w.shape + (2, 2), dtype=complex)
-    hess[..., 0, 0] = h_xx
-    hess[..., 0, 1] = h_xy
-    hess[..., 1, 0] = h_xy
-    hess[..., 1, 1] = h_yy
-    return w, hess
 
 
 def cyl_wave_traction(
@@ -239,8 +215,10 @@ def cyl_wave_traction(
 ) -> np.ndarray:
     """Surface traction of a cylindrical eigenvector on an arbitrary boundary.
 
-    Evaluates T u = lam (div u) n + mu (grad u + grad u^T) n
-    analytically (no finite differences) for u = J^a_m or H^a_m.
+    Evaluates T u = sigma n in the polar frame for u = J^a_m or H^a_m,
+    from the _modal stresses (no finite differences).  The hoop stress
+    follows from the trace identity s_rr + s_tt = 2 (lam + mu) div u,
+    with r^2 div u = -t^2 Z_m(t) for P and 0 for S.
 
     Parameters
     ----------
@@ -249,29 +227,21 @@ def cyl_wave_traction(
     kind : 'J' or 'H'
         Entire or outgoing family.
     """
-    m = idx.order
-    kappa = material.kappa(omega, idx.mode)
-    pts, r, phi = _polar(point)
-    nrm = np.atleast_2d(np.asarray(normal, dtype=float))
-    if np.any(r < 1e-14):
+    at0, r, phi, t, z, (_, _, s_rr, s_rt) = _wave_columns(idx, point, material, omega, kind)
+    if np.any(at0):
         raise DomainError("traction evaluation requires point != origin")
-    z, zp = _fold(sp.jv if kind == "J" else sp.hankel1, m, kappa * r)
-    w, hess = _scalar_hessian_terms(m, kappa, r, phi, z, zp)
-    lam, mu = material.lam, material.mu
-    if idx.mode == "P":
-        # u = grad w: div u = Lap w = -kappa^2 w, grad u = Hess w
-        tr = -lam * kappa * kappa * w[:, None] * nrm + 2.0 * mu * np.einsum(
-            "nij,nj->ni", hess, nrm
-        )
-    else:
-        # u = Curl w = (d2 w, -d1 w): div u = 0,
-        # grad u + grad u^T = [[2 w_xy, w_yy - w_xx], [w_yy - w_xx, -2 w_xy]]
-        sym = np.empty_like(hess)
-        sym[..., 0, 0] = 2.0 * hess[..., 0, 1]
-        sym[..., 0, 1] = hess[..., 1, 1] - hess[..., 0, 0]
-        sym[..., 1, 0] = sym[..., 0, 1]
-        sym[..., 1, 1] = -2.0 * hess[..., 0, 1]
-        tr = mu * np.einsum("nij,nj->ni", sym, nrm)
+    div = -t * t * z if idx.mode == "P" else 0.0  # r^2 div u
+    s_tt = 2.0 * (material.lam + material.mu) * div - s_rr
+    nrm = np.atleast_2d(np.asarray(normal, dtype=float))
+    c, s = np.cos(phi), np.sin(phi)
+    n_r = nrm[:, 0] * c + nrm[:, 1] * s
+    n_t = nrm[:, 1] * c - nrm[:, 0] * s
+    tr = _cartesian(
+        phi,
+        s_rr * n_r + s_rt * n_t,
+        s_rt * n_r + s_tt * n_t,
+        np.exp(1j * idx.order * phi) / (r * r),
+    )
     return tr[0] if np.asarray(point).ndim == 1 else tr
 
 
@@ -429,20 +399,4 @@ def _gamma_tensor(dv, r, omega, material):
     phi, chi, _ = _hankel_radial(r, omega, material)
     comp = _gamma_components(phi, chi, dv / r[..., None])
     return np.stack([np.stack(row, axis=-1) for row in comp], axis=-2)
-
-
-def _traction_bc(mode: str, n: int, t, lam: float, mu: float, z, zp):
-    """Shared closed forms for the (B, C) traction pair; z = Z_n(t).
-
-    The P-mode tangential and S-mode radial coefficients are the same
-    function of (n, t, mu); it is implemented once.
-    """
-    coupling = 2j * mu * n * (t * zp - z)
-    if mode == "P":
-        b = -2.0 * mu * t * zp + (2.0 * mu * n * n - (lam + 2.0 * mu) * t * t) * z
-        c = coupling
-    else:
-        b = coupling
-        c = 2.0 * mu * t * zp + (mu * t * t - 2.0 * mu * n * n) * z
-    return b, c
 

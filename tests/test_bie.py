@@ -27,7 +27,7 @@ from escat.bie import (
 )
 from escat.cloak import _layer_matrices, analytic_disk_esc
 from escat.curves import Circle, Ellipse, FourierRadius, Kite, curve_from_dict
-from escat.errors import DomainError, ResonanceError
+from escat.errors import ConfigError, DomainError, ResonanceError
 from escat.esc import EscMatrix, compute_esc, verify_optical, verify_symmetries
 from escat.wavefields import (
     Material,
@@ -70,6 +70,10 @@ class TestCurves:
         d = c.to_dict()
         c2 = curve_from_dict(d)
         assert_allclose(c2.position(grid.t), c.position(grid.t))
+
+    def test_curve_missing_parameter_rejected(self):
+        with pytest.raises(ConfigError, match="ellipse.*'a'"):
+            curve_from_dict({"type": "ellipse", "b": 0.5})
 
     def test_degenerate_curves_rejected(self):
         with pytest.raises(DomainError):

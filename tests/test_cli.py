@@ -74,6 +74,14 @@ class TestEscCompute:
         cfg = write(tmp_path, "scene.json", doc)
         assert main(["esc", "compute", "--config", cfg, "--out", str(tmp_path / "o.json")]) == 2
 
+    def test_curve_missing_parameter_exits_2(self, tmp_path, capsys):
+        cfg = write(tmp_path, "scene.json", dict(SCENE, curve={"type": "ellipse", "b": 0.5}))
+        rc = main(["esc", "compute", "--config", cfg, "--out", str(tmp_path / "o.json")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "config"
+        assert "ellipse" in err["message"] and "'a'" in err["message"]
+
     def test_resonance_exit_code(self, tmp_path):
         # interior Dirichlet eigenfrequency of the unit disk (first zero
         # of J_1 for the interior shear branch, c_S = 1); located by the

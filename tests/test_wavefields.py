@@ -283,14 +283,30 @@ class TestTractionCoeffs:
         got_j = cyl_wave_traction(ModeIndex(mode, n), x, nrm, exterior, OMEGA, "J")
         assert np.abs(got_j - want_j).max() < 1e-11 * max(np.abs(want_j).max(), 1e-14)
 
-    def test_traction_matches_finite_differences(self, exterior):
+    @pytest.mark.parametrize("n", [-3, 0, 2, 5])
+    @pytest.mark.parametrize("kind", ["J", "H"])
+    @pytest.mark.parametrize("mode", ["P", "S"])
+    def test_traction_matches_finite_differences(self, exterior, mode, kind, n):
+        # the normal is turned off e_r, so the hoop stress s_tt enters
         r, th = 1.1, 1.9
         x = r * np.array([np.cos(th), np.sin(th)])
-        nrm = x / r
-        f = lambda p: cyl_wave_H(ModeIndex("P", 2), p, exterior, OMEGA)
+        nrm = np.array([np.cos(th + 0.6), np.sin(th + 0.6)])
+        wave = cyl_wave_J if kind == "J" else cyl_wave_H
+        f = lambda p: wave(ModeIndex(mode, n), p, exterior, OMEGA)
         want = fd_traction(f, x, nrm, exterior)
-        got = cyl_wave_traction(ModeIndex("P", 2), x, nrm, exterior, OMEGA, "H")
+        got = cyl_wave_traction(ModeIndex(mode, n), x, nrm, exterior, OMEGA, kind)
         assert np.abs(got - want).max() / np.abs(want).max() < 1e-5
+
+    @pytest.mark.parametrize("omega", [0.0, -1.0])
+    def test_traction_rejects_nonpositive_omega(self, exterior, omega):
+        x = np.array([1.0, 0.5])
+        with pytest.raises(DomainError):
+            cyl_wave_traction(ModeIndex("P", 1), x, x / np.hypot(*x), exterior, omega)
+
+    def test_traction_rejects_unknown_kind(self, exterior):
+        x = np.array([1.0, 0.5])
+        with pytest.raises(DomainError, match="kind"):
+            cyl_wave_traction(ModeIndex("S", 1), x, x / np.hypot(*x), exterior, OMEGA, "Y")
 
     def test_small_argument_slope(self, exterior):
         # B^P_n(t) ~ t^{-n}: log-log slope -n over t in [1e-4, 1e-3]
