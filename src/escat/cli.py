@@ -21,6 +21,7 @@ the config hash and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -31,7 +32,7 @@ import numpy as np
 from . import config as cfgmod
 from .cloak import LayeredStructure, design_svanishing, layered_esc, scaling_report
 from .curves import curve_from_dict
-from .errors import ConfigError, EscatError, ResonanceError
+from .errors import ConfigError, DomainError, EscatError, ResonanceError
 from .esc import compute_esc, decay_profile, verify_optical, verify_symmetries
 from .msr import (
     MsrConfig,
@@ -58,6 +59,24 @@ def _emit_error(kind: str, message: str) -> None:
     sys.stderr.write(json.dumps({"error": {"type": kind, "message": message}}) + "\n")
 
 
+def _config_values(build):
+    """build, raising a ConfigError (exit 2) where a constructor rejects a config value."""
+
+    @functools.wraps(build)
+    def checked(*args, **kwargs):
+        try:
+            return build(*args, **kwargs)
+        except DomainError as e:
+            raise ConfigError(str(e)) from e
+
+    return checked
+
+
+_structure_from = _config_values(LayeredStructure.from_dict)
+_curve_from = _config_values(curve_from_dict)
+
+
+@_config_values
 def _scene_from(doc: dict):
     curve = curve_from_dict(doc["curve"])
     pair = MaterialPair(
@@ -66,6 +85,7 @@ def _scene_from(doc: dict):
     return curve, pair
 
 
+@_config_values
 def _msr_config_from(doc: dict, seed_override=None) -> MsrConfig:
     ext = Material.from_dict(doc["exterior"])
     radius = doc.get("radius")
@@ -156,7 +176,7 @@ def cmd_msr_analyze(args) -> int:
     if "sigma_numeric" in sv:
         out["sigma_numeric"] = sv["sigma_numeric"].tolist()
     if cfg.noise_sigma > 0:
-        curve = curve_from_dict(doc["curve"])
+        curve = _curve_from(doc["curve"])
         grid_t = np.linspace(0, 2 * np.pi, 512, endpoint=False)
         v = curve.velocity(grid_t)
         perimeter = float(np.hypot(v[:, 0], v[:, 1]).mean() * 2 * np.pi)
@@ -213,7 +233,7 @@ def cmd_cloak_design(args) -> int:
 
 def cmd_cloak_evaluate(args) -> int:
     doc = cfgmod.load_config(args.config, cfgmod.EVALUATE_SCHEMA)
-    structure = LayeredStructure.from_dict(doc["structure"])
+    structure = _structure_from(doc["structure"])
     table = {
         str(n): layered_esc(structure, doc["omega"], n).tolist()
         for n in range(doc["n_max"] + 1)
@@ -227,7 +247,7 @@ def cmd_cloak_evaluate(args) -> int:
 
 def cmd_cloak_scaling(args) -> int:
     doc = cfgmod.load_config(args.config, cfgmod.SCALING_SCHEMA)
-    structure = LayeredStructure.from_dict(doc["structure"])
+    structure = _structure_from(doc["structure"])
     rep = scaling_report(structure, doc["omega_ref"], doc["n_max"], doc["epsilon_grid"])
     cfgmod.atomic_write_json(
         args.out, {"config_hash": cfgmod.config_hash(doc), "scaling": rep}

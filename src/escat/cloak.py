@@ -25,20 +25,18 @@ the exact 1-norm condition that the batched inverse provides; the
 singular values are computed only when that bound cannot clear a stack.
 A matrix that overflowed to inf or NaN is rejected as a resonance too.
 
-The design's Nelder-Mead starts are independent: they run in up to one
-worker process per CPU available to the process, with no option to set,
-and every result is the same, bit for bit, whatever the number of
-processes.
+The design's Nelder-Mead starts run lock-stepped in one process: each
+round evaluates the pending point of every running start in one batched
+objective call, which builds all those coats' interface matrices as
+arrays.  Every start visits the points, and returns the result, that
+scipy's Nelder-Mead would, bit for bit.
 """
 
 from __future__ import annotations
 
 import logging
-import os
-import threading
 import time
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 from scipy import special as sp
@@ -182,16 +180,36 @@ def _check_singular(m: np.ndarray, what: str) -> None:
         )
 
 
+def _cond1_clears(m: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """Per matrix of m (..., k, k), with inv its inverse: True where the 1-norm bound clears it.
+
+    With D_r, D_c the row and column equilibration of m, (D_r m D_c)^-1 =
+    D_c^-1 m^-1 D_r^-1 gives the exact 1-norm condition of the
+    equilibrated matrix, and cond_2 <= k cond_1, so a matrix cleared here
+    passes _check_singular.  A matrix with a column equilibrated by
+    _EQ_TINY or less, or a non-finite condition, is not cleared.
+    """
+    a = np.abs(m)
+    row = np.maximum.reduce(a, axis=-1, keepdims=True)
+    a /= row
+    col = np.maximum.reduce(a, axis=-2, keepdims=True)
+    a /= col
+    x = np.abs(inv)
+    x *= col.swapaxes(-1, -2)
+    x *= row.swapaxes(-1, -2)
+    cond1 = np.maximum.reduce(np.add.reduce(a, axis=-2), axis=-1)
+    cond1 *= np.maximum.reduce(np.add.reduce(x, axis=-2), axis=-1)
+    cond1[np.minimum.reduce(col, axis=(-2, -1)) <= _EQ_TINY] = np.inf
+    return cond1 < 1.0 / (m.shape[-1] * _COND1_MARGIN * COND_GUARD)
+
+
 def _inv_guarded(m: np.ndarray, names) -> np.ndarray:
     """Inverses of a (count, k, k) stack; ResonanceError names the first singular one.
 
-    One batched inverse serves all matrices.  With D_r, D_c the row and
-    column equilibration of m, (D_r m D_c)^-1 = D_c^-1 m^-1 D_r^-1 gives
-    the exact 1-norm condition of the equilibrated matrix, and the
-    singular values of _check_singular are computed only for a stack
-    that bound cannot clear.  Every rejection therefore comes from
-    _check_singular, with its message, and every outcome is the
-    per-matrix test's.
+    One batched inverse serves all matrices, and the singular values of
+    _check_singular are computed only for a stack that _cond1_clears
+    cannot clear.  Every rejection therefore comes from _check_singular,
+    with its message, and every outcome is the per-matrix test's.
     """
     try:
         inv = np.linalg.inv(m)
@@ -203,20 +221,9 @@ def _inv_guarded(m: np.ndarray, names) -> np.ndarray:
             _check_singular(m[i], what)
             inv[i] = np.linalg.inv(m[i])
         return inv
-    a = np.abs(m)
-    row = np.maximum.reduce(a, axis=2, keepdims=True)
-    a /= row
-    col = np.maximum.reduce(a, axis=1, keepdims=True)
-    if np.minimum.reduce(col, axis=None) > _EQ_TINY:
-        a /= col
-        x = np.abs(inv)
-        x *= col.transpose(0, 2, 1)
-        x *= row.transpose(0, 2, 1)
-        cond1 = np.maximum.reduce(a.sum(axis=1), axis=1) * np.maximum.reduce(x.sum(axis=1), axis=1)
-        if np.maximum.reduce(cond1) < 1.0 / (m.shape[-1] * _COND1_MARGIN * COND_GUARD):
-            return inv
-    for mi, what in zip(m, names):
-        _check_singular(mi, what)
+    if not _cond1_clears(m, inv).all():
+        for mi, what in zip(m, names):
+            _check_singular(mi, what)
     return inv
 
 
@@ -340,13 +347,36 @@ def _power(w, cols):
 PENALTY = 1e12
 
 
+def _coat_matrices(n: int, t_p, t_s, lam, mu) -> np.ndarray:
+    """M_n at arrays of scaled radii t_p = r kappa_P, t_s = r kappa_S: shape (*t_p.shape, 4, 4).
+
+    The array form of _layer_matrices, for many structures at once: the
+    same _fold and _modal operations, elementwise, so every entry equals
+    the one _layer_matrices forms on scalars.
+    """
+    t = np.stack([t_p, t_s])
+    j, jd = _fold(sp.jv, n, t)
+    h, hd = _fold(sp.hankel1, n, t)
+    columns = (
+        _modal("P", n, t_p, lam, mu, j[0], jd[0]),
+        _modal("S", n, t_s, lam, mu, j[1], jd[1]),
+        _modal("P", n, t_p, lam, mu, h[0], hd[0]),
+        _modal("S", n, t_s, lam, mu, h[1], hd[1]),
+    )
+    m = np.empty(t_p.shape + (4, 4), dtype=complex)
+    for c, column in enumerate(columns):
+        for r, entry in enumerate(column):
+            m[..., r, c] = entry
+    return m
+
+
 @dataclass(frozen=True, eq=False)
 class _CoatObjective:
-    """Stage-1 design objective F(x) and the structure x encodes.
+    """Stage-1 design objective F and the structure a point x encodes.
 
     x holds log(lam, mu, rho) of each layer, then the L-1 interior
-    interfaces as fractions of the coat thickness.  A module-level value,
-    so it pickles to worker processes.
+    interfaces as fractions of the coat thickness.  The objective is
+    evaluated on a batch of points at once, all coats in one array build.
     """
 
     L: int
@@ -376,111 +406,222 @@ class _CoatObjective:
             radii=radii, layers=tuple(mats), exterior=self.exterior, inner="cavity"
         )
 
-    def __call__(self, x) -> float:
-        if np.any(x < self.lo_vec - 1e-12) or np.any(x > self.hi_vec + 1e-12):
-            return PENALTY
-        fr = np.sort(np.concatenate([[0.0], x[3 * self.L :], [1.0]]))
-        if np.min(np.diff(fr)) < 1e-3:
-            return PENALTY  # interface collapsed onto a neighbor
+    def _values(self, w) -> list:
+        """F of each W stack in w, shape (B, len(omega_set), N+1, 2, 2).
+
+        Each is a sum of Python floats in (w, n) order.
+        """
+        terms = (_power(w, self.cols) / self.scales).reshape(len(w), self.scales.size)
+        return [sum(t) for t in terms.tolist()]
+
+    def _one(self, x) -> float:
+        """F(x) of one in-box point through layered_esc."""
         try:
             w = _w_stack(self.structure(x), self.omega_set, self.N)
         except (ResonanceError, DomainError):
             return PENALTY
-        # Python floats summed in (w, n) order
-        return sum((_power(w, self.cols) / self.scales).ravel().tolist())
+        return self._values(w[None])[0]
+
+    def __call__(self, X) -> list:
+        """F at each row of X, shape (B, dim): B Python floats.
+
+        A row outside the box, with a collapsed interface or that the
+        resonance guard rejects gets PENALTY.  The other rows' W stacks
+        come from one array build (_w_batch), equal to layered_esc's.
+        A lone row, an exactly singular pivot in a stacked inverse or a
+        non-finite W sends the rows concerned through layered_esc one at
+        a time: for one coat that path is the faster.
+        """
+        L = self.L
+        edges = np.zeros((len(X), 1)), X[:, 3 * L :], np.ones((len(X), 1))
+        fr = np.sort(np.concatenate(edges, axis=1), axis=1)
+        rows = np.flatnonzero(
+            np.all(X >= self.lo_vec - 1e-12, axis=1)
+            & np.all(X <= self.hi_vec + 1e-12, axis=1)
+            # no interface collapsed onto a neighbor
+            & (np.min(np.diff(fr, axis=1), axis=1) >= 1e-3)
+        )
+        values = [PENALTY] * len(X)
+        batch = None
+        if len(rows) > 1:
+            try:
+                batch = self._w_batch(X[rows])
+            except np.linalg.LinAlgError:
+                pass
+        if batch is None:
+            for b in rows:
+                values[b] = self._one(X[b])
+            return values
+        w, passed = batch
+        finite = np.isfinite(w).all(axis=(1, 2, 3, 4))
+        sums = self._values(w)
+        for i, b in enumerate(rows):
+            if passed[i]:
+                values[b] = sums[i] if finite[i] else self._one(X[b])
+        return values
+
+    def _w_batch(self, X):
+        """W_n(w) of the coats at the rows of X, shape (B, len(omega_set), N+1, 2, 2).
+
+        Also returns which rows passed the resonance guard.  Matrix i of a
+        coat is M_(n, ann[i]) at radius ring[i], as in _interface_chain:
+        M_j(r_j) for j = 1..L, then M_(j-1)(r_j), then M_L(r_(L+1)).
+        """
+        B, L, ext = len(X), self.L, self.exterior
+        mat = np.empty((B, L + 1, 3))
+        mat[:, 0] = ext.lam, ext.mu, ext.rho
+        for j in range(L):
+            mat[:, j + 1] = np.exp(X[:, 3 * j : 3 * j + 3])
+        lam, mu, rho = mat[..., 0], mat[..., 1], mat[..., 2]
+        c_p, c_s = np.sqrt((lam + 2.0 * mu) / rho), np.sqrt(mu / rho)
+        radii = np.empty((B, L + 1))
+        radii[:, 0], radii[:, -1] = self.r_outer, self.r_cavity
+        fr = np.sort(X[:, 3 * L :], axis=1)[:, ::-1]
+        radii[:, 1:-1] = self.r_cavity + (self.r_outer - self.r_cavity) * fr
+        ann = [*range(1, L + 1), *range(L), L]
+        ring = [*range(L), *range(L), L]
+        lam, mu, c_p, c_s, r = lam[:, ann], mu[:, ann], c_p[:, ann], c_s[:, ann], radii[:, ring]
+        passed = np.ones(B, dtype=bool)
+        w = np.empty((B, len(self.omega_set), self.N + 1, 2, 2), dtype=complex)
+        # as in layered_esc: an overflow on the way ends in a non-finite
+        # matrix, which the guard or the caller's finiteness check rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, omega in enumerate(self.omega_set):
+                t_p, t_s = r * (omega / c_p), r * (omega / c_s)
+                rho_w2 = ext.rho * omega * omega
+                for n in range(self.N + 1):
+                    m = _coat_matrices(n, t_p, t_s, lam, mu)
+                    inv = np.linalg.inv(m[:, :L])
+                    passed &= _guard_rows(m[:, :L], inv)
+                    prop = np.eye(4, dtype=complex)
+                    for j in range(L):
+                        prop = inv[:, j] @ m[:, L + j] @ prop
+                    chain = m[:, 2 * L] @ prop
+                    q22 = chain[:, None, 2:, 2:]
+                    q22_inv = np.linalg.inv(q22)
+                    passed &= _guard_rows(q22, q22_inv)
+                    w[:, i, n] = ESC_SCALE * rho_w2 * (-q22_inv[:, 0] @ chain[:, 2:, :2])
+        return w, passed
 
 
-def _run_start(objective, k, x0, maxiter):
-    """One Nelder-Mead start: (k, f, x, evaluations, penalty hits)."""
-    from scipy import optimize as sopt
+def _guard_rows(m: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """Whether each structure's stack m[b] (B, count, k, k) passes the resonance guard.
 
-    evaluations = penalty_hits = 0
-
-    def counted(x):
-        nonlocal evaluations, penalty_hits
-        f = objective(x)
-        evaluations += 1
-        if f == PENALTY:
-            penalty_hits += 1
-        return f
-
-    res = sopt.minimize(
-        counted,
-        x0,
-        method="Nelder-Mead",
-        options={
-            "maxiter": maxiter,
-            "xatol": 1e-12,
-            "fatol": 1e-16,
-            "adaptive": True,
-        },
-    )
-    return k, res.fun, res.x, evaluations, penalty_hits
-
-
-def _available_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _start_method() -> str:
-    """'fork' where the platform has it and this process runs one thread.
-
-    A forked worker need not import numpy, scipy and escat again (about
-    1 s); forking a process with other threads can copy a lock one of
-    them holds, so such a process spawns its workers.
+    The per-structure verdict of _inv_guarded: a stack the 1-norm bound
+    does not clear goes through _check_singular.
     """
-    import multiprocessing
+    passed = _cond1_clears(m, inv).all(axis=1)
+    for b in np.flatnonzero(~passed):
+        try:
+            for mi in m[b]:
+                _check_singular(mi, "")
+        except ResonanceError:
+            continue
+        passed[b] = True
+    return passed
 
-    if "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1:
-        return "fork"
-    return "spawn"
 
+def _nelder_mead(x0, maxiter: int):
+    """One Nelder-Mead start as a generator: yields each point, is sent its value.
 
-def _exit_with_parent(parent: int) -> None:
-    """Worker initializer: end the worker once the process that made it is gone.
-
-    A worker inherits its task queue's write end, so after the design's
-    process is killed it would wait on that queue forever.
+    A port of scipy.optimize's Nelder-Mead for the options the design
+    uses: adaptive=True, xatol=1e-12, fatol=1e-16 and maxiter, with no
+    bounds, no callback and no limit on evaluations.  The operations are scipy's, in
+    scipy's order, so a start visits the points scipy's would and returns
+    the same (x, f), bit for bit.
     """
+    x0 = np.asarray(x0, dtype=float)
+    N = len(x0)
+    dim = float(N)
+    rho, chi, psi, sigma = 1, 1 + 2 / dim, 0.75 - 1 / (2 * dim), 1 - 1 / dim
+    xatol, fatol = 1e-12, 1e-16
+    sim = np.empty((N + 1, N), dtype=float)
+    sim[0] = x0
+    for k in range(N):
+        y = np.array(x0, copy=True)
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    fsim = np.full((N + 1,), np.inf, dtype=float)
+    for k in range(N + 1):
+        fsim[k] = yield sim[k]
+    # scipy sorts twice; argsort is not stable, so ties need both
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
 
-    def watch():
-        while os.getppid() == parent:
-            time.sleep(0.5)
-        os._exit(1)
+    iterations = 1
+    while iterations < maxiter:
+        if (
+            np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+            and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol
+        ):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / N
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        fxr = yield xr
+        if fxr < fsim[0]:
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            fxe = yield xe
+            if fxe < fxr:
+                sim[-1], fsim[-1] = xe, fxe
+            else:
+                sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            doshrink = False
+            if fxr < fsim[-1]:  # outside contraction
+                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                fxc = yield xc
+                if fxc <= fxr:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    doshrink = True
+            else:  # inside contraction
+                xcc = (1 - psi) * xbar + psi * sim[-1]
+                fxcc = yield xcc
+                if fxcc < fsim[-1]:
+                    sim[-1], fsim[-1] = xcc, fxcc
+                else:
+                    doshrink = True
+            if doshrink:
+                for j in range(1, N + 1):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    fsim[j] = yield sim[j]
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return sim[0], np.min(fsim)
 
-    threading.Thread(target=watch, daemon=True).start()
 
+def _lockstep(objective, starts, maxiter: int):
+    """Run a _nelder_mead start from each point of starts, all together.
 
-def _map_starts(objective, starts, maxiter) -> list:
-    """_run_start over all starts, in start order.
-
-    The starts run in min(len(starts), available CPUs) worker processes,
-    one start per task since their costs differ, or in this process when
-    that is one or when this process is a daemon, which may not have
-    children.  The objective reaches the workers pickled, so forked and
-    spawned workers compute the same.
+    Each round evaluates the pending point of every start still running
+    in one call objective(X), X of shape (running starts, dim), which
+    returns one value per row.  Returns the (x, f) of each start, its
+    evaluation and PENALTY counts, all in start order, and the number of
+    rounds.
     """
-    # imported here: only a design needs them, and they add to every start-up
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    run = partial(_run_start, objective, maxiter=maxiter)
-    workers = min(len(starts), _available_cpus())
-    if workers <= 1 or multiprocessing.current_process().daemon:
-        return [run(k, x0) for k, x0 in enumerate(starts)]
-
-    context = multiprocessing.get_context(_start_method())
-    pool = ProcessPoolExecutor(
-        workers, mp_context=context, initializer=_exit_with_parent, initargs=(os.getpid(),)
-    )
-    try:
-        return list(pool.map(run, range(len(starts)), starts, chunksize=1))
-    finally:
-        # after a worker's error, drop the starts not yet begun
-        pool.shutdown(cancel_futures=True)
+    runs = [_nelder_mead(x0, maxiter) for x0 in starts]
+    points = [next(run) for run in runs]
+    results = [None] * len(runs)
+    evaluations, penalty_hits = [0] * len(runs), [0] * len(runs)
+    running, rounds = list(range(len(runs))), 0
+    while running:
+        values = objective(np.array([points[k] for k in running]))
+        rounds += 1
+        still = []
+        for k, f in zip(running, values):
+            evaluations[k] += 1
+            penalty_hits[k] += f == PENALTY
+            try:
+                points[k] = runs[k].send(f)
+                still.append(k)
+            except StopIteration as stop:
+                results[k] = stop.value
+        running = still
+    return results, evaluations, penalty_hits, rounds
 
 
 def design_svanishing(
@@ -502,10 +643,11 @@ def design_svanishing(
     Stage 1 minimizes F = sum_w sum_{n<=N} sum_modes |W_n(w)|^2 / s_n(w)
     with s_n(w) the bare-cavity power (relative reduction objective),
     over log-parametrized layer materials and interior radii, by
-    multi-start Nelder-Mead inside box bounds.  The starts run in up to
-    one process per available CPU; the report does not depend on the
-    number of processes.  Stage 2 (polish) refines the
-    best candidate by bounded least squares on the W-entry residuals; probe
+    multi-start Nelder-Mead inside box bounds.  The starts run
+    lock-stepped in this process, every round evaluating all running
+    starts' pending points in one batched objective call; each start
+    follows scipy's adaptive Nelder-Mead exactly.  Stage 2 (polish) refines
+    the best candidate by bounded least squares on the W-entry residuals; probe
     frequencies below the working band (coeff_probe, by default
     min(omega_set)/100 and min(omega_set)/1000) are appended so the
     leading low-frequency coefficient itself is cancelled, not just the
@@ -544,9 +686,6 @@ def design_svanishing(
     bare_cavity = LayeredStructure(radii=(r_cavity,), layers=(), exterior=exterior)
     bare = _w_stack(bare_cavity, omega_set + probes, N)
 
-    # loaded once here, so forked workers inherit it rather than import it
-    import scipy.optimize  # noqa: F401
-
     lo_vec = np.concatenate(
         [np.log([bounds[k][0] for k in ("lam", "mu", "rho")] * L), np.full(L - 1, 5e-3)]
     )
@@ -560,20 +699,23 @@ def design_svanishing(
 
     rng = np.random.default_rng(seed)
     starts = [lo_vec + (hi_vec - lo_vec) * rng.random(len(lo_vec)) for _ in range(n_starts)]
-    runs = _map_starts(objective, starts, maxiter)
-    start_evaluations = [r[3] for r in runs]
-    penalty_hits = sum(r[4] for r in runs)
-    results = sorted((r[:3] for r in runs), key=lambda t: (t[1], t[0]))
+    clock = time.perf_counter()
+    runs, start_evaluations, hits, rounds = _lockstep(objective, starts, maxiter)
+    nelder_mead_s = time.perf_counter() - clock
+    results = sorted(((k, f, x) for k, (x, f) in enumerate(runs)), key=lambda t: (t[1], t[0]))
     best_k, best_f, best_x = results[0]
-    logger.info(
-        "design: best start %d, objective %.3e; evaluations per start %s, %d penalized",
-        best_k, best_f, start_evaluations, penalty_hits,
-    )
 
+    clock = time.perf_counter()
     best_x, polish_stage_evaluations = _polish_design(best_x, objective, bare, probes)
-    best_f = objective(best_x)
+    polish_s = time.perf_counter() - clock
+    logger.info(
+        "design: best start %d, objective %.3e; evaluations per start %s, %d penalized; "
+        "%d lock-step rounds, Nelder-Mead %.3f s, polish %.3f s",
+        best_k, best_f, start_evaluations, sum(hits), rounds, nelder_mead_s, polish_s,
+    )
+    best_f = objective(best_x[None])[0]
     n_evaluations = sum(start_evaluations) + 1
-    penalty_hits += int(best_f == PENALTY)
+    penalty_hits = sum(hits) + int(best_f == PENALTY)
 
     structure = objective.structure(best_x)
     designed = _w_stack(structure, omega_set, N)

@@ -82,6 +82,15 @@ class TestEscCompute:
         assert err["type"] == "config"
         assert "ellipse" in err["message"] and "'a'" in err["message"]
 
+    def test_curve_rejected_by_its_constructor_exits_2(self, tmp_path, capsys):
+        # passes the schema; the curve r = 1 + 2 cos t does not enclose the origin
+        curve = {"type": "fourier", "r0": 1, "cos_coeffs": [2.0]}
+        cfg = write(tmp_path, "scene.json", dict(SCENE, curve=curve))
+        rc = main(["esc", "compute", "--config", cfg, "--out", str(tmp_path / "o.json")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"type": "config", "message": "curve must enclose the origin"}
+
     def test_resonance_exit_code(self, tmp_path):
         # interior Dirichlet eigenfrequency of the unit disk (first zero
         # of J_1 for the interior shear branch, c_S = 1); located by the
@@ -184,6 +193,20 @@ class TestCloak:
         rep = json.loads(out.read_text())
         w0 = np.array(rep["w_table"]["0"])
         assert np.abs(w0).max() > 1e-4
+
+    def test_increasing_radii_exit_2(self, tmp_path, capsys):
+        structure = {
+            "radii": [1.0, 2.0],
+            "layers": [{"lam": 3.0, "mu": 1.5, "rho": 2.0}],
+            "exterior": {"lam": 2.0, "mu": 1.0, "rho": 1.0},
+            "inner": "cavity",
+        }
+        doc = {"schema_version": "1", "structure": structure, "omega": 0.5, "n_max": 1}
+        cfg = write(tmp_path, "eval.json", doc)
+        rc = main(["cloak", "evaluate", "--config", cfg, "--out", str(tmp_path / "w.json")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"type": "config", "message": "radii must be strictly decreasing and positive"}
 
     def test_design_reports_status(self, tmp_path):
         doc = {

@@ -1,12 +1,7 @@
 """Transfer matrices, layered scattering and the vanishing-coefficient design."""
 
-import dataclasses
 import logging
-import multiprocessing
-import os
-import signal
-import subprocess
-import sys
+import re
 import warnings
 
 import numpy as np
@@ -474,7 +469,7 @@ class TestDesign:
         def no_starts(*args):
             raise AssertionError("the starts ran")
 
-        monkeypatch.setattr(cloak, "_map_starts", no_starts)
+        monkeypatch.setattr(cloak, "_lockstep", no_starts)
         with pytest.raises(DomainError, match=r"r_cavity=.*, r_outer="):
             design_svanishing(
                 L=1,
@@ -485,6 +480,29 @@ class TestDesign:
                 r_outer=r_outer,
                 r_cavity=r_cavity,
             )
+
+    def test_objective_error_reaches_caller(self, exterior, monkeypatch):
+        def broken(self, X):
+            raise TypeError("objective got a bad argument")
+
+        monkeypatch.setattr(cloak._CoatObjective, "__call__", broken)
+        with pytest.raises(TypeError, match="objective got a bad argument"):
+            design_svanishing(
+                L=1, N=0, omega_set=[0.1], bounds=BOUNDS, exterior=exterior, n_starts=4, maxiter=10
+            )
+
+    def test_info_line_reports_rounds_and_stage_times(self, exterior, caplog):
+        with caplog.at_level(logging.INFO, logger="escat.cloak"):
+            rep = design_svanishing(
+                L=1, N=0, omega_set=[0.1], bounds=BOUNDS, exterior=exterior,
+                n_starts=3, seed=2, maxiter=60,
+            )
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("design: best")]
+        assert len(lines) == 1
+        found = re.search(r"(\d+) lock-step rounds, Nelder-Mead (\S+) s, polish (\S+) s$", lines[0])
+        assert found is not None
+        assert int(found[1]) == max(rep.start_evaluations)
+        assert float(found[2]) > 0 and float(found[3]) > 0
 
     def test_infeasible_bounds_rejected(self, exterior):
         with pytest.raises(DomainError):
@@ -502,7 +520,7 @@ BAND_OMEGAS = (0.2, 0.3)
 
 @pytest.fixture(scope="module")
 def band_design(exterior):
-    """A P-mask design at N=1 on two frequencies, in one process.
+    """A P-mask design at N=1 on two frequencies.
 
     Returns the report, the (omega, n) of every bare-cavity layered_esc
     call and the frequencies of every _w_stack call on a coated structure.
@@ -521,7 +539,6 @@ def band_design(exterior):
         return w_stack(structure, freqs, N)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cloak, "_available_cpus", lambda: 1)
         mp.setattr(cloak, "layered_esc", counted_esc)
         mp.setattr(cloak, "_w_stack", counted_stack)
         rep = design_svanishing(
@@ -578,7 +595,7 @@ class TestBandDesign:
         assert min(stages) > 0 and sum(stages) == len(polish)
         assert rep.polish_stage_evaluations == stages
         assert rep.polish_evaluations == len(polish)
-        # the objective skips the stack for a point outside the box
+        # at most one stack per objective evaluation, plus the report's
         assert len(coated_freqs) - len(polish) <= rep.n_evaluations + 1
         assert sum(rep.start_evaluations) + 1 == rep.n_evaluations
 
@@ -600,82 +617,187 @@ class TestBandDesign:
         assert list(rep.w_table) == [(0.1, 0), (0.1, 1)]
 
 
-def _broken_objective(x):
-    raise TypeError("objective got a bad argument")
+def nelder_mead_options(maxiter):
+    return {"maxiter": maxiter, "xatol": 1e-12, "fatol": 1e-16, "adaptive": True}
 
 
-def _quadratic(x):
-    return float(x @ x)
+class TestLockstep:
+    """The lock-step driver against scipy's Nelder-Mead, one start at a time."""
 
+    @staticmethod
+    def check(f, starts, maxiter):
+        runs, evaluations, hits, rounds = cloak._lockstep(
+            lambda X: [f(x) for x in X], starts, maxiter
+        )
+        for k, x0 in enumerate(starts):
+            values = []
 
-class TestParallelStarts:
-    def test_pool_equals_one_process(self, exterior, monkeypatch):
-        reports = []
-        for cpus, method in ((1, "fork"), (3, "fork"), (2, "spawn")):
-            monkeypatch.setattr(cloak, "_available_cpus", lambda: cpus)
-            monkeypatch.setattr(cloak, "_start_method", lambda: method)
-            reports.append(
-                design_svanishing(
-                    L=1, N=0, omega_set=[0.1], bounds=BOUNDS, exterior=exterior,
-                    n_starts=3, seed=9, maxiter=200,
-                )
+            def counted(x):
+                values.append(f(x))
+                return values[-1]
+
+            res = scipy.optimize.minimize(
+                counted, x0, method="Nelder-Mead", options=nelder_mead_options(maxiter)
             )
-        one, fork, spawn = (
-            {f.name: repr(getattr(r, f.name)) for f in dataclasses.fields(r)} for r in reports
+            x, fun = runs[k]
+            assert np.array_equal(x, res.x)
+            assert fun == res.fun
+            assert evaluations[k] == res.nfev == len(values)
+            assert hits[k] == values.count(cloak.PENALTY)
+        # each round evaluates one point of every start still running
+        assert rounds == max(evaluations)
+        return evaluations, hits
+
+    def test_smooth_quadratic(self):
+        a = np.diag([1.0, 4.0, 0.25, 9.0])
+        c = np.array([0.3, -1.2, 2.0, 0.7])
+
+        def f(x):
+            return float((x - c) @ a @ (x - c))
+
+        rng = np.random.default_rng(11)
+        evaluations, _ = self.check(f, list(rng.normal(size=(4, 4))), maxiter=2000)
+        # the starts end after different numbers of evaluations
+        assert len(set(evaluations)) > 1
+
+    def test_penalty_plateaus(self):
+        # outside the unit box every point ties at PENALTY, which argsort
+        # must order as scipy's does
+        def f(x):
+            return cloak.PENALTY if np.any(np.abs(x) > 1.0) else float(np.sum((x - 0.9) ** 2))
+
+        starts = [np.array([0.99, 0.98, 0.97]), np.array([0.0, 0.99, -0.99]), np.full(3, 0.5)]
+        _, hits = self.check(f, starts, maxiter=600)
+        assert hits[0] > 3 and hits[1] > 3
+
+    def test_terraced_objective(self):
+        # finite values tie too: on terraces the contraction's <= and the
+        # unstable argsort of equal values decide the steps
+        def f(x):
+            if np.any(np.abs(x) > 2.0):
+                return cloak.PENALTY
+            return float(np.floor(4.0 * np.sum((x - 0.3) ** 2))) / 4.0
+
+        rng = np.random.default_rng(5)
+        self.check(f, list(rng.uniform(-2.0, 2.0, (6, 4))), maxiter=300)
+
+    def test_stopped_by_maxiter(self):
+        def f(x):
+            return float(np.sum(np.cos(3.0 * x)) + x @ x)
+
+        starts = [np.full(5, 2.0), np.linspace(-1.0, 1.0, 5)]
+        self.check(f, starts, maxiter=25)
+        res = scipy.optimize.minimize(f, starts[0], method="Nelder-Mead", options=nelder_mead_options(25))
+        assert res.nit == 25 and res.status == 2
+
+    def test_objective_sees_each_pending_point_once(self):
+        batches = []
+
+        def objective(X):
+            batches.append(len(X))
+            return [float(x @ x) for x in X]
+
+        runs, evaluations, _, rounds = cloak._lockstep(
+            objective, [np.ones(2), np.full(2, 3.0), np.zeros(2)], maxiter=100
         )
-        assert one == fork == spawn  # repr of every float: equal bit for bit
+        assert len(batches) == rounds and sum(batches) == sum(evaluations)
+        assert batches[0] == 3 and batches == sorted(batches, reverse=True)
 
-    def test_daemon_runs_starts_in_process(self, monkeypatch):
-        # a daemonic process may not start children
-        def no_pool(*args, **kwargs):
-            raise AssertionError("daemonic processes are not allowed to have children")
 
-        monkeypatch.setattr(cloak, "_available_cpus", lambda: 2)
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
-        monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
-        runs = cloak._map_starts(_quadratic, [np.ones(2), np.full(2, 2.0)], maxiter=50)
-        assert [r[0] for r in runs] == [0, 1]
-        assert all(r[1] < 1e-6 and r[3] > 0 for r in runs)
+def coat_objective(exterior, L, N, omegas, cols=slice(None)):
+    """The design's objective for an L-layer coat on the unit cavity, r_outer = 2."""
+    bare = cloak._w_stack(bare_cavity(exterior), omegas, N)
+    keys = ("lam", "mu", "rho")
+    lo = np.concatenate([np.log([BOUNDS[k][0] for k in keys] * L), np.full(L - 1, 5e-3)])
+    hi = np.concatenate([np.log([BOUNDS[k][1] for k in keys] * L), np.full(L - 1, 1 - 5e-3)])
+    scales = np.maximum(cloak._power(bare, cols), 1e-300)
+    return cloak._CoatObjective(L, N, list(omegas), cols, scales, lo, hi, exterior, 2.0, 1.0)
 
-    def test_worker_error_reaches_caller(self, monkeypatch):
-        def hung(signum, frame):
-            raise TimeoutError("the pool did not return")
 
-        monkeypatch.setattr(cloak, "_available_cpus", lambda: 2)
-        previous = signal.signal(signal.SIGALRM, hung)
-        signal.alarm(60)
-        try:
-            with pytest.raises(TypeError, match="objective got a bad argument"):
-                cloak._map_starts(_broken_objective, [np.zeros(3)] * 4, maxiter=10)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
+def reference_value(objective, x):
+    """F(x) one point at a time, from layered_esc."""
+    L, cols = objective.L, objective.cols
+    if np.any(x < objective.lo_vec - 1e-12) or np.any(x > objective.hi_vec + 1e-12):
+        return cloak.PENALTY
+    fr = np.sort(np.concatenate([[0.0], x[3 * L :], [1.0]]))
+    if np.min(np.diff(fr)) < 1e-3:
+        return cloak.PENALTY
+    structure = objective.structure(x)
+    terms = []
+    try:
+        for i, omega in enumerate(objective.omega_set):
+            for n in range(objective.N + 1):
+                power = float(np.sum(np.abs(layered_esc(structure, omega, n)[:, cols]) ** 2))
+                terms.append(power / objective.scales[i, n])
+    except ResonanceError:
+        return cloak.PENALTY
+    return sum(terms)
 
-    def test_workers_exit_with_the_design_process(self):
-        script = (
-            "import os, time\n"
-            "import numpy as np\n"
-            "from escat import cloak\n"
-            "cloak._available_cpus = lambda: 2\n"
-            "def slow(x):\n"
-            "    os.write(1, b'%d\\n' % os.getpid())  # one atomic pipe write per worker\n"
-            "    time.sleep(60)\n"
-            "    return 0.0\n"
-            "cloak._map_starts(slow, [np.zeros(1)] * 2, maxiter=1)\n"
-        )
-        src = os.path.dirname(os.path.dirname(cloak.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.Popen(
-            [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True, env=env
-        )
-        workers = [int(proc.stdout.readline()) for _ in range(2)]
-        proc.kill()
-        try:
-            proc.communicate(timeout=20)  # EOF once no worker holds the pipe
-        except subprocess.TimeoutExpired:
-            for pid in workers:
-                os.kill(pid, signal.SIGKILL)
-            pytest.fail("the workers outlived the design process")
+
+# x of radii (2, 1.5, 1), layers (3, 0.5, 2) and (1, 2, 0.7): at omega 3e-4
+# its interface chain overflows at order 30 (test_chain_overflow_is_a_resonance)
+OVERFLOW_X = np.array([*np.log([3.0, 0.5, 2.0, 1.0, 2.0, 0.7]), 0.5])
+
+
+class TestBatchedObjective:
+    @pytest.mark.parametrize(
+        "L,N,omegas,cols",
+        [(2, 0, [0.1], slice(None)), (1, 1, [0.2, 0.3], slice(0, 1)), (3, 2, [0.5], slice(1, 2))],
+    )
+    def test_rows_equal_layered_esc(self, exterior, L, N, omegas, cols):
+        objective = coat_objective(exterior, L, N, omegas, cols)
+        lo, hi = objective.lo_vec, objective.hi_vec
+        rng = np.random.default_rng(L)
+        x = lo + (hi - lo) * rng.uniform(0.0, 1.0, (60, len(lo)))
+        x[:10] = lo + (hi - lo) * rng.uniform(-0.2, 1.2, (10, len(lo)))  # some outside the box
+        if L > 2:
+            # two interior interfaces closer than 1e-3 of the coat thickness
+            x[10:15, 3 * L + 1] = x[10:15, 3 * L] + rng.uniform(-9e-4, 9e-4, 5)
+        want = [reference_value(objective, xi) for xi in x]
+        assert cloak.PENALTY in want[:10] and cloak.PENALTY not in want[15:]
+        if L > 2:
+            assert want[10:15] == [cloak.PENALTY] * 5
+        got = [v for b in range(0, len(x), 8) for v in objective(x[b : b + 8])]
+        assert got == want
+        # a lone row takes layered_esc
+        assert [objective(x[i : i + 1])[0] for i in range(15, 20)] == want[15:20]
+
+    def test_resonant_row_takes_the_guard(self, exterior, monkeypatch):
+        objective = coat_objective(exterior, 2, 30, [3e-4])
+        rng = np.random.default_rng(4)
+        lo, hi = objective.lo_vec, objective.hi_vec
+        x = np.vstack([lo + (hi - lo) * rng.random((3, 7)), OVERFLOW_X])
+        checked = []
+        check_singular = cloak._check_singular
+
+        def spy(m, what):
+            checked.append(np.isfinite(m).all())
+            check_singular(m, what)
+
+        def no_scalar_path(*args):
+            raise AssertionError("a row went through layered_esc")
+
+        monkeypatch.setattr(cloak, "_check_singular", spy)
+        monkeypatch.setattr(cloak, "_w_stack", no_scalar_path)
+        got = objective(x)
+        assert got[3] == cloak.PENALTY and checked and not all(checked)
+        monkeypatch.undo()
+        assert got == [reference_value(objective, xi) for xi in x]
+
+    def test_singular_stacked_inverse_goes_one_structure_at_a_time(self, exterior, monkeypatch):
+        objective = coat_objective(exterior, 2, 0, [0.1])
+        rng = np.random.default_rng(6)
+        x = objective.lo_vec + (objective.hi_vec - objective.lo_vec) * rng.random((6, 7))
+        want = [reference_value(objective, xi) for xi in x]
+        inv = np.linalg.inv
+
+        def singular_batch(m):
+            if m.ndim == 4:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return inv(m)
+
+        monkeypatch.setattr(np.linalg, "inv", singular_batch)
+        assert objective(x) == want
 
 
 class TestPolishFailures:
