@@ -193,7 +193,8 @@ def cmd_cloak_design(args) -> int:
     ext = Material.from_dict(doc["exterior"])
     r_cavity = doc.get("r_cavity", 1.0)
     omega_set = [ks * ext.c_s / r_cavity for ks in doc["kappa_s_set"]]
-    rep = design_svanishing(
+    # every DomainError of the design is a config value it rejects
+    rep = _config_values(design_svanishing)(
         L=doc["n_layers"],
         N=doc["order"],
         omega_set=omega_set,
@@ -224,8 +225,9 @@ def cmd_cloak_design(args) -> int:
             "polish_evaluations": rep.polish_evaluations,
             "polish_stage_evaluations": rep.polish_stage_evaluations,
         },
-        "w_table": {f"{w:g}|n={n}": v for (w, n), v in rep.w_table.items()},
-        "bare_w_table": {f"{w:g}|n={n}": v for (w, n), v in rep.bare_w_table.items()},
+        # repr keeps frequencies that differ beyond the sixth digit apart
+        "w_table": {f"{w!r}|n={n}": v for (w, n), v in rep.w_table.items()},
+        "bare_w_table": {f"{w!r}|n={n}": v for (w, n), v in rep.bare_w_table.items()},
     }
     cfgmod.atomic_write_json(args.out, out)
     return EXIT_OK

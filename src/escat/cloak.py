@@ -16,14 +16,15 @@ The same machinery yields the penetrable-disk scattering coefficients
 numerical design of coatings whose leading scattering coefficients
 nearly vanish.
 
-Per structure and order, all interface matrices of the chain (and the
-solid core's) come from one stacked build over a single J and a single
-H evaluation, and the L layer matrices are inverted in one batch.  The
-resonance guard keeps its definition, the singular values of the
-row/column-equilibrated matrix against COND_GUARD, but brackets it with
-the exact 1-norm condition that the batched inverse provides; the
-singular values are computed only when that bound cannot clear a stack.
-A matrix that overflowed to inf or NaN is rejected as a resonance too.
+Every W_n comes from _w_of, which takes the interface matrices of any
+number of (structure, omega) entries and returns W with the resonance
+guard's verdict per entry.  The guard tests the singular values of the
+row/column-equilibrated matrix against COND_GUARD, and computes them
+only where the exact 1-norm condition from the batched inverse cannot
+clear a matrix; a matrix that overflowed to inf or NaN, or that LAPACK
+finds exactly singular, is a resonance too.  Only the builder of the
+matrices depends on the size: layered_esc forms one entry's on Python
+scalars (_layer_matrices), a table (_w_table) all entries' as arrays.
 
 The design's Nelder-Mead starts run lock-stepped in one process: each
 round evaluates the pending point of every running start in one batched
@@ -148,6 +149,40 @@ def _layer_matrices(n: int, radii, materials, omega: float) -> np.ndarray:
     return np.array(out, dtype=complex).reshape(k, 4, 4)
 
 
+def _coat_matrices(n: int, t_p, t_s, lam, mu) -> np.ndarray:
+    """M_n at arrays of scaled radii t_p = r kappa_P, t_s = r kappa_S: shape (*t_p.shape, 4, 4).
+
+    The array form of _layer_matrices, for _w_table; lam and mu broadcast
+    against t_p.  The _fold and _modal operations are the same,
+    elementwise, so every entry equals the one formed on scalars.
+    """
+    t = np.stack([t_p, t_s])
+    j, jd = _fold(sp.jv, n, t)
+    h, hd = _fold(sp.hankel1, n, t)
+    columns = (
+        _modal("P", n, t_p, lam, mu, j[0], jd[0]),
+        _modal("S", n, t_s, lam, mu, j[1], jd[1]),
+        _modal("P", n, t_p, lam, mu, h[0], hd[0]),
+        _modal("S", n, t_s, lam, mu, h[1], hd[1]),
+    )
+    m = np.empty(t_p.shape + (4, 4), dtype=complex)
+    for c, column in enumerate(columns):
+        for r, entry in enumerate(column):
+            m[..., r, c] = entry
+    return m
+
+
+def _chain_layout(L: int, core: bool):
+    """Annulus (0 exterior, L+1 core) and radius index i (r_(i+1)) of each matrix _w_of takes.
+
+    M_j(r_j) for j = 1..L, then M_(j-1)(r_j), then M_L(r_(L+1)), then a
+    solid core's M(r_(L+1)).
+    """
+    ann = [*range(1, L + 1), *range(L), L] + [L + 1] * core
+    ring = [*range(L), *range(L), L] + [L] * core
+    return ann, ring
+
+
 # cond_2 <= k cond_1 for a k x k matrix, so an equilibrated 1-norm condition
 # below 1 / (k * _COND1_MARGIN * COND_GUARD) cannot fail the singular-value
 # test; the margin absorbs the rounding of cond_1 taken from the computed
@@ -203,87 +238,95 @@ def _cond1_clears(m: np.ndarray, inv: np.ndarray) -> np.ndarray:
     return cond1 < 1.0 / (m.shape[-1] * _COND1_MARGIN * COND_GUARD)
 
 
-def _inv_guarded(m: np.ndarray, names) -> np.ndarray:
-    """Inverses of a (count, k, k) stack; ResonanceError names the first singular one.
+def _guard_rows(m: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """Whether each stack of m (..., count, k, k), inv its inverses, passes the guard.
 
-    One batched inverse serves all matrices, and the singular values of
-    _check_singular are computed only for a stack that _cond1_clears
-    cannot clear.  Every rejection therefore comes from _check_singular,
-    with its message, and every outcome is the per-matrix test's.
+    A stack that _cond1_clears does not clear goes through
+    _check_singular, so every verdict is the per-matrix test's.
     """
+    cleared = _cond1_clears(m, inv).all(axis=-1)
+    if cleared.all():
+        return cleared
+    passed = np.reshape(cleared, -1)
+    stacks = m.reshape(-1, *m.shape[-3:])
+    for b in np.flatnonzero(~passed):
+        try:
+            for mi in stacks[b]:
+                _check_singular(mi, "")
+        except ResonanceError:
+            continue
+        passed[b] = True
+    return passed.reshape(np.shape(cleared))
+
+
+def _nan_singular(f, a, *b):
+    """np.linalg.inv or solve f(a, *b) on stacks; NaN where LAPACK finds an exactly singular pivot."""
     try:
-        inv = np.linalg.inv(m)
+        return f(a, *b)
     except np.linalg.LinAlgError:
-        # an exactly singular pivot: check and invert one matrix at a
-        # time, in order, for the per-matrix error
-        inv = np.empty_like(m)
-        for i, what in enumerate(names):
-            _check_singular(m[i], what)
-            inv[i] = np.linalg.inv(m[i])
-        return inv
-    if not _cond1_clears(m, inv).all():
-        for mi, what in zip(m, names):
-            _check_singular(mi, what)
-    return inv
+        out = np.full((b[0] if b else a).shape, np.nan, dtype=complex)
+        for i in np.ndindex(a.shape[:-2]):
+            try:
+                out[i] = f(a[i], *(x[i] for x in b))
+            except np.linalg.LinAlgError:
+                pass
+        return out
 
 
-def _interface_chain(structure: LayeredStructure, omega: float, n: int):
-    """M_{n,L}(r_{L+1}) prod_{j=L..1} M_{n,j}^{-1}(r_j) M_{n,j-1}(r_j).
+def _w_of(m: np.ndarray, L: int, core: bool, rho_w2):
+    """W_n (..., 2, 2) from interface matrices m (..., k, 4, 4) in _chain_layout(L, core) order.
 
-    Maps the exterior coefficients a_0 to the scaled traces and tractions
-    of the innermost coat at the inner radius r_{L+1}.  Returns the chain
-    and, for a solid core, the core's M_n(r_{L+1}) (else None).  All
-    interface matrices come from one stacked build: M_j(r_j) for
-    j = 1..L, then M_{j-1}(r_j), then M_L(r_{L+1}) and the core.
+    The chain C = M_L(r_(L+1)) prod_(j=L..1) M_j(r_j)^-1 M_(j-1)(r_j)
+    maps the exterior coefficients to the innermost traces and tractions.
+    A cavity gives the scattered coefficients of unit incident P and S
+    waves as a0 = -Q22^-1 Q21 from C's traction rows; a solid core matches
+    C against the core's J columns.  W = ESC_SCALE rho_w2 a0, rho_w2 =
+    rho0 w^2.  Also returns the guard's verdict on the layer matrices and
+    Q22, shape (...), and C.  A W the guard rejects must not be used.
     """
-    radii = structure.radii
-    length = structure.n_layers
-    mats = [structure.material_of_annulus(j) for j in range(length + 1)]
-    rs = [*radii[:length], *radii[:length], radii[-1]]
-    ms = mats[1:] + mats[:-1] + mats[-1:]
-    core = structure.inner != "cavity"
+    prop, passed = np.eye(4, dtype=complex), True
+    if L:
+        layers = m[..., :L, :, :]
+        inv = _nan_singular(np.linalg.inv, layers)
+        passed = _guard_rows(layers, inv)
+        for j in range(L):
+            prop = inv[..., j, :, :] @ m[..., L + j, :, :] @ prop
+    chain = m[..., 2 * L, :, :] @ prop
     if core:
-        rs.append(radii[-1])
-        ms.append(structure.inner)
-    stack = _layer_matrices(n, rs, ms, omega)
-    prop = np.eye(4, dtype=complex)
-    if length:
-        names = [f"layer matrix M_(n={n},j={j})" for j in range(1, length + 1)]
-        inv = _inv_guarded(stack[:length], names)
-        for j in range(length):
-            prop = inv[j] @ stack[length + j] @ prop
-    return stack[2 * length] @ prop, (stack[-1] if core else None)
+        # innermost field b^P JP + b^S JS with the core material; the
+        # unknowns are (b^P, b^S, a^P, a^S), one column per incident mode
+        lhs = np.empty_like(chain)
+        lhs[..., :2] = m[..., -1, :, :2]
+        lhs[..., 2:] = -chain[..., 2:]
+        a0 = _nan_singular(np.linalg.solve, lhs, chain[..., :2])[..., 2:, :]
+    else:
+        q22 = chain[..., None, 2:, 2:]
+        q22_inv = _nan_singular(np.linalg.inv, q22)
+        passed = passed & _guard_rows(q22, q22_inv)
+        a0 = -q22_inv[..., 0, :, :] @ chain[..., 2:, :2]
+    return ESC_SCALE * rho_w2 * a0, passed, chain
 
 
 def layered_esc(structure: LayeredStructure, omega: float, n: int) -> np.ndarray:
     """Order-n scattering-coefficient matrix W_n of a layered structure.
 
     Returns the 2x2 matrix W_n[alpha, beta] (alpha = scattered mode row,
-    beta = incident mode column).  For the cavity case
-    W_n = -ESC_SCALE rho0 w^2 Q22^{-1} Q21 applied to unit incident
-    coefficient vectors (Q21, Q22 the blocks of the traction rows of the
-    interface chain); a solid core goes through the same chain
-    with a J-only innermost field.
+    beta = incident mode column): _w_of on the entry's interface matrices,
+    formed on Python scalars.  ResonanceError names the first matrix the
+    guard rejects, with _check_singular's reason, or a non-finite W.
     """
-    rho_w2 = structure.exterior.rho * omega * omega
+    L, core = structure.n_layers, structure.inner != "cavity"
+    ann, ring = _chain_layout(L, core)
+    mats = [structure.exterior, *structure.layers, structure.inner]
+    m = _layer_matrices(n, [structure.radii[i] for i in ring], [mats[a] for a in ann], omega)
     # a chain product or Bessel value that overflows on the way ends in a
-    # non-finite matrix, which the guards and the check below reject
+    # non-finite matrix, which the guard and the check below reject
     with np.errstate(over="ignore", invalid="ignore"):
-        chain, m_core = _interface_chain(structure, omega, n)
-        if m_core is None:
-            # columns: incident P, S
-            a0 = -_inv_guarded(chain[None, 2:, 2:], [f"Q22(n={n})"])[0] @ chain[2:, :2]
-        else:
-            # solid core: innermost field b^P JP + b^S JS with core material; the
-            # unknowns are (b^P, b^S, a^P, a^S), one column per incident mode
-            lhs = np.empty((4, 4), dtype=complex)
-            lhs[:, :2] = m_core[:, :2]  # core J columns
-            lhs[:, 2:] = -chain[:, 2:]  # unknown exterior H coefficients
-            try:
-                a0 = np.linalg.solve(lhs, chain[:, :2])[2:]
-            except np.linalg.LinAlgError as exc:
-                raise ResonanceError(f"solid-core system (n={n}) is singular") from exc
-        w = ESC_SCALE * rho_w2 * a0
+        w, passed, chain = _w_of(m, L, core, structure.exterior.rho * omega * omega)
+        if not passed:
+            for j in range(L):
+                _check_singular(m[j], f"layer matrix M_(n={n},j={j + 1})")
+            _check_singular(chain[2:, 2:], f"Q22(n={n})")
     if not np.isfinite(w).all():
         raise ResonanceError(f"W_(n={n}) at omega={omega:g} is not finite")
     return w
@@ -301,6 +344,33 @@ def analytic_disk_esc(
         radii=(r_disk,), layers=(), exterior=pair.exterior, inner=pair.interior
     )
     return layered_esc(structure, omega, n)
+
+
+def _w_table(radii: np.ndarray, mat: np.ndarray, core: bool, freqs, N: int):
+    """W_n(w) of B structures for w in freqs and n = 0..N, shape (B, len(freqs), N+1, 2, 2).
+
+    radii (B, L+1) holds r_1 > ... > r_(L+1), and mat (B, L+1+core, 3) the
+    (lam, mu, rho) of annuli 0 (the exterior) .. L, then of a solid core.
+    One _coat_matrices call per order.  Also returns the guard's verdict
+    per entry, shape (B, len(freqs), N+1).
+    """
+    L = radii.shape[1] - 1
+    ann, ring = _chain_layout(L, core)
+    lam, mu, rho = mat[..., 0], mat[..., 1], mat[..., 2]
+    c_p, c_s = np.sqrt((lam + 2.0 * mu) / rho), np.sqrt(mu / rho)
+    omega = np.asarray(freqs, dtype=float)
+    r, w_col = radii[:, None, ring], omega[:, None]
+    t_p, t_s = r * (w_col / c_p[:, None, ann]), r * (w_col / c_s[:, None, ann])
+    lam, mu = lam[:, None, ann], mu[:, None, ann]
+    rho_w2 = (rho[:, :1] * omega * omega)[..., None, None]
+    w = np.empty((len(radii), len(omega), N + 1, 2, 2), dtype=complex)
+    passed = np.empty(w.shape[:3], dtype=bool)
+    # as in layered_esc, an overflow ends in a rejected or non-finite entry
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(N + 1):
+            m = _coat_matrices(n, t_p, t_s, lam, mu)
+            w[:, :, n], passed[:, :, n], _ = _w_of(m, L, core, rho_w2)
+    return w, passed
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +402,24 @@ class DesignReport:
 
 
 def _w_stack(structure: LayeredStructure, freqs, N: int) -> np.ndarray:
-    """W_n(w) for w in freqs and n = 0..N, shape (len(freqs), N+1, 2, 2)."""
-    w = [[layered_esc(structure, f, n) for n in range(N + 1)] for f in freqs]
-    return np.array(w, dtype=complex).reshape(len(w), N + 1, 2, 2)
+    """W_n(w) for w in freqs and n = 0..N, shape (len(freqs), N+1, 2, 2): one _w_table call.
+
+    DomainError if a frequency is not positive; ResonanceError names the
+    first (w, n) whose W the resonance guard rejects or is not finite.
+    """
+    freqs = np.asarray(freqs, dtype=float)
+    if not np.all(freqs > 0):
+        raise DomainError("omega must be positive")
+    core = structure.inner != "cavity"
+    mats = [structure.exterior, *structure.layers] + [structure.inner] * core
+    mat = np.array([[(m.lam, m.mu, m.rho) for m in mats]])
+    w, passed = _w_table(np.array([structure.radii]), mat, core, freqs, N)
+    ok = passed[0] & np.isfinite(w[0]).all(axis=(-2, -1))
+    if not ok.all():
+        i, n = np.argwhere(~ok)[0]
+        what = "is not finite" if passed[0, i, n] else "is rejected by the resonance guard"
+        raise ResonanceError(f"W_(n={n}) at omega={freqs[i]:g} {what}")
+    return w[0]
 
 
 def _power(w, cols):
@@ -347,36 +432,13 @@ def _power(w, cols):
 PENALTY = 1e12
 
 
-def _coat_matrices(n: int, t_p, t_s, lam, mu) -> np.ndarray:
-    """M_n at arrays of scaled radii t_p = r kappa_P, t_s = r kappa_S: shape (*t_p.shape, 4, 4).
-
-    The array form of _layer_matrices, for many structures at once: the
-    same _fold and _modal operations, elementwise, so every entry equals
-    the one _layer_matrices forms on scalars.
-    """
-    t = np.stack([t_p, t_s])
-    j, jd = _fold(sp.jv, n, t)
-    h, hd = _fold(sp.hankel1, n, t)
-    columns = (
-        _modal("P", n, t_p, lam, mu, j[0], jd[0]),
-        _modal("S", n, t_s, lam, mu, j[1], jd[1]),
-        _modal("P", n, t_p, lam, mu, h[0], hd[0]),
-        _modal("S", n, t_s, lam, mu, h[1], hd[1]),
-    )
-    m = np.empty(t_p.shape + (4, 4), dtype=complex)
-    for c, column in enumerate(columns):
-        for r, entry in enumerate(column):
-            m[..., r, c] = entry
-    return m
-
-
 @dataclass(frozen=True, eq=False)
 class _CoatObjective:
     """Stage-1 design objective F and the structure a point x encodes.
 
     x holds log(lam, mu, rho) of each layer, then the L-1 interior
     interfaces as fractions of the coat thickness.  The objective is
-    evaluated on a batch of points at once, all coats in one array build.
+    evaluated on a batch of points at once, all coats in one _w_table.
     """
 
     L: int
@@ -406,6 +468,18 @@ class _CoatObjective:
             radii=radii, layers=tuple(mats), exterior=self.exterior, inner="cavity"
         )
 
+    def _coats(self, X):
+        """The _w_table radii (B, L+1) and materials (B, L+1, 3) of the rows of X, as structure()."""
+        B, L, ext = len(X), self.L, self.exterior
+        mat = np.empty((B, L + 1, 3))
+        mat[:, 0] = ext.lam, ext.mu, ext.rho
+        mat[:, 1:] = np.exp(X[:, : 3 * L]).reshape(B, L, 3)
+        radii = np.empty((B, L + 1))
+        radii[:, 0], radii[:, -1] = self.r_outer, self.r_cavity
+        fr = np.sort(X[:, 3 * L :], axis=1)[:, ::-1]
+        radii[:, 1:-1] = self.r_cavity + (self.r_outer - self.r_cavity) * fr
+        return radii, mat
+
     def _values(self, w) -> list:
         """F of each W stack in w, shape (B, len(omega_set), N+1, 2, 2).
 
@@ -414,23 +488,13 @@ class _CoatObjective:
         terms = (_power(w, self.cols) / self.scales).reshape(len(w), self.scales.size)
         return [sum(t) for t in terms.tolist()]
 
-    def _one(self, x) -> float:
-        """F(x) of one in-box point through layered_esc."""
-        try:
-            w = _w_stack(self.structure(x), self.omega_set, self.N)
-        except (ResonanceError, DomainError):
-            return PENALTY
-        return self._values(w[None])[0]
-
     def __call__(self, X) -> list:
         """F at each row of X, shape (B, dim): B Python floats.
 
-        A row outside the box, with a collapsed interface or that the
-        resonance guard rejects gets PENALTY.  The other rows' W stacks
-        come from one array build (_w_batch), equal to layered_esc's.
-        A lone row, an exactly singular pivot in a stacked inverse or a
-        non-finite W sends the rows concerned through layered_esc one at
-        a time: for one coat that path is the faster.
+        A row outside the box, with a collapsed interface, that the
+        resonance guard rejects at some (w, n) or with a non-finite W gets
+        PENALTY.  The W stacks of the other rows come from one _w_table
+        call, entry for entry equal to layered_esc's.
         """
         L = self.L
         edges = np.zeros((len(X), 1)), X[:, 3 * L :], np.ones((len(X), 1))
@@ -442,83 +506,13 @@ class _CoatObjective:
             & (np.min(np.diff(fr, axis=1), axis=1) >= 1e-3)
         )
         values = [PENALTY] * len(X)
-        batch = None
-        if len(rows) > 1:
-            try:
-                batch = self._w_batch(X[rows])
-            except np.linalg.LinAlgError:
-                pass
-        if batch is None:
-            for b in rows:
-                values[b] = self._one(X[b])
-            return values
-        w, passed = batch
-        finite = np.isfinite(w).all(axis=(1, 2, 3, 4))
-        sums = self._values(w)
-        for i, b in enumerate(rows):
-            if passed[i]:
-                values[b] = sums[i] if finite[i] else self._one(X[b])
+        if len(rows):
+            w, passed = _w_table(*self._coats(X[rows]), False, self.omega_set, self.N)
+            good = passed.all(axis=(1, 2)) & np.isfinite(w).all(axis=(1, 2, 3, 4))
+            for b, ok, value in zip(rows.tolist(), good.tolist(), self._values(w)):
+                if ok:
+                    values[b] = value
         return values
-
-    def _w_batch(self, X):
-        """W_n(w) of the coats at the rows of X, shape (B, len(omega_set), N+1, 2, 2).
-
-        Also returns which rows passed the resonance guard.  Matrix i of a
-        coat is M_(n, ann[i]) at radius ring[i], as in _interface_chain:
-        M_j(r_j) for j = 1..L, then M_(j-1)(r_j), then M_L(r_(L+1)).
-        """
-        B, L, ext = len(X), self.L, self.exterior
-        mat = np.empty((B, L + 1, 3))
-        mat[:, 0] = ext.lam, ext.mu, ext.rho
-        for j in range(L):
-            mat[:, j + 1] = np.exp(X[:, 3 * j : 3 * j + 3])
-        lam, mu, rho = mat[..., 0], mat[..., 1], mat[..., 2]
-        c_p, c_s = np.sqrt((lam + 2.0 * mu) / rho), np.sqrt(mu / rho)
-        radii = np.empty((B, L + 1))
-        radii[:, 0], radii[:, -1] = self.r_outer, self.r_cavity
-        fr = np.sort(X[:, 3 * L :], axis=1)[:, ::-1]
-        radii[:, 1:-1] = self.r_cavity + (self.r_outer - self.r_cavity) * fr
-        ann = [*range(1, L + 1), *range(L), L]
-        ring = [*range(L), *range(L), L]
-        lam, mu, c_p, c_s, r = lam[:, ann], mu[:, ann], c_p[:, ann], c_s[:, ann], radii[:, ring]
-        passed = np.ones(B, dtype=bool)
-        w = np.empty((B, len(self.omega_set), self.N + 1, 2, 2), dtype=complex)
-        # as in layered_esc: an overflow on the way ends in a non-finite
-        # matrix, which the guard or the caller's finiteness check rejects
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i, omega in enumerate(self.omega_set):
-                t_p, t_s = r * (omega / c_p), r * (omega / c_s)
-                rho_w2 = ext.rho * omega * omega
-                for n in range(self.N + 1):
-                    m = _coat_matrices(n, t_p, t_s, lam, mu)
-                    inv = np.linalg.inv(m[:, :L])
-                    passed &= _guard_rows(m[:, :L], inv)
-                    prop = np.eye(4, dtype=complex)
-                    for j in range(L):
-                        prop = inv[:, j] @ m[:, L + j] @ prop
-                    chain = m[:, 2 * L] @ prop
-                    q22 = chain[:, None, 2:, 2:]
-                    q22_inv = np.linalg.inv(q22)
-                    passed &= _guard_rows(q22, q22_inv)
-                    w[:, i, n] = ESC_SCALE * rho_w2 * (-q22_inv[:, 0] @ chain[:, 2:, :2])
-        return w, passed
-
-
-def _guard_rows(m: np.ndarray, inv: np.ndarray) -> np.ndarray:
-    """Whether each structure's stack m[b] (B, count, k, k) passes the resonance guard.
-
-    The per-structure verdict of _inv_guarded: a stack the 1-norm bound
-    does not clear goes through _check_singular.
-    """
-    passed = _cond1_clears(m, inv).all(axis=1)
-    for b in np.flatnonzero(~passed):
-        try:
-            for mi in m[b]:
-                _check_singular(mi, "")
-        except ResonanceError:
-            continue
-        passed[b] = True
-    return passed
 
 
 def _nelder_mead(x0, maxiter: int):
@@ -888,11 +882,11 @@ def scaling_report(
     slopes are reported with the residual of the fit).
     """
     eps = np.asarray(sorted(epsilon_grid), dtype=float)
+    table = _w_stack(structure, eps * omega_ref, n_max)
     out = {"epsilon": eps.tolist(), "orders": {}}
     for n in range(n_max + 1):
-        norms = np.array(
-            [np.linalg.norm(layered_esc(structure, e * omega_ref, n)) for e in eps]
-        )
+        # the Frobenius norm of each 2x2 W_n, one at a time
+        norms = np.array([np.linalg.norm(w) for w in table[:, n]])
         mask = norms > 0
         le, ln = np.log(eps[mask]), np.log(norms[mask])
         a = np.polyfit(le, ln, 1)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import escat
+from escat import cli
 from escat.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -232,6 +233,67 @@ class TestCloak:
         assert 0 <= diagnostics["penalty_hits"] <= rep["n_evaluations"]
         assert diagnostics["polish_evaluations"] > 0
         assert sum(diagnostics["polish_stage_evaluations"]) == diagnostics["polish_evaluations"]
+
+    DESIGN = {
+        "schema_version": "1",
+        "exterior": {"lam": 2.0, "mu": 1.0, "rho": 1.0},
+        "n_layers": 1,
+        "order": 0,
+        "kappa_s_set": [0.1],
+        "bounds": {"lam": [0.5, 4.0], "mu": [0.5, 2.0], "rho": [0.5, 2.0]},
+        "n_starts": 1,
+        "seed": 1,
+    }
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ({"bounds": {"lam": [4.0, 0.5], "mu": [0.5, 2.0], "rho": [0.5, 2.0]}},
+             "bounds for lam must satisfy 0 < lo < hi"),
+            ({"r_outer": 1.0}, "need 0 < r_cavity < r_outer, got r_cavity=1.0, r_outer=1.0"),
+        ],
+        ids=["bounds", "radii"],
+    )
+    def test_design_values_rejected_exit_2(self, tmp_path, capsys, change, message):
+        cfg = write(tmp_path, "design.json", {**self.DESIGN, **change})
+        rc = main(["cloak", "design", "--config", cfg, "--out", str(tmp_path / "d.json")])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err)["error"] == {"type": "config", "message": message}
+
+    def test_design_tables_keep_close_frequencies(self, tmp_path, monkeypatch):
+        design = cli.design_svanishing
+        # a short Nelder-Mead run: only the keys are under test
+        monkeypatch.setattr(cli, "design_svanishing", lambda **kwargs: design(**kwargs, maxiter=20))
+        cfg = write(tmp_path, "design.json", {**self.DESIGN, "kappa_s_set": [0.1, 0.1000001]})
+        out = tmp_path / "d.json"
+        assert main(["cloak", "design", "--config", cfg, "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        keys = ["0.1|n=0", "0.1000001|n=0"]
+        assert list(rep["w_table"]) == keys and list(rep["bare_w_table"]) == keys
+        assert rep["w_table"][keys[0]] != rep["w_table"][keys[1]]
+
+    def test_scaling_of_a_solid_core(self, tmp_path):
+        structure = {
+            "radii": [2.0, 1.0],
+            "layers": [{"lam": 1.0, "mu": 3.0, "rho": 2.0}],
+            "exterior": {"lam": 2.0, "mu": 1.0, "rho": 1.0},
+            "inner": {"lam": 4.0, "mu": 2.0, "rho": 2.0},
+        }
+        doc = {
+            "schema_version": "1",
+            "structure": structure,
+            "omega_ref": 1.3,
+            "n_max": 2,
+            "epsilon_grid": [0.02, 0.1, 0.5],
+        }
+        cfg = write(tmp_path, "scaling.json", doc)
+        out = tmp_path / "scaling_out.json"
+        assert main(["cloak", "scaling", "--config", cfg, "--out", str(out)]) == 0
+        orders = json.loads(out.read_text())["scaling"]["orders"]
+        s = escat.LayeredStructure.from_dict(structure)
+        for n in range(3):
+            want = [float(np.linalg.norm(escat.layered_esc(s, e * 1.3, n))) for e in (0.02, 0.1, 0.5)]
+            assert orders[str(n)]["norms"] == want
 
     def test_scaling_emits_exponents(self, tmp_path):
         doc = {

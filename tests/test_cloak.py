@@ -14,9 +14,13 @@ from escat import cloak
 from escat.cloak import (
     COND_GUARD,
     LayeredStructure,
-    _interface_chain,
-    _inv_guarded,
+    _chain_layout,
+    _check_singular,
+    _guard_rows,
     _layer_matrices,
+    _nan_singular,
+    _w_of,
+    _w_stack,
     analytic_disk_esc,
     design_svanishing,
     layered_esc,
@@ -38,6 +42,16 @@ BOUNDS = {"lam": (0.2, 20.0), "mu": (0.1, 10.0), "rho": (0.1, 10.0)}
 
 def bare_cavity(exterior, r=1.0):
     return LayeredStructure(radii=(r,), layers=(), exterior=exterior, inner="cavity")
+
+
+def entry_of(s, omega, n):
+    """The interface matrices of s at (omega, n) as layered_esc builds them, then _w_of's W, verdict and chain."""
+    core = s.inner != "cavity"
+    ann, ring = _chain_layout(s.n_layers, core)
+    mats = [s.exterior, *s.layers, s.inner]
+    m = _layer_matrices(n, [s.radii[i] for i in ring], [mats[a] for a in ann], omega)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (m, *_w_of(m, s.n_layers, core, s.exterior.rho * omega * omega))
 
 
 class TestLayeredStructure:
@@ -145,8 +159,9 @@ class TestLayerMatrixStack:
 
     @pytest.mark.parametrize("inner", ["cavity", "core"])
     def test_chain_equals_per_matrix_product(self, exterior, interior, inner):
-        # the stacked build and batched inverse reproduce the product of
-        # per-matrix builds and inverses bit for bit
+        # the stacked build and batched inverse of _w_of reproduce the
+        # product of per-matrix builds and inverses bit for bit, and W is
+        # layered_esc's
         core = Material(1.0, 0.6, 1.5)
         s = LayeredStructure(
             radii=(2.0, 1.6, 1.3, 1.0),
@@ -155,7 +170,7 @@ class TestLayerMatrixStack:
             inner="cavity" if inner == "cavity" else core,
         )
         for n in (-2, 0, 3):
-            chain, m_core = _interface_chain(s, OMEGA, n)
+            m, w, passed, chain = entry_of(s, OMEGA, n)
             prop = np.eye(4, dtype=complex)
             for j in range(1, 4):
                 r = s.radii[j - 1]
@@ -164,10 +179,12 @@ class TestLayerMatrixStack:
                 prop = np.linalg.inv(mj) @ mjm1 @ prop
             m_out = _layer_matrices(n, [1.0], [s.layers[-1]], OMEGA)[0]
             assert np.array_equal(chain, m_out @ prop)
+            assert passed and np.array_equal(w, layered_esc(s, OMEGA, n))
             if inner == "cavity":
-                assert m_core is None
+                assert len(m) == 7
             else:
-                assert np.array_equal(m_core, _layer_matrices(n, [1.0], [core], OMEGA)[0])
+                assert len(m) == 8
+                assert np.array_equal(m[-1], _layer_matrices(n, [1.0], [core], OMEGA)[0])
 
 
 def svd_rejects(m):
@@ -190,13 +207,17 @@ def random_complex(rng, shape):
 class TestResonanceGuard:
     @staticmethod
     def check_one(m):
-        """The guard on a one-matrix stack agrees with svd_rejects and inv."""
-        try:
-            inv = _inv_guarded(m[None], ["M"])
-        except ResonanceError:
+        """The guard on a one-matrix stack agrees with svd_rejects, inv and _check_singular."""
+        inv = _nan_singular(np.linalg.inv, m[None])
+        passed = _guard_rows(m[None, None], inv[None])
+        assert passed.shape == (1,)
+        if not passed[0]:
             assert svd_rejects(m)
+            with pytest.raises(ResonanceError, match="M is numerically singular"):
+                _check_singular(m, "M")
             return True
         assert not svd_rejects(m)
+        _check_singular(m, "M")
         assert np.array_equal(inv[0], np.linalg.inv(m))
         return False
 
@@ -208,7 +229,10 @@ class TestResonanceGuard:
             m *= 10.0 ** rng.uniform(-12, 12, (3, k, 1))
             m *= 10.0 ** rng.uniform(-12, 12, (3, 1, k))
             assert not any(svd_rejects(mi) for mi in m)
-            inv = _inv_guarded(m, ["a", "b", "c"])
+            inv = _nan_singular(np.linalg.inv, m)
+            # one stack of three, and three entries of one
+            assert _guard_rows(m[None], inv[None]).tolist() == [True]
+            assert _guard_rows(m[:, None], inv[:, None]).tolist() == [True] * 3
             for mi, xi in zip(m, inv):
                 assert np.array_equal(xi, np.linalg.inv(mi))
 
@@ -240,9 +264,16 @@ class TestResonanceGuard:
         zero_col = random_complex(rng, (k, k))
         zero_col[:, 0] = 0
         with pytest.raises(ResonanceError, match="b has a zero row"):
-            _inv_guarded(np.stack([good, zero_row]), ["a", "b"])
+            _check_singular(zero_row, "b")
         with pytest.raises(ResonanceError, match="b has a zero column"):
-            _inv_guarded(np.stack([good, zero_col]), ["a", "b"])
+            _check_singular(zero_col, "b")
+        # LAPACK finds both exactly singular: NaN inverses, which the
+        # guard rejects, and the batch keeps the other entry's inverse
+        entries = np.stack([good, zero_row, zero_col])[:, None]
+        inv = _nan_singular(np.linalg.inv, entries)
+        assert np.isnan(inv[1:]).all() and np.array_equal(inv[0, 0], np.linalg.inv(good))
+        with np.errstate(invalid="ignore"):
+            assert _guard_rows(entries, inv).tolist() == [True, False, False]
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_matrix_raises(self, bad):
@@ -251,7 +282,11 @@ class TestResonanceGuard:
         m[2, 1] = bad
         with pytest.raises(ResonanceError, match="b is not finite after equilibration"):
             with np.errstate(invalid="ignore"):
-                _inv_guarded(np.stack([good, m]), ["a", "b"])
+                _check_singular(m, "b")
+        entries = np.stack([good, m])[:, None]
+        with np.errstate(invalid="ignore"):
+            passed = _guard_rows(entries, _nan_singular(np.linalg.inv, entries))
+        assert passed.tolist() == [True, False]
 
     def test_first_singular_matrix_is_named(self):
         rng = np.random.default_rng(8)
@@ -259,14 +294,38 @@ class TestResonanceGuard:
         singular = (u * np.array([1.0, 1.0, 1.0, 1e-15])) @ u.conj().T
         good = random_complex(rng, (4, 4))
         with pytest.raises(ResonanceError, match=r"b is numerically singular \(equilibrated cond"):
-            _inv_guarded(np.stack([good, singular, singular]), ["a", "b", "c"])
+            _check_singular(singular, "b")
+        stack = np.stack([good, singular, singular])
+        assert not _guard_rows(stack, _nan_singular(np.linalg.inv, stack))
+
+    def test_layered_esc_names_the_first_rejected_layer_matrix(self, exterior, monkeypatch):
+        # layer matrices j = 2 and 3 of a three-layer coat made singular
+        rng = np.random.default_rng(8)
+        u, _ = np.linalg.qr(random_complex(rng, (4, 4)))
+        singular = (u * np.array([1.0, 1.0, 1.0, 1e-15])) @ u.conj().T
+        layer_matrices = cloak._layer_matrices
+
+        def with_singular_layers(*args):
+            m = layer_matrices(*args)
+            m[1:3] = singular
+            return m
+
+        s = LayeredStructure(
+            radii=(2.0, 1.6, 1.3, 1.0), layers=(exterior,) * 3, exterior=exterior
+        )
+        monkeypatch.setattr(cloak, "_layer_matrices", with_singular_layers)
+        with pytest.raises(ResonanceError) as err:
+            layered_esc(s, OMEGA, 1)
+        assert str(err.value).startswith(
+            "layer matrix M_(n=1,j=2) is numerically singular (equilibrated cond"
+        )
 
 
 class TestPropagateQ:
     # the traction rows (Q21 | Q22) of the interface chain, which
     # layered_esc solves for the cavity's scattered coefficients
     def test_bare_cavity_is_boundary_matrix(self, exterior):
-        q = _interface_chain(bare_cavity(exterior), OMEGA, 1)[0][2:]
+        q = entry_of(bare_cavity(exterior), OMEGA, 1)[3][2:]
         m = _layer_matrices(1, [1.0], [exterior], OMEGA)[0]
         assert_allclose(q, m[2:, :], rtol=1e-14)
 
@@ -280,11 +339,9 @@ class TestPropagateQ:
             )
             r2 = rng.uniform(1.05, 1.95)
             s = LayeredStructure(radii=(2.0, r2, 1.0), layers=mats, exterior=exterior)
-            try:
-                q = _interface_chain(s, rng.uniform(0.05, 2.0), rng.integers(0, 4))[0][2:]
-                if not np.isfinite(q).all() or abs(np.linalg.det(q[:, 2:])) == 0.0:
-                    failures += 1
-            except ResonanceError:
+            _, _, passed, chain = entry_of(s, rng.uniform(0.05, 2.0), rng.integers(0, 4))
+            q = chain[2:]
+            if not passed or not np.isfinite(q).all() or abs(np.linalg.det(q[:, 2:])) == 0.0:
                 failures += 1
         assert failures == 0
 
@@ -296,8 +353,8 @@ class TestPropagateQ:
             radii=(2.0, 1.5, 1.0), layers=(interior, interior), exterior=exterior
         )
         for n in (0, 2):
-            q1 = _interface_chain(s1, OMEGA, n)[0][2:]
-            q2 = _interface_chain(s2, OMEGA, n)[0][2:]
+            q1 = entry_of(s1, OMEGA, n)[3][2:]
+            q2 = entry_of(s2, OMEGA, n)[3][2:]
             assert np.abs(q1 - q2).max() < 1e-12 * np.abs(q1).max()
 
 
@@ -363,6 +420,61 @@ class TestLayeredEsc:
         ss = [abs(layered_esc(s, e, 0)[1, 1]) for e in eps]
         assert abs(np.polyfit(np.log(eps), np.log(pp), 1)[0] - 4.0) < 0.1
         assert abs(np.polyfit(np.log(eps), np.log(ss), 1)[0] - 6.0) < 0.1
+
+
+def random_structure(rng, exterior, L, core):
+    """L coats of random materials from radius 2 to 1 around a cavity or a random core."""
+    def material():
+        return Material(*np.exp(rng.uniform(np.log(0.2), np.log(5.0), 3)))
+
+    inner = np.sort(rng.uniform(1.05, 1.95, L - 1))[::-1] if L else ()
+    return LayeredStructure(
+        radii=(2.0, *inner, 1.0) if L else (1.0,),
+        layers=tuple(material() for _ in range(L)),
+        exterior=exterior,
+        inner=material() if core else "cavity",
+    )
+
+
+class TestWTable:
+    @pytest.mark.parametrize("core", [False, True])
+    @pytest.mark.parametrize("L", [0, 1, 2, 3])
+    def test_w_stack_is_layered_esc(self, exterior, L, core):
+        # the table and the per-entry path share _w_of: equal bit for bit
+        rng = np.random.default_rng(10 * L + core)
+        freqs = [0.01, 0.3, 1.1, 4.0]
+        for _ in range(3):
+            s = random_structure(rng, exterior, L, core)
+            table = _w_stack(s, freqs, 5)
+            assert table.shape == (4, 6, 2, 2)
+            for i, omega in enumerate(freqs):
+                for n in range(6):
+                    assert np.array_equal(table[i, n], layered_esc(s, omega, n))
+
+    def test_rejected_entry_names_omega_and_order(self, exterior):
+        s = LayeredStructure(
+            radii=(2.0, 1.5, 1.0),
+            layers=(Material(3.0, 0.5, 2.0), Material(1.0, 2.0, 0.7)),
+            exterior=exterior,
+        )
+        first = 0
+        while True:
+            try:
+                layered_esc(s, 3e-4, first)
+            except ResonanceError:
+                break
+            first += 1
+        assert first <= 30
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ResonanceError) as err:
+                _w_stack(s, [0.5, 3e-4], 30)
+        assert str(err.value).startswith(f"W_(n={first}) at omega=0.0003 is ")
+
+    @pytest.mark.parametrize("omega", [0.0, -0.1])
+    def test_nonpositive_omega_rejected(self, exterior, omega):
+        with pytest.raises(DomainError):
+            _w_stack(bare_cavity(exterior), [0.5, omega], 1)
 
 
 @pytest.fixture(scope="module")
@@ -522,20 +634,22 @@ BAND_OMEGAS = (0.2, 0.3)
 def band_design(exterior):
     """A P-mask design at N=1 on two frequencies.
 
-    Returns the report, the (omega, n) of every bare-cavity layered_esc
-    call and the frequencies of every _w_stack call on a coated structure.
+    Returns the report, the (omega, n) of every bare-cavity _w_stack
+    entry, the frequencies of every _w_stack call on a coated structure
+    and the number of layered_esc calls.
     """
-    bare_calls, coated_freqs = [], []
+    bare_calls, coated_freqs, esc_calls = [], [], []
     w_stack = cloak._w_stack
 
     def counted_esc(structure, omega, n):
-        if structure.n_layers == 0:
-            bare_calls.append((omega, n))
+        esc_calls.append((omega, n))
         return layered_esc(structure, omega, n)
 
     def counted_stack(structure, freqs, N):
         if structure.n_layers > 0:
             coated_freqs.append(list(freqs))
+        else:
+            bare_calls.extend((w, n) for w in freqs for n in range(N + 1))
         return w_stack(structure, freqs, N)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -552,7 +666,7 @@ def band_design(exterior):
             maxiter=200,
             mode_mask="P",
         )
-    return rep, bare_calls, coated_freqs
+    return rep, bare_calls, coated_freqs, len(esc_calls)
 
 
 class TestBandDesign:
@@ -585,10 +699,14 @@ class TestBandDesign:
         freqs = [*BAND_OMEGAS, w0 / 100.0, w0 / 1000.0]
         assert sorted(bare_calls) == sorted((w, n) for w in freqs for n in (0, 1))
 
+    def test_design_reads_w_tables_only(self, band_design):
+        # the objective, the polish, the report and the bare cavity
+        assert band_design[3] == 0
+
     def test_polish_evaluations_count_the_polish_structures(self, band_design):
         # the objective and the report evaluate the working band only; the
         # polish evaluates the working band with the probes, then the probes
-        rep, _, coated_freqs = band_design
+        rep, _, coated_freqs, _ = band_design
         polish = [f for f in coated_freqs if f != list(BAND_OMEGAS)]
         probes = [min(BAND_OMEGAS) / 100.0, min(BAND_OMEGAS) / 1000.0]
         stages = [polish.count([*BAND_OMEGAS, *probes]), polish.count(probes)]
@@ -739,12 +857,16 @@ def reference_value(objective, x):
 OVERFLOW_X = np.array([*np.log([3.0, 0.5, 2.0, 1.0, 2.0, 0.7]), 0.5])
 
 
+def no_scalar_path(*args):
+    raise AssertionError("a row left the table path")
+
+
 class TestBatchedObjective:
     @pytest.mark.parametrize(
         "L,N,omegas,cols",
         [(2, 0, [0.1], slice(None)), (1, 1, [0.2, 0.3], slice(0, 1)), (3, 2, [0.5], slice(1, 2))],
     )
-    def test_rows_equal_layered_esc(self, exterior, L, N, omegas, cols):
+    def test_rows_equal_layered_esc(self, exterior, monkeypatch, L, N, omegas, cols):
         objective = coat_objective(exterior, L, N, omegas, cols)
         lo, hi = objective.lo_vec, objective.hi_vec
         rng = np.random.default_rng(L)
@@ -757,9 +879,11 @@ class TestBatchedObjective:
         assert cloak.PENALTY in want[:10] and cloak.PENALTY not in want[15:]
         if L > 2:
             assert want[10:15] == [cloak.PENALTY] * 5
+        monkeypatch.setattr(cloak, "layered_esc", no_scalar_path)
+        monkeypatch.setattr(cloak, "_w_stack", no_scalar_path)
         got = [v for b in range(0, len(x), 8) for v in objective(x[b : b + 8])]
         assert got == want
-        # a lone row takes layered_esc
+        # a lone row stays on the table path too
         assert [objective(x[i : i + 1])[0] for i in range(15, 20)] == want[15:20]
 
     def test_resonant_row_takes_the_guard(self, exterior, monkeypatch):
@@ -774,11 +898,9 @@ class TestBatchedObjective:
             checked.append(np.isfinite(m).all())
             check_singular(m, what)
 
-        def no_scalar_path(*args):
-            raise AssertionError("a row went through layered_esc")
-
         monkeypatch.setattr(cloak, "_check_singular", spy)
         monkeypatch.setattr(cloak, "_w_stack", no_scalar_path)
+        monkeypatch.setattr(cloak, "layered_esc", no_scalar_path)
         got = objective(x)
         assert got[3] == cloak.PENALTY and checked and not all(checked)
         monkeypatch.undo()
@@ -792,11 +914,15 @@ class TestBatchedObjective:
         inv = np.linalg.inv
 
         def singular_batch(m):
-            if m.ndim == 4:
+            if m.ndim > 2:
                 raise np.linalg.LinAlgError("Singular matrix")
             return inv(m)
 
+        # the table inverts one matrix at a time instead, and no row
+        # leaves the table path
         monkeypatch.setattr(np.linalg, "inv", singular_batch)
+        monkeypatch.setattr(cloak, "_w_stack", no_scalar_path)
+        monkeypatch.setattr(cloak, "layered_esc", no_scalar_path)
         assert objective(x) == want
 
 
@@ -841,6 +967,16 @@ class TestScalingReport:
         rep = scaling_report(s, OMEGA, 1, [0.5, 1.0])
         want = np.linalg.norm(layered_esc(s, OMEGA, 0))
         assert abs(rep["orders"][0]["norms"][-1] - want) < 1e-14 * want
+
+    def test_solid_core_norms_are_per_entry(self, exterior, interior):
+        s = LayeredStructure(
+            radii=(2.0, 1.0), layers=(Material(1.0, 3.0, 2.0),), exterior=exterior, inner=interior
+        )
+        eps = [0.5, 0.1, 0.02]
+        rep = scaling_report(s, 1.3, 3, eps)
+        for n in range(4):
+            want = [np.linalg.norm(layered_esc(s, e * 1.3, n)) for e in sorted(eps)]
+            assert rep["orders"][n]["norms"] == want
 
     def test_designed_structure_gains_two_orders(self, design_report, exterior):
         eps = np.geomspace(1e-3, 1e-2, 8)
