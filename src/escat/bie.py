@@ -55,10 +55,11 @@ of the same code, with the identity basis and all rows.
 The two eigenblocks are independent, so when the OpenBLAS that
 scipy.linalg calls runs one thread, each block's LU and condition
 estimate run in a thread of its own, and the two LUs take about the
-time of one on two CPUs.  A multithreaded
-BLAS already keeps the CPUs busy (threads on top of it measured slower),
-so then, as for a one-block grid or a BLAS that cannot be queried, the
-blocks run in turn on the calling thread.  The threads only call LAPACK
+time of one on two CPUs (n=512: 0.076-0.087 s, against 0.133-0.153 s in
+turn).  A multithreaded BLAS already keeps the CPUs busy (two BLAS
+threads: 0.120-0.135 s in threads, 0.086-0.095 s in turn), so then, as
+for a one-block grid or a BLAS that cannot be queried, the blocks run in
+turn on the calling thread.  The threads only call LAPACK
 on arrays the calling thread allocated and checked for finiteness:
 glibc gives each thread its own malloc arena, and array temporaries
 freed in a thread's arena raised the peak memory of repeated solves.
@@ -215,14 +216,6 @@ def _even_circulant(row: np.ndarray, n: int, rows: int | None = None) -> np.ndar
     """Exactly symmetric matrix row[min(k, n - k)], k = (i - j) mod n, first rows rows."""
     idx = _offsets(n, rows)
     return row[np.minimum(idx, n - idx)]
-
-
-def log_weights(n: int) -> np.ndarray:
-    """Weights R_ij for int_0^2pi ln(4 sin^2((t_i - s)/2)) f(s) ds.
-
-    Exact for trigonometric polynomials up to degree n/2.
-    """
-    return _even_circulant(_log_row(n), n)
 
 
 def cot_weights(n: int, rows: int | None = None) -> np.ndarray:

@@ -30,7 +30,7 @@ import sys
 import numpy as np
 
 from . import config as cfgmod
-from .cloak import LayeredStructure, design_svanishing, layered_esc, scaling_report
+from .cloak import LayeredStructure, _w_stack, design_svanishing, scaling_report
 from .curves import curve_from_dict
 from .errors import ConfigError, DomainError, EscatError, ResonanceError
 from .esc import compute_esc, decay_profile, verify_optical, verify_symmetries
@@ -236,10 +236,9 @@ def cmd_cloak_design(args) -> int:
 def cmd_cloak_evaluate(args) -> int:
     doc = cfgmod.load_config(args.config, cfgmod.EVALUATE_SCHEMA)
     structure = _structure_from(doc["structure"])
-    table = {
-        str(n): layered_esc(structure, doc["omega"], n).tolist()
-        for n in range(doc["n_max"] + 1)
-    }
+    # one table over the orders; a resonance names its (omega, n)
+    w = _w_stack(structure, [doc["omega"]], doc["n_max"])[0]
+    table = {str(n): w_n.tolist() for n, w_n in enumerate(w)}
     cfgmod.atomic_write_json(
         args.out,
         {"config_hash": cfgmod.config_hash(doc), "omega": doc["omega"], "w_table": table},

@@ -25,12 +25,13 @@ clear a matrix; a matrix that overflowed to inf or NaN, or that LAPACK
 finds exactly singular, is a resonance too.  Only the builder of the
 matrices depends on the size: layered_esc forms one entry's on Python
 scalars (_layer_matrices), a table (_w_table) all entries' as arrays.
+One k=2 entry took 34-39 us on scalars and 88-125 us as arrays (2 CPUs).
 
-The design's Nelder-Mead starts run lock-stepped in one process: each
-round evaluates the pending point of every running start in one batched
-objective call, which builds all those coats' interface matrices as
-arrays.  Every start visits the points, and returns the result, that
-scipy's Nelder-Mead would, bit for bit.
+The design turns points into W only through _CoatObjective.w, one
+_w_table call per batch.  The Nelder-Mead starts run lock-stepped: each
+round evaluates the pending point of every running start in one call,
+and every start visits the points, and returns the result, that scipy's
+Nelder-Mead would, bit for bit.  A stage-1 polish Jacobian is one call.
 """
 
 from __future__ import annotations
@@ -91,10 +92,6 @@ class LayeredStructure:
     @property
     def n_layers(self) -> int:
         return len(self.layers)
-
-    def material_of_annulus(self, j: int) -> Material:
-        """Material of A_j, j = 0 (exterior) .. L (innermost coat)."""
-        return self.exterior if j == 0 else self.layers[j - 1]
 
     def to_dict(self) -> dict:
         return {
@@ -392,12 +389,12 @@ class DesignReport:
     start_evaluations: list = field(default_factory=list)
     # evaluations that returned the rejection value PENALTY
     penalty_hits: int = 0
-    # structure evaluations of polish stages 0 and 1, not in n_evaluations
+    # points evaluated by polish stages 0 and 1, not in n_evaluations
     polish_stage_evaluations: list = field(default_factory=lambda: [0, 0])
 
     @property
     def polish_evaluations(self) -> int:
-        """Structure evaluations of both polish stages."""
+        """Points evaluated by both polish stages."""
         return sum(self.polish_stage_evaluations)
 
 
@@ -455,21 +452,12 @@ class _CoatObjective:
     r_cavity: float
 
     def structure(self, x) -> LayeredStructure:
-        L, r_outer, r_cavity = self.L, self.r_outer, self.r_cavity
-        mats = []
-        for j in range(L):
-            lam, mu, rho = np.exp(x[3 * j : 3 * j + 3])
-            mats.append(Material(lam, mu, rho))
-        # interior interface radii strictly between r_outer and r_cavity,
-        # ordered by construction from sorted fractions
-        fr = np.sort(x[3 * L :])[::-1]
-        radii = (r_outer, *(r_cavity + (r_outer - r_cavity) * fr), r_cavity)
-        return LayeredStructure(
-            radii=radii, layers=tuple(mats), exterior=self.exterior, inner="cavity"
-        )
+        radii, mat = self._coats(np.asarray(x)[None])
+        layers = tuple(Material(*m) for m in mat[0, 1:].tolist())
+        return LayeredStructure(tuple(radii[0].tolist()), layers, self.exterior)
 
     def _coats(self, X):
-        """The _w_table radii (B, L+1) and materials (B, L+1, 3) of the rows of X, as structure()."""
+        """The _w_table radii (B, L+1) and materials (B, L+1, 3) of the rows of X."""
         B, L, ext = len(X), self.L, self.exterior
         mat = np.empty((B, L + 1, 3))
         mat[:, 0] = ext.lam, ext.mu, ext.rho
@@ -488,13 +476,24 @@ class _CoatObjective:
         terms = (_power(w, self.cols) / self.scales).reshape(len(w), self.scales.size)
         return [sum(t) for t in terms.tolist()]
 
+    def w(self, X, freqs):
+        """W_n(w) of the rows of X, shape (B, len(freqs), N+1, 2, 2), from one _w_table call.
+
+        Also returns per row whether it is usable: the guard passes every W,
+        all are finite, and the radii strictly decrease.
+        """
+        radii, mat = self._coats(X)
+        w, passed = _w_table(radii, mat, False, freqs, self.N)
+        usable = passed.all(axis=(1, 2)) & np.isfinite(w).all(axis=(1, 2, 3, 4))
+        return w, usable & (np.diff(radii, axis=1) < 0).all(axis=1)
+
     def __call__(self, X) -> list:
         """F at each row of X, shape (B, dim): B Python floats.
 
         A row outside the box, with a collapsed interface, that the
         resonance guard rejects at some (w, n) or with a non-finite W gets
-        PENALTY.  The W stacks of the other rows come from one _w_table
-        call, entry for entry equal to layered_esc's.
+        PENALTY.  The W stacks of the other rows come from one call
+        self.w, entry for entry equal to layered_esc's.
         """
         L = self.L
         edges = np.zeros((len(X), 1)), X[:, 3 * L :], np.ones((len(X), 1))
@@ -507,9 +506,8 @@ class _CoatObjective:
         )
         values = [PENALTY] * len(X)
         if len(rows):
-            w, passed = _w_table(*self._coats(X[rows]), False, self.omega_set, self.N)
-            good = passed.all(axis=(1, 2)) & np.isfinite(w).all(axis=(1, 2, 3, 4))
-            for b, ok, value in zip(rows.tolist(), good.tolist(), self._values(w)):
+            w, usable = self.w(X[rows], self.omega_set)
+            for b, ok, value in zip(rows.tolist(), usable.tolist(), self._values(w)):
                 if ok:
                     values[b] = value
         return values
@@ -742,28 +740,29 @@ def _polish_design(x0, objective, bare, probes):
     is least squares with each W_n normalized by its largest bare entry;
     stage 1 zeroes the real part of each diagonal probe entry, normalized
     by its bare magnitude, by a square Newton iteration.  Returns the
-    refined x and the numbers of structures stages 0 and 1 evaluated.
+    refined x and the numbers of points, clipped to the box and evaluated
+    by objective.w, of stages 0 and 1.
     """
     from scipy import optimize as sopt
 
-    N, cols = objective.N, objective.cols
+    cols = objective.cols
     lo_vec, hi_vec = objective.lo_vec, objective.hi_vec
     freqs = objective.omega_set + probes
     bare_abs = np.abs(bare)
     norms = np.maximum(bare_abs.max(axis=(-2, -1)), 1e-300)[..., None, None]
     evaluations = 0
 
-    def w_stack(x, at):
+    def w_of(X, at):
         nonlocal evaluations
-        evaluations += 1
-        return _w_stack(objective.structure(np.clip(x, lo_vec, hi_vec)), at, N)
+        evaluations += len(X)
+        return objective.w(np.clip(X, lo_vec, hi_vec), at)
 
     def residuals(x):
         # per (w, n): the real, then the imaginary parts of the entries
-        try:
-            z = (w_stack(x, freqs) / norms)[..., cols].reshape(*bare.shape[:2], -1)
-        except (ResonanceError, DomainError):
+        w, usable = w_of(x[None], freqs)
+        if not usable[0]:
             return np.full(2 * bare[..., cols].size, 1e6)
+        z = (w[0] / norms)[..., cols].reshape(*bare.shape[:2], -1)
         return np.concatenate([z.real, z.imag], axis=-1).ravel()
 
     x = np.clip(x0, lo_vec + 1e-9, hi_vec - 1e-9)
@@ -779,7 +778,7 @@ def _polish_design(x0, objective, bare, probes):
             diff_step=1e-7,
             max_nfev=6000,
         )
-    except (ValueError, np.linalg.LinAlgError, ResonanceError, DomainError) as exc:
+    except (ValueError, np.linalg.LinAlgError) as exc:
         logger.warning("design polish stage 0 failed (%s); keeping Nelder-Mead result", exc)
     else:
         before = np.sum(residuals(x) ** 2)
@@ -794,47 +793,36 @@ def _polish_design(x0, objective, bare, probes):
     bare_diag = np.diagonal(bare_abs[len(objective.omega_set) :], axis1=-2, axis2=-1)
     diag = np.maximum(bare_diag[..., cols], 1e-300)
 
-    def coeff_residuals(x):
-        w = np.diagonal(w_stack(x, probes), axis1=-2, axis2=-1)[..., cols]
-        return (w.real / diag).ravel()
+    def coeff_residuals(X):
+        w, usable = w_of(X, probes)
+        z = (np.diagonal(w, axis1=-2, axis2=-1)[..., cols].real / diag).reshape(len(X), -1)
+        return np.where(usable[:, None], z, np.nan)
 
     x = _subset_newton(x, coeff_residuals, lo_vec, hi_vec)
-    logger.info(
-        "design polish: %d structure evaluations in stage 0, %d in stage 1",
-        stage0, evaluations - stage0,
-    )
+    logger.info("design polish: %d points in stage 0, %d in stage 1", stage0, evaluations - stage0)
     return x, [stage0, evaluations - stage0]
 
 
-def _subset_newton(x0, residuals, lo_vec, hi_vec, max_iter=40, tol=1e-10):
+def _subset_newton(x, residuals, lo_vec, hi_vec, max_iter=40, tol=1e-10):
     """Square damped Newton on the best-conditioned parameter subset.
 
-    Picks as many parameters as there are residuals (by greedy QR column
-    selection of the full Jacobian) and iterates Newton with
-    backtracking; parameters outside the subset stay fixed.
+    residuals maps points (B, dim) to rows (B, k), NaN where it cannot
+    evaluate a point.  Picks as many parameters as there are residuals (by
+    greedy QR column selection of the full Jacobian) and iterates Newton
+    with backtracking; parameters outside the subset stay fixed.
     """
     from scipy.linalg import qr
 
-    x = x0.copy()
-
-    def jacobian(xc, fc):
-        jac = np.empty((len(fc), len(xc)))
-        for j in range(len(xc)):
-            dx = 1e-6 * max(abs(xc[j]), 1e-3)
-            xp = xc.copy()
-            xp[j] = xp[j] + dx if xp[j] + dx <= hi_vec[j] else xp[j] - dx
-            jac[:, j] = (residuals(xp) - fc) / (xp[j] - xc[j])
-        return jac
-
-    try:
-        f = residuals(x)
-    except (ResonanceError, DomainError):
-        return x0
+    f = residuals(x[None])[0]
+    if np.isnan(f).any():
+        return x
     k = len(f)
     if k >= len(x):
         cols = np.arange(len(x))
     else:
-        jfull = jacobian(x, f)
+        jfull = _forward_jacobian(residuals, x, f, hi_vec)
+        if not np.isfinite(jfull).all():
+            return x
         # column-pivoted QR picks a well-conditioned k-subset
         _, _, piv = qr(jfull, pivoting=True)
         cols = np.sort(piv[:k])
@@ -842,31 +830,41 @@ def _subset_newton(x0, residuals, lo_vec, hi_vec, max_iter=40, tol=1e-10):
     for _ in range(max_iter):
         if best < tol:
             break
-        jfull = jacobian(x, f)
-        jsub = jfull[:, cols]
+        jsub = _forward_jacobian(residuals, x, f, hi_vec)[:, cols]
+        if not np.isfinite(jsub).all():  # a column point it cannot evaluate
+            break
         try:
             step_sub = np.linalg.solve(jsub, -f) if len(cols) == k else np.linalg.lstsq(jsub, -f, rcond=None)[0]
         except np.linalg.LinAlgError:
             break
         step = np.zeros_like(x)
         step[cols] = step_sub
-        lam, improved = 1.0, False
+        lam = 1.0
         while lam > 1e-8:
             xn = np.clip(x + lam * step, lo_vec, hi_vec)
-            try:
-                fn = residuals(xn)
-            except (ResonanceError, DomainError):
-                lam /= 4.0
-                continue
+            fn = residuals(xn[None])[0]
+            # a NaN norm, from a point that cannot be evaluated, fails
             if np.linalg.norm(fn) < best:
                 x, f, best = xn, fn, np.linalg.norm(fn)
-                improved = True
                 break
             lam /= 4.0
-        if not improved:
+        else:
             break
     logger.info("design polish stage 1: coefficient residual norm %.3e", best)
     return x
+
+
+def _forward_jacobian(residuals, x, f, hi_vec):
+    """Forward-difference Jacobian (k, dim) of residuals at x, f = residuals(x[None])[0].
+
+    Column j steps x_j by 1e-6 max(|x_j|, 1e-3), backward where a forward
+    step would pass hi_vec; all column points go in one residuals call.
+    """
+    dx = 1e-6 * np.maximum(np.abs(x), 1e-3)
+    xp = np.where(x + dx <= hi_vec, x + dx, x - dx)
+    points = np.tile(x, (len(x), 1))
+    np.fill_diagonal(points, xp)
+    return ((residuals(points) - f) / (xp - x)[:, None]).T
 
 
 def scaling_report(

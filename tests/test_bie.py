@@ -18,7 +18,6 @@ from escat.bie import (
     assemble_system,
     build_grid,
     cot_weights,
-    log_weights,
     scattered_field,
     single_layer_apply,
     single_layer_matrix,
@@ -84,7 +83,7 @@ class TestQuadratureWeights:
     def test_log_weights_exact_on_trig(self):
         n = 64
         t = 2 * np.pi * np.arange(n) / n
-        rw = log_weights(n)
+        rw = bie._even_circulant(bie._log_row(n), n)
         for q in (1, 5, 31):
             got = rw @ np.cos(q * t)
             assert np.abs(got + (2 * np.pi / q) * np.cos(q * t)).max() < 1e-12

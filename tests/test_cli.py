@@ -43,6 +43,14 @@ ACQ = {
     "seed": 4,
 }
 
+# the coat of test_chain_overflow_is_a_resonance in test_cloak.py
+OVERFLOW_COAT = {
+    "radii": [2.0, 1.5, 1.0],
+    "layers": [{"lam": 3.0, "mu": 0.5, "rho": 2.0}, {"lam": 1.0, "mu": 2.0, "rho": 0.7}],
+    "exterior": {"lam": 2.0, "mu": 1.0, "rho": 1.0},
+    "inner": "cavity",
+}
+
 
 def write(tmp_path, name, doc):
     p = tmp_path / name
@@ -194,6 +202,28 @@ class TestCloak:
         rep = json.loads(out.read_text())
         w0 = np.array(rep["w_table"]["0"])
         assert np.abs(w0).max() > 1e-4
+
+    def test_evaluate_table_is_layered_esc(self, tmp_path):
+        doc = {"schema_version": "1", "structure": OVERFLOW_COAT, "omega": 0.7, "n_max": 6}
+        cfg = write(tmp_path, "eval.json", doc)
+        out = tmp_path / "w.json"
+        assert main(["cloak", "evaluate", "--config", cfg, "--out", str(out)]) == 0
+        table = json.loads(out.read_text())["w_table"]
+        structure = escat.LayeredStructure.from_dict(OVERFLOW_COAT)
+        assert list(table) == [str(n) for n in range(7)]
+        for n in range(7):
+            w = np.array(table[str(n)])  # complex entries as [re, im]
+            assert np.array_equal(w[..., 0] + 1j * w[..., 1], escat.layered_esc(structure, 0.7, n))
+
+    def test_evaluate_resonance_names_order_and_omega(self, tmp_path, capsys):
+        # the interface chain overflows at order 30 and omega 3e-4
+        doc = {"schema_version": "1", "structure": OVERFLOW_COAT, "omega": 3e-4, "n_max": 30}
+        cfg = write(tmp_path, "eval.json", doc)
+        rc = main(["cloak", "evaluate", "--config", cfg, "--out", str(tmp_path / "w.json")])
+        assert rc == 3
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "resonance"
+        assert "n=30" in err["message"] and "omega=0.0003" in err["message"]
 
     def test_increasing_radii_exit_2(self, tmp_path, capsys):
         structure = {

@@ -172,10 +172,12 @@ class TestLayerMatrixStack:
         for n in (-2, 0, 3):
             m, w, passed, chain = entry_of(s, OMEGA, n)
             prop = np.eye(4, dtype=complex)
+            # annulus 0 is the exterior, annulus j >= 1 is layer j - 1
+            annuli = (s.exterior, *s.layers)
             for j in range(1, 4):
                 r = s.radii[j - 1]
-                mj = _layer_matrices(n, [r], [s.material_of_annulus(j)], OMEGA)[0]
-                mjm1 = _layer_matrices(n, [r], [s.material_of_annulus(j - 1)], OMEGA)[0]
+                mj = _layer_matrices(n, [r], [annuli[j]], OMEGA)[0]
+                mjm1 = _layer_matrices(n, [r], [annuli[j - 1]], OMEGA)[0]
                 prop = np.linalg.inv(mj) @ mjm1 @ prop
             m_out = _layer_matrices(n, [1.0], [s.layers[-1]], OMEGA)[0]
             assert np.array_equal(chain, m_out @ prop)
@@ -635,26 +637,30 @@ def band_design(exterior):
     """A P-mask design at N=1 on two frequencies.
 
     Returns the report, the (omega, n) of every bare-cavity _w_stack
-    entry, the frequencies of every _w_stack call on a coated structure
-    and the number of layered_esc calls.
+    entry, the (rows, frequencies) of every _w_table call on coated
+    structures and the number of layered_esc calls.
     """
-    bare_calls, coated_freqs, esc_calls = [], [], []
-    w_stack = cloak._w_stack
+    bare_calls, coated_tables, esc_calls = [], [], []
+    w_stack, w_table = cloak._w_stack, cloak._w_table
 
     def counted_esc(structure, omega, n):
         esc_calls.append((omega, n))
         return layered_esc(structure, omega, n)
 
     def counted_stack(structure, freqs, N):
-        if structure.n_layers > 0:
-            coated_freqs.append(list(freqs))
-        else:
+        if structure.n_layers == 0:
             bare_calls.extend((w, n) for w in freqs for n in range(N + 1))
         return w_stack(structure, freqs, N)
+
+    def counted_table(radii, mat, core, freqs, N):
+        if radii.shape[1] > 1:
+            coated_tables.append((len(radii), list(freqs)))
+        return w_table(radii, mat, core, freqs, N)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cloak, "layered_esc", counted_esc)
         mp.setattr(cloak, "_w_stack", counted_stack)
+        mp.setattr(cloak, "_w_table", counted_table)
         rep = design_svanishing(
             L=1,
             N=1,
@@ -666,7 +672,7 @@ def band_design(exterior):
             maxiter=200,
             mode_mask="P",
         )
-    return rep, bare_calls, coated_freqs, len(esc_calls)
+    return rep, bare_calls, coated_tables, len(esc_calls)
 
 
 class TestBandDesign:
@@ -705,16 +711,20 @@ class TestBandDesign:
 
     def test_polish_evaluations_count_the_polish_structures(self, band_design):
         # the objective and the report evaluate the working band only; the
-        # polish evaluates the working band with the probes, then the probes
-        rep, _, coated_freqs, _ = band_design
-        polish = [f for f in coated_freqs if f != list(BAND_OMEGAS)]
+        # polish evaluates the working band with the probes, then the
+        # probes, and counts one point per _w_table row
+        rep, _, coated_tables, _ = band_design
+        polish = [(rows, f) for rows, f in coated_tables if f != list(BAND_OMEGAS)]
         probes = [min(BAND_OMEGAS) / 100.0, min(BAND_OMEGAS) / 1000.0]
-        stages = [polish.count([*BAND_OMEGAS, *probes]), polish.count(probes)]
-        assert min(stages) > 0 and sum(stages) == len(polish)
+        stages = [sum(rows for rows, f in polish if f == at) for at in ([*BAND_OMEGAS, *probes], probes)]
+        assert min(stages) > 0 and sum(stages) == sum(rows for rows, _ in polish)
         assert rep.polish_stage_evaluations == stages
-        assert rep.polish_evaluations == len(polish)
-        # at most one stack per objective evaluation, plus the report's
-        assert len(coated_freqs) - len(polish) <= rep.n_evaluations + 1
+        assert rep.polish_evaluations == sum(stages)
+        # stage 1 evaluates the 3 columns of a Jacobian in one call
+        assert max(rows for rows, f in polish if f == probes) == 3
+        # at most one row per objective evaluation, plus the report's
+        band_rows = sum(rows for rows, f in coated_tables if f == list(BAND_OMEGAS))
+        assert band_rows <= rep.n_evaluations + 1
         assert sum(rep.start_evaluations) + 1 == rep.n_evaluations
 
     def test_polish_without_probes(self, exterior):
@@ -959,6 +969,63 @@ class TestPolishFailures:
         assert "stage 0 failed (residuals are not finite)" in caplog.text
         monkeypatch.setattr(cloak, "_polish_design", lambda x0, objective, bare, probes: (x0, [0, 0]))
         assert rep.structure == self.design(exterior).structure
+
+
+class TestPolishRoute:
+    def test_batched_jacobian_is_the_column_loop(self, exterior):
+        # stage 1's residuals on a 2-layer coat: the batched Jacobian equals
+        # the per-column loop it replaced, bit for bit
+        objective = coat_objective(exterior, 2, 1, [0.2])
+        lo, hi = objective.lo_vec, objective.hi_vec
+        probes = [2e-3, 2e-4]
+
+        def residuals(X):
+            w, usable = objective.w(X, probes)
+            assert usable.all()
+            return np.diagonal(w, axis1=-2, axis2=-1).real.reshape(len(X), -1)
+
+        x = lo + (hi - lo) * np.random.default_rng(8).uniform(0.1, 0.9, len(lo))
+        x[4] = hi[4] - 1e-7 * abs(hi[4])  # within dx of its bound: a backward step
+        f = residuals(x[None])[0]
+        want = np.empty((len(f), len(x)))
+        for j in range(len(x)):
+            dx = 1e-6 * max(abs(x[j]), 1e-3)
+            xp = x.copy()
+            xp[j] = xp[j] + dx if xp[j] + dx <= hi[j] else xp[j] - dx
+            want[:, j] = (residuals(xp[None])[0] - f) / (xp[j] - x[j])
+        assert x[4] + 1e-6 * abs(x[4]) > hi[4]
+        assert np.array_equal(cloak._forward_jacobian(residuals, x, f, hi), want)
+
+    def test_coincident_radii_are_unusable(self, exterior):
+        # two fractions clipped onto one bound give a zero-thickness layer,
+        # which LayeredStructure rejects; w marks that row unusable
+        objective = coat_objective(exterior, 3, 0, [0.1])
+        X = np.tile((objective.lo_vec + objective.hi_vec) / 2, (2, 1))
+        X[0, -2:] = objective.hi_vec[-1]
+        X[1, -2:] = 0.3, 0.6
+        _, usable = objective.w(X, [0.1])
+        assert usable.tolist() == [False, True]
+        with pytest.raises(DomainError, match="strictly decreasing"):
+            objective.structure(X[0])
+
+    def test_rejected_jacobian_column_keeps_the_design(self, exterior, monkeypatch):
+        # the guard rejects one column point of a stage-1 Jacobian: the
+        # iteration stops there and the design still returns its report
+        w_table, probes, rejected = cloak._w_table, [0.1 / 100.0, 0.1 / 1000.0], []
+
+        def reject_a_column(radii, mat, core, freqs, N):
+            w, passed = w_table(radii, mat, core, freqs, N)
+            if len(radii) > 1 and list(freqs) == probes:
+                passed[1] = False
+                rejected.append(len(radii))
+            return w, passed
+
+        monkeypatch.setattr(cloak, "_w_table", reject_a_column)
+        rep = TestPolishFailures.design(exterior)
+        # one Jacobian of the 3 parameters after the start point
+        assert rejected == [3] and rep.polish_stage_evaluations[1] == 1 + 3
+        assert rep.objective < cloak.PENALTY
+        assert np.isfinite(rep.reduction_factor)
 
 
 class TestScalingReport:
