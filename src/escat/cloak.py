@@ -20,18 +20,27 @@ Every W_n comes from _w_of, which takes the interface matrices of any
 number of (structure, omega) entries and returns W with the resonance
 guard's verdict per entry.  The guard tests the singular values of the
 row/column-equilibrated matrix against COND_GUARD, and computes them
-only where the exact 1-norm condition from the batched inverse cannot
-clear a matrix; a matrix that overflowed to inf or NaN, or that LAPACK
+only where a norm bound from the batched inverse cannot clear a
+matrix; a matrix that overflowed to inf or NaN, or that LAPACK
 finds exactly singular, is a resonance too.  Only the builder of the
 matrices depends on the size: layered_esc forms one entry's on Python
 scalars (_layer_matrices), a table (_w_table) all entries' as arrays.
-One k=2 entry took 34-39 us on scalars and 88-125 us as arrays (2 CPUs).
+One k=2 entry's matrices took 30-33 us on scalars and 73-82 us as arrays
+(2 CPUs).
 
 The design turns points into W only through _CoatObjective.w, one
 _w_table call per batch.  The Nelder-Mead starts run lock-stepped: each
 round evaluates the pending point of every running start in one call,
 and every start visits the points, and returns the result, that scipy's
-Nelder-Mead would, bit for bit.  A stage-1 polish Jacobian is one call.
+Nelder-Mead would, bit for bit.  A polish Jacobian is one call in both
+stages: stage 0 hands least_squares the steps of scipy's own 2-point
+rule (_two_point_jacobian), so it reaches scipy's point.  One objective
+call of the benchmark design (L=2, N=0, one frequency) takes 260-430 us
+at 1 row and 390-660 us at 8 rows: 0.72-0.76 of the 350-570 and 510-860
+us it took before the two-order fold at n = 0, the J-and-H _modal calls
+and the guard's norm bound (2 CPUs, OpenBLAS at 1 thread, thread CPU
+time, medians of five runs of 4000 calls alternating with the former
+code; the shared machine's speed drifted between runs, the ratio did not).
 """
 
 from __future__ import annotations
@@ -146,27 +155,24 @@ def _layer_matrices(n: int, radii, materials, omega: float) -> np.ndarray:
     return np.array(out, dtype=complex).reshape(k, 4, 4)
 
 
-def _coat_matrices(n: int, t_p, t_s, lam, mu) -> np.ndarray:
-    """M_n at arrays of scaled radii t_p = r kappa_P, t_s = r kappa_S: shape (*t_p.shape, 4, 4).
+def _coat_matrices(n: int, t, lam, mu) -> np.ndarray:
+    """M_n at arrays of scaled radii t = (r kappa_P, r kappa_S), shape (2, ...): shape (..., 4, 4).
 
     The array form of _layer_matrices, for _w_table; lam and mu broadcast
-    against t_p.  The _fold and _modal operations are the same,
-    elementwise, so every entry equals the one formed on scalars.
+    against t[0].  The _fold and _modal operations are the same,
+    elementwise, so every entry equals the one formed on scalars.  One
+    _modal call per mode takes its J and H columns together.
     """
-    t = np.stack([t_p, t_s])
     j, jd = _fold(sp.jv, n, t)
     h, hd = _fold(sp.hankel1, n, t)
-    columns = (
-        _modal("P", n, t_p, lam, mu, j[0], jd[0]),
-        _modal("S", n, t_s, lam, mu, j[1], jd[1]),
-        _modal("P", n, t_p, lam, mu, h[0], hd[0]),
-        _modal("S", n, t_s, lam, mu, h[1], hd[1]),
-    )
-    m = np.empty(t_p.shape + (4, 4), dtype=complex)
-    for c, column in enumerate(columns):
-        for r, entry in enumerate(column):
-            m[..., r, c] = entry
-    return m
+    # z[0 value | 1 derivative, 0 J | 1 H, mode, ...]
+    z = np.array([[j, h], [jd, hd]])
+    # columns[mode, row, J | H, ...] is entry (row, 2 (J | H) + mode) of M_n
+    columns = np.array([
+        _modal("P", n, t[0], lam, mu, z[0, :, 0], z[1, :, 0]),
+        _modal("S", n, t[1], lam, mu, z[0, :, 1], z[1, :, 1]),
+    ])
+    return columns.transpose(*range(3, columns.ndim), 1, 2, 0).reshape(t.shape[1:] + (4, 4))
 
 
 def _chain_layout(L: int, core: bool):
@@ -180,12 +186,14 @@ def _chain_layout(L: int, core: bool):
     return ann, ring
 
 
-# cond_2 <= k cond_1 for a k x k matrix, so an equilibrated 1-norm condition
-# below 1 / (k * _COND1_MARGIN * COND_GUARD) cannot fail the singular-value
-# test; the margin absorbs the rounding of cond_1 taken from the computed
-# inverse.  Columns equilibrated by less than _EQ_TINY (near underflow) go
-# to the exact test as well.
-_COND1_MARGIN = 2.0
+# Every entry of the equilibrated matrix is at most 1 in modulus, so its
+# infinity-norm is at most k, and cond_2 <= k cond_inf for a k x k matrix:
+# an equilibrated inverse with infinity-norm below 1 / (k^2 * _COND_MARGIN *
+# COND_GUARD) cannot fail the singular-value test.  The margin absorbs the
+# rounding of the norm taken from the computed inverse.  Columns
+# equilibrated by less than _EQ_TINY (near underflow) go to the exact test
+# as well.
+_COND_MARGIN = 2.0
 _EQ_TINY = 1e-300
 
 
@@ -212,39 +220,39 @@ def _check_singular(m: np.ndarray, what: str) -> None:
         )
 
 
-def _cond1_clears(m: np.ndarray, inv: np.ndarray) -> np.ndarray:
-    """Per matrix of m (..., k, k), with inv its inverse: True where the 1-norm bound clears it.
+def _cond_bound_clears(m: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """Per matrix of m (..., k, k), with inv its inverse: True where the norm bound clears it.
 
     With D_r, D_c the row and column equilibration of m, (D_r m D_c)^-1 =
-    D_c^-1 m^-1 D_r^-1 gives the exact 1-norm condition of the
-    equilibrated matrix, and cond_2 <= k cond_1, so a matrix cleared here
-    passes _check_singular.  A matrix with a column equilibrated by
-    _EQ_TINY or less, or a non-finite condition, is not cleared.
+    D_c^-1 m^-1 D_r^-1 gives the infinity-norm of the equilibrated
+    inverse, and k^2 times it bounds the equilibrated 2-norm condition
+    (see above), so a matrix cleared here passes _check_singular.  A
+    matrix with a column equilibrated by _EQ_TINY or less, or a non-finite
+    norm, is not cleared.
     """
     a = np.abs(m)
     row = np.maximum.reduce(a, axis=-1, keepdims=True)
     a /= row
     col = np.maximum.reduce(a, axis=-2, keepdims=True)
-    a /= col
-    x = np.abs(inv)
-    x *= col.swapaxes(-1, -2)
-    x *= row.swapaxes(-1, -2)
-    cond1 = np.maximum.reduce(np.add.reduce(a, axis=-2), axis=-1)
-    cond1 *= np.maximum.reduce(np.add.reduce(x, axis=-2), axis=-1)
-    cond1[np.minimum.reduce(col, axis=(-2, -1)) <= _EQ_TINY] = np.inf
-    return cond1 < 1.0 / (m.shape[-1] * _COND1_MARGIN * COND_GUARD)
+    # row sums of |D_c^-1 m^-1 D_r^-1|
+    sums = (np.abs(inv) @ row)[..., 0] * col[..., 0, :]
+    k = m.shape[-1]
+    cleared = np.maximum.reduce(sums, axis=-1) < 1.0 / (k * k * _COND_MARGIN * COND_GUARD)
+    if not np.minimum.reduce(col, axis=None, initial=np.inf) > _EQ_TINY:
+        cleared &= np.minimum.reduce(col, axis=(-2, -1)) > _EQ_TINY
+    return cleared
 
 
 def _guard_rows(m: np.ndarray, inv: np.ndarray) -> np.ndarray:
     """Whether each stack of m (..., count, k, k), inv its inverses, passes the guard.
 
-    A stack that _cond1_clears does not clear goes through
+    A stack that _cond_bound_clears does not clear goes through
     _check_singular, so every verdict is the per-matrix test's.
     """
-    cleared = _cond1_clears(m, inv).all(axis=-1)
+    cleared = _cond_bound_clears(m, inv)
     if cleared.all():
-        return cleared
-    passed = np.reshape(cleared, -1)
+        return np.ones(cleared.shape[:-1], dtype=bool)
+    passed = np.reshape(cleared.all(axis=-1), -1)
     stacks = m.reshape(-1, *m.shape[-3:])
     for b in np.flatnonzero(~passed):
         try:
@@ -253,7 +261,7 @@ def _guard_rows(m: np.ndarray, inv: np.ndarray) -> np.ndarray:
         except ResonanceError:
             continue
         passed[b] = True
-    return passed.reshape(np.shape(cleared))
+    return passed.reshape(cleared.shape[:-1])
 
 
 def _nan_singular(f, a, *b):
@@ -281,14 +289,16 @@ def _w_of(m: np.ndarray, L: int, core: bool, rho_w2):
     rho0 w^2.  Also returns the guard's verdict on the layer matrices and
     Q22, shape (...), and C.  A W the guard rejects must not be used.
     """
-    prop, passed = np.eye(4, dtype=complex), True
+    chain, passed = m[..., 0, :, :], True
     if L:
         layers = m[..., :L, :, :]
         inv = _nan_singular(np.linalg.inv, layers)
         passed = _guard_rows(layers, inv)
-        for j in range(L):
-            prop = inv[..., j, :, :] @ m[..., L + j, :, :] @ prop
-    chain = m[..., 2 * L, :, :] @ prop
+        steps = inv @ m[..., L : 2 * L, :, :]
+        chain = steps[..., 0, :, :]
+        for j in range(1, L):
+            chain = steps[..., j, :, :] @ chain
+        chain = m[..., 2 * L, :, :] @ chain
     if core:
         # innermost field b^P JP + b^S JS with the core material; the
         # unknowns are (b^P, b^S, a^P, a^S), one column per incident mode
@@ -353,19 +363,19 @@ def _w_table(radii: np.ndarray, mat: np.ndarray, core: bool, freqs, N: int):
     """
     L = radii.shape[1] - 1
     ann, ring = _chain_layout(L, core)
-    lam, mu, rho = mat[..., 0], mat[..., 1], mat[..., 2]
-    c_p, c_s = np.sqrt((lam + 2.0 * mu) / rho), np.sqrt(mu / rho)
+    lam, mu, rho = mat.transpose(2, 0, 1)[:, :, ann]
+    c = np.sqrt(np.array([lam + 2.0 * mu, mu]) / rho)
     omega = np.asarray(freqs, dtype=float)
-    r, w_col = radii[:, None, ring], omega[:, None]
-    t_p, t_s = r * (w_col / c_p[:, None, ann]), r * (w_col / c_s[:, None, ann])
-    lam, mu = lam[:, None, ann], mu[:, None, ann]
-    rho_w2 = (rho[:, :1] * omega * omega)[..., None, None]
+    # t[0 | 1, b, i, j] = r kappa_(P | S) of matrix j at omega_i
+    t = radii[:, None, ring] * (omega[:, None] / c[:, :, None])
+    lam, mu = lam[:, None], mu[:, None]
+    rho_w2 = (mat[:, :1, 2] * omega * omega)[..., None, None]
     w = np.empty((len(radii), len(omega), N + 1, 2, 2), dtype=complex)
     passed = np.empty(w.shape[:3], dtype=bool)
     # as in layered_esc, an overflow ends in a rejected or non-finite entry
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(N + 1):
-            m = _coat_matrices(n, t_p, t_s, lam, mu)
+            m = _coat_matrices(n, t, lam, mu)
             w[:, :, n], passed[:, :, n], _ = _w_of(m, L, core, rho_w2)
     return w, passed
 
@@ -434,7 +444,8 @@ class _CoatObjective:
     """Stage-1 design objective F and the structure a point x encodes.
 
     x holds log(lam, mu, rho) of each layer, then the L-1 interior
-    interfaces as fractions of the coat thickness.  The objective is
+    interfaces as fractions of the coat thickness, which the box
+    (lo_vec, hi_vec) keeps in [5e-3, 1 - 5e-3].  The objective is
     evaluated on a batch of points at once, all coats in one _w_table.
     """
 
@@ -485,7 +496,7 @@ class _CoatObjective:
         radii, mat = self._coats(X)
         w, passed = _w_table(radii, mat, False, freqs, self.N)
         usable = passed.all(axis=(1, 2)) & np.isfinite(w).all(axis=(1, 2, 3, 4))
-        return w, usable & (np.diff(radii, axis=1) < 0).all(axis=1)
+        return w, usable & (radii[:, 1:] < radii[:, :-1]).all(axis=1)
 
     def __call__(self, X) -> list:
         """F at each row of X, shape (B, dim): B Python floats.
@@ -496,14 +507,13 @@ class _CoatObjective:
         self.w, entry for entry equal to layered_esc's.
         """
         L = self.L
-        edges = np.zeros((len(X), 1)), X[:, 3 * L :], np.ones((len(X), 1))
-        fr = np.sort(np.concatenate(edges, axis=1), axis=1)
-        rows = np.flatnonzero(
-            np.all(X >= self.lo_vec - 1e-12, axis=1)
-            & np.all(X <= self.hi_vec + 1e-12, axis=1)
-            # no interface collapsed onto a neighbor
-            & (np.min(np.diff(fr, axis=1), axis=1) >= 1e-3)
-        )
+        inside = ((X >= self.lo_vec - 1e-12) & (X <= self.hi_vec + 1e-12)).all(axis=1)
+        if L > 2:
+            # no interface collapsed onto a neighbor; the box keeps every
+            # fraction 5e-3 from the coat's faces
+            fr = np.sort(X[:, 3 * L :], axis=1)
+            inside &= (fr[:, 1:] - fr[:, :-1] >= 1e-3).all(axis=1)
+        rows = np.flatnonzero(inside)
         values = [PENALTY] * len(X)
         if len(rows):
             w, usable = self.w(X[rows], self.omega_set)
@@ -739,7 +749,8 @@ def _polish_design(x0, objective, bare, probes):
     probe entries cancels the leading low-frequency coefficients.  Stage 0
     is least squares with each W_n normalized by its largest bare entry;
     stage 1 zeroes the real part of each diagonal probe entry, normalized
-    by its bare magnitude, by a square Newton iteration.  Returns the
+    by its bare magnitude, by a square Newton iteration.  All columns of a
+    Jacobian go in one objective.w call in both stages.  Returns the
     refined x and the numbers of points, clipped to the box and evaluated
     by objective.w, of stages 0 and 1.
     """
@@ -750,32 +761,45 @@ def _polish_design(x0, objective, bare, probes):
     freqs = objective.omega_set + probes
     bare_abs = np.abs(bare)
     norms = np.maximum(bare_abs.max(axis=(-2, -1)), 1e-300)[..., None, None]
-    evaluations = 0
+    # points and objective.w calls so far
+    evaluations, calls = 0, 0
 
     def w_of(X, at):
-        nonlocal evaluations
-        evaluations += len(X)
+        nonlocal evaluations, calls
+        evaluations, calls = evaluations + len(X), calls + 1
         return objective.w(np.clip(X, lo_vec, hi_vec), at)
 
+    def residual_rows(X):
+        # per point and (w, n): the real, then the imaginary parts of the entries
+        w, usable = w_of(X, freqs)
+        z = (w / norms)[..., cols].reshape(len(X), *bare.shape[:2], -1)
+        rows = np.concatenate([z.real, z.imag], axis=-1).reshape(len(X), -1)
+        rows[~usable] = 1e6
+        return rows
+
+    # the point least_squares evaluated last, and its residuals
+    last = [None, None]
+
     def residuals(x):
-        # per (w, n): the real, then the imaginary parts of the entries
-        w, usable = w_of(x[None], freqs)
-        if not usable[0]:
-            return np.full(2 * bare[..., cols].size, 1e6)
-        z = (w[0] / norms)[..., cols].reshape(*bare.shape[:2], -1)
-        return np.concatenate([z.real, z.imag], axis=-1).ravel()
+        last[:] = x.copy(), residual_rows(x[None])[0]
+        return last[1]
+
+    def jacobian(x):
+        # least_squares asks for J at the point it evaluated last
+        f = last[1] if np.array_equal(x, last[0]) else residuals(x)
+        return _two_point_jacobian(residual_rows, x, f, lo_vec, hi_vec)
 
     x = np.clip(x0, lo_vec + 1e-9, hi_vec - 1e-9)
     try:
         res = sopt.least_squares(
             residuals,
             x,
+            jac=jacobian,
             bounds=(lo_vec, hi_vec),
             method="trf",
             xtol=1e-15,
             ftol=1e-15,
             gtol=1e-15,
-            diff_step=1e-7,
             max_nfev=6000,
         )
     except (ValueError, np.linalg.LinAlgError) as exc:
@@ -785,22 +809,25 @@ def _polish_design(x0, objective, bare, probes):
         logger.info("design polish stage 0: residual %.3e -> %.3e", before, np.sum(res.fun**2))
         if np.sum(res.fun**2) < before:
             x = res.x
-    stage0 = evaluations
-    if not probes:
-        return x, [stage0, 0]
-    # stage 1: exact cancellation of the per-channel leading coefficients
-    # (real parts of the diagonal probe entries, one condition per mode)
-    bare_diag = np.diagonal(bare_abs[len(objective.omega_set) :], axis1=-2, axis2=-1)
-    diag = np.maximum(bare_diag[..., cols], 1e-300)
+    stage0 = [evaluations, calls]
+    if probes:
+        # stage 1: exact cancellation of the per-channel leading coefficients
+        # (real parts of the diagonal probe entries, one condition per mode)
+        bare_diag = np.diagonal(bare_abs[len(objective.omega_set) :], axis1=-2, axis2=-1)
+        diag = np.maximum(bare_diag[..., cols], 1e-300)
 
-    def coeff_residuals(X):
-        w, usable = w_of(X, probes)
-        z = (np.diagonal(w, axis1=-2, axis2=-1)[..., cols].real / diag).reshape(len(X), -1)
-        return np.where(usable[:, None], z, np.nan)
+        def coeff_residuals(X):
+            w, usable = w_of(X, probes)
+            z = (np.diagonal(w, axis1=-2, axis2=-1)[..., cols].real / diag).reshape(len(X), -1)
+            return np.where(usable[:, None], z, np.nan)
 
-    x = _subset_newton(x, coeff_residuals, lo_vec, hi_vec)
-    logger.info("design polish: %d points in stage 0, %d in stage 1", stage0, evaluations - stage0)
-    return x, [stage0, evaluations - stage0]
+        x = _subset_newton(x, coeff_residuals, lo_vec, hi_vec)
+    stage1 = [evaluations - stage0[0], calls - stage0[1]]
+    logger.info(
+        "design polish: %d points in %d calls in stage 0, %d points in %d calls in stage 1",
+        *stage0, *stage1,
+    )
+    return x, [stage0[0], stage1[0]]
 
 
 def _subset_newton(x, residuals, lo_vec, hi_vec, max_iter=40, tol=1e-10):
@@ -809,7 +836,8 @@ def _subset_newton(x, residuals, lo_vec, hi_vec, max_iter=40, tol=1e-10):
     residuals maps points (B, dim) to rows (B, k), NaN where it cannot
     evaluate a point.  Picks as many parameters as there are residuals (by
     greedy QR column selection of the full Jacobian) and iterates Newton
-    with backtracking; parameters outside the subset stay fixed.
+    with backtracking; parameters outside the subset stay fixed.  The
+    first step reuses the start point's full Jacobian.
     """
     from scipy.linalg import qr
 
@@ -817,6 +845,7 @@ def _subset_newton(x, residuals, lo_vec, hi_vec, max_iter=40, tol=1e-10):
     if np.isnan(f).any():
         return x
     k = len(f)
+    jsub = None
     if k >= len(x):
         cols = np.arange(len(x))
     else:
@@ -826,17 +855,20 @@ def _subset_newton(x, residuals, lo_vec, hi_vec, max_iter=40, tol=1e-10):
         # column-pivoted QR picks a well-conditioned k-subset
         _, _, piv = qr(jfull, pivoting=True)
         cols = np.sort(piv[:k])
+        jsub = jfull[:, cols]
     best = np.linalg.norm(f)
     for _ in range(max_iter):
         if best < tol:
             break
-        jsub = _forward_jacobian(residuals, x, f, hi_vec)[:, cols]
+        if jsub is None:
+            jsub = _forward_jacobian(residuals, x, f, hi_vec)[:, cols]
         if not np.isfinite(jsub).all():  # a column point it cannot evaluate
             break
         try:
             step_sub = np.linalg.solve(jsub, -f) if len(cols) == k else np.linalg.lstsq(jsub, -f, rcond=None)[0]
         except np.linalg.LinAlgError:
             break
+        jsub = None
         step = np.zeros_like(x)
         step[cols] = step_sub
         lam = 1.0
@@ -854,17 +886,39 @@ def _subset_newton(x, residuals, lo_vec, hi_vec, max_iter=40, tol=1e-10):
     return x
 
 
-def _forward_jacobian(residuals, x, f, hi_vec):
-    """Forward-difference Jacobian (k, dim) of residuals at x, f = residuals(x[None])[0].
+def _difference_jacobian(residuals, x, f, h):
+    """One-sided difference Jacobian (k, dim) of residuals at x, f = residuals(x[None])[0].
 
-    Column j steps x_j by 1e-6 max(|x_j|, 1e-3), backward where a forward
-    step would pass hi_vec; all column points go in one residuals call.
+    Column j steps x_j by h_j and divides by the exact step (x_j + h_j) - x_j;
+    all column points go in one residuals call.
     """
-    dx = 1e-6 * np.maximum(np.abs(x), 1e-3)
-    xp = np.where(x + dx <= hi_vec, x + dx, x - dx)
     points = np.tile(x, (len(x), 1))
-    np.fill_diagonal(points, xp)
-    return ((residuals(points) - f) / (xp - x)[:, None]).T
+    np.fill_diagonal(points, x + h)
+    return ((residuals(points) - f) / ((x + h) - x)[:, None]).T
+
+
+def _forward_jacobian(residuals, x, f, hi_vec):
+    """Stage 1's Jacobian: x_j steps by 1e-6 max(|x_j|, 1e-3), backward where forward would pass hi_vec."""
+    dx = 1e-6 * np.maximum(np.abs(x), 1e-3)
+    return _difference_jacobian(residuals, x, f, np.where(x + dx <= hi_vec, dx, -dx))
+
+
+def _two_point_jacobian(residuals, x, f, lo_vec, hi_vec):
+    """Stage 0's Jacobian: the steps of scipy's 2-point rule, relative step 1e-7, inside [lo_vec, hi_vec].
+
+    h_j = 1e-7 sign(x_j) |x_j| (sign(0) = 1), or sqrt(eps) sign(x_j)
+    max(1, |x_j|) where that step does not change x_j; a step that would
+    leave the box turns back if it fits on the other side, and otherwise
+    runs to the farther bound.
+    """
+    sign = (x >= 0).astype(float) * 2 - 1
+    h = 1e-7 * sign * np.abs(x)
+    h = np.where((x + h) - x == 0, np.finfo(float).eps**0.5 * sign * np.maximum(1.0, np.abs(x)), h)
+    lower, upper = x - lo_vec, hi_vec - x
+    fitting = np.abs(h) <= np.maximum(lower, upper)
+    h = np.where(((x + h < lo_vec) | (x + h > hi_vec)) & fitting, -h, h)
+    h = np.where(fitting, h, np.where(upper >= lower, upper, -lower))
+    return _difference_jacobian(residuals, x, f, h)
 
 
 def scaling_report(

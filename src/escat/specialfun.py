@@ -37,10 +37,15 @@ def _fold(z, order: int, t):
 
     One ufunc call on orders |n|-1, |n|, |n|+1 serves both values: the
     derivative (Z_{|n|-1} - Z_{|n|+1}) / 2 is the formula sp.jvp, sp.yvp
-    and sp.h1vp evaluate.  The parity sign of odd negative orders is
-    applied afterwards.  t may be a scalar or an array.
+    and sp.h1vp evaluate.  At n = 0 the call takes orders 0 and 1 only:
+    scipy gives Z_{-1} = -Z_1 exactly, so the formula is -Z_1.  The parity
+    sign of odd negative orders is applied afterwards.  t may be a scalar
+    or an array.
     """
     n = abs(order)
+    if n == 0:
+        zs = z(np.array([0, 1]).reshape((2,) + (1,) * np.ndim(t)), t)
+        return zs[0], -zs[1]
     orders = np.array([n - 1, n, n + 1]).reshape((3,) + (1,) * np.ndim(t))
     zs = z(orders, t)
     val, der = zs[1], (zs[0] - zs[2]) / 2.0

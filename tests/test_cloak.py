@@ -7,6 +7,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import fd_traction
@@ -477,6 +479,51 @@ class TestWTable:
     def test_nonpositive_omega_rejected(self, exterior, omega):
         with pytest.raises(DomainError):
             _w_stack(bare_cavity(exterior), [0.5, omega], 1)
+
+
+@st.composite
+def coat_entries(draw):
+    """An order n, a frequency, k decreasing radii and k + 1 materials inside the design bounds."""
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(-8, 8))
+    omega = draw(st.floats(0.01, 5.0))
+    radii = draw(st.lists(st.floats(0.5, 3.0), min_size=k, max_size=k, unique=True))
+    materials = [
+        Material(*(draw(st.floats(*BOUNDS[key])) for key in ("lam", "mu", "rho")))
+        for _ in range(k + 1)
+    ]
+    return n, omega, sorted(radii, reverse=True), materials
+
+
+class TestBuilders:
+    """The array builder and table against the scalar builder and layered_esc."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(coat_entries())
+    def test_coat_matrices_equal_layer_matrices(self, entry):
+        n, omega, radii, materials = entry
+        materials = materials[: len(radii)]
+        lam, mu, rho = np.array([(m.lam, m.mu, m.rho) for m in materials]).T
+        # t as _w_table forms it: r kappa = r (omega / c)
+        t = np.array(radii) * (omega / np.sqrt([(lam + 2.0 * mu) / rho, mu / rho]))
+        got = cloak._coat_matrices(n, t, lam, mu)
+        assert np.array_equal(got, _layer_matrices(n, radii, materials, omega))
+
+    @settings(max_examples=60, deadline=None)
+    @given(coat_entries(), st.booleans())
+    def test_w_table_equals_layered_esc(self, entry, core):
+        n, omega, radii, materials = entry
+        exterior, *layers, inner = materials
+        s = LayeredStructure(tuple(radii), tuple(layers), exterior, inner if core else "cavity")
+        mat = np.array([[(m.lam, m.mu, m.rho) for m in materials[: len(radii) + core]]])
+        w, passed = cloak._w_table(np.array([radii]), mat, core, [omega], abs(n))
+        for order in range(abs(n) + 1):
+            try:
+                want = layered_esc(s, omega, order)
+            except ResonanceError:
+                assert not (passed[0, 0, order] and np.isfinite(w[0, 0, order]).all())
+            else:
+                assert passed[0, 0, order] and np.array_equal(w[0, 0, order], want)
 
 
 @pytest.fixture(scope="module")
@@ -971,6 +1018,12 @@ class TestPolishFailures:
         assert rep.structure == self.design(exterior).structure
 
 
+# an L=2 design whose polish takes about 450 points
+SMALL_DESIGN = dict(
+    L=2, N=0, omega_set=[0.1], bounds=BOUNDS, n_starts=1, seed=0, maxiter=150, coeff_probe=[3e-4]
+)
+
+
 class TestPolishRoute:
     def test_batched_jacobian_is_the_column_loop(self, exterior):
         # stage 1's residuals on a 2-layer coat: the batched Jacobian equals
@@ -995,6 +1048,86 @@ class TestPolishRoute:
             want[:, j] = (residuals(xp[None])[0] - f) / (xp[j] - x[j])
         assert x[4] + 1e-6 * abs(x[4]) > hi[4]
         assert np.array_equal(cloak._forward_jacobian(residuals, x, f, hi), want)
+
+    def test_stage0_jacobian_is_scipys_two_point_rule(self, exterior):
+        # stage 0's batched Jacobian equals scipy's 2-point rule at relative
+        # step 1e-7 inside the box, bit for bit
+        from scipy.optimize._numdiff import approx_derivative
+
+        objective = coat_objective(exterior, 2, 1, [0.2])
+        lo, hi = objective.lo_vec, objective.hi_vec
+
+        def rows(X):
+            w, usable = objective.w(X, [0.2, 2e-3])
+            assert usable.all()
+            z = w.reshape(len(X), -1)
+            return np.concatenate([z.real, z.imag], axis=1)
+
+        x = lo + (hi - lo) * np.random.default_rng(9).uniform(0.1, 0.9, len(lo))
+        x[0] = 0.0  # a relative step of 0: the absolute fallback step
+        x[4] = hi[4] - 1e-8 * abs(hi[4])  # within a step of its bound: the step turns back
+        assert lo[0] < 0.0 and x[4] + 1e-7 * abs(x[4]) > hi[4]
+        f = rows(x[None])[0]
+        want = approx_derivative(
+            lambda p: rows(p[None])[0], x, method="2-point", rel_step=1e-7, f0=f, bounds=(lo, hi)
+        )
+        assert np.array_equal(cloak._two_point_jacobian(rows, x, f, lo, hi), want)
+
+    def test_stage0_route_gives_scipys_design(self, exterior, monkeypatch):
+        # least_squares with scipy's own 2-point differences, one point per
+        # call, returns the same design and counts the same points
+        rep = design_svanishing(exterior=exterior, **SMALL_DESIGN)
+        least_squares = scipy.optimize.least_squares
+
+        def scipy_differences(fun, x0, jac, **kw):
+            return least_squares(fun, x0, jac="2-point", diff_step=1e-7, **kw)
+
+        monkeypatch.setattr(scipy.optimize, "least_squares", scipy_differences)
+        want = design_svanishing(exterior=exterior, **SMALL_DESIGN)
+        for name in rep.__dataclass_fields__:
+            assert repr(getattr(rep, name)) == repr(getattr(want, name)), name
+
+    def test_info_line_counts_points_and_calls_per_stage(self, exterior, monkeypatch, caplog):
+        tables, w_table = [], cloak._w_table
+
+        def counted(radii, mat, core, freqs, N):
+            if radii.shape[1] > 1:
+                tables.append((len(radii), list(freqs)))
+            return w_table(radii, mat, core, freqs, N)
+
+        monkeypatch.setattr(cloak, "_w_table", counted)
+        with caplog.at_level(logging.INFO, logger="escat.cloak"):
+            rep = design_svanishing(exterior=exterior, **SMALL_DESIGN)
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("design polish:")]
+        assert len(lines) == 1
+        found = re.fullmatch(
+            r"design polish: (\d+) points in (\d+) calls in stage 0, (\d+) points in (\d+) calls in stage 1",
+            lines[0],
+        )
+        assert found is not None
+        stages = [[rows for rows, f in tables if f == at] for at in ([0.1, 3e-4], [3e-4])]
+        assert [int(g) for g in found.groups()] == [
+            sum(stages[0]), len(stages[0]), sum(stages[1]), len(stages[1]),
+        ]
+        assert rep.polish_stage_evaluations == [sum(stages[0]), sum(stages[1])]
+        # a Jacobian of the 7 parameters is one call in both stages
+        assert max(stages[0]) == max(stages[1]) == 7
+
+    def test_stage1_builds_each_jacobian_once(self, exterior, monkeypatch):
+        # with fewer residuals than parameters, the first Newton step reuses
+        # the full Jacobian the subset was picked from
+        points, forward_jacobian = [], cloak._forward_jacobian
+
+        def spy(residuals, x, f, hi_vec):
+            points.append(x.copy())
+            return forward_jacobian(residuals, x, f, hi_vec)
+
+        monkeypatch.setattr(cloak, "_forward_jacobian", spy)
+        rep = design_svanishing(exterior=exterior, **SMALL_DESIGN)
+        assert len(points) >= 2
+        assert not any(np.array_equal(a, b) for a, b in zip(points, points[1:]))
+        # the start point, then 7 rows per Jacobian, then the line-search points
+        assert rep.polish_stage_evaluations[1] >= 1 + 7 * len(points)
 
     def test_coincident_radii_are_unusable(self, exterior):
         # two fractions clipped onto one bound give a zero-thickness layer,

@@ -140,3 +140,17 @@ class TestSequences:
             want_hp = (j_lo + 1j * y_lo) - (n / t) * want_h
             assert abs(h - want_h) < 1e-13 * abs(want_h)
             assert abs(hp - want_hp) < 1e-12 * abs(want_hp)
+
+
+@pytest.mark.parametrize("z", [sp.jv, sp.yv, sp.hankel1], ids=["jv", "yv", "hankel1"])
+def test_order_zero_fold_is_the_three_order_formula(z):
+    # at n = 0 _fold evaluates orders 0 and 1 and takes Z_{-1} = -Z_1: the
+    # value and derivative equal the three-order formula bit for bit on the
+    # installed scipy
+    t = np.geomspace(1e-3, 1e3, 20001)
+    zs = z(np.array([-1, 0, 1])[:, None], t)
+    val, der = _fold(z, 0, t)
+    assert np.array_equal(val, zs[1]) and np.array_equal(der, (zs[0] - zs[2]) / 2.0)
+    # a scalar argument takes the same route
+    for i in (0, 7000, 20000):
+        assert _fold(z, 0, t[i]) == (val[i], der[i])
