@@ -52,6 +52,14 @@ assembly evaluates half the rows.  The check is made on the grid data
 (QuadratureGrid.mirror_symmetric); any other grid is the one-block case
 of the same code, with the identity basis and all rows.
 
+A is never formed for the solver.  Each material's kernel table gives
+its S and K* rows, which take their sign and 1/2 I and are projected
+straight into their quarter of both blocks; each table and each
+operator is dropped before the next is built.  At n=512 the traced peak
+of a solver build is 68.4 MB, against the 67.1 MB of blocks and LU
+copies it keeps; forming the 33.7 MB of rows first made it 81.2 MB.
+assemble_system builds the dense A from the same quarters, as an oracle.
+
 The two eigenblocks are independent, so when the OpenBLAS that
 scipy.linalg calls runs one thread, each block's LU and condition
 estimate run in a thread of its own, and the two LUs take about the
@@ -65,9 +73,8 @@ glibc gives each thread its own malloc arena, and array temporaries
 freed in a thread's arena raised the peak memory of repeated solves.
 The solves stay on the calling thread: in threads they saved about a
 tenth of their 0.05 s at n=512 but made the peak memory of repeated
-solves jump by the 34 MB of the assembled rows in some runs.  Both
-orders make the same LAPACK calls on the same arrays, so they give the
-same bytes.
+solves jump by about 34 MB in some runs.  Both orders make the same
+LAPACK calls on the same arrays, so they give the same bytes.
 """
 
 from __future__ import annotations
@@ -368,29 +375,45 @@ def traction_layer_matrix(
     return _node_blocks(comp, diag)
 
 
-def assemble_system(
+def _system_quarters(
     grid: QuadratureGrid, pair: MaterialPair, omega: float, rows: int | None = None
 ):
-    """Dense transmission system matrix of size (4 n_nodes)^2.
+    """Yield (equation, density, quarter) for the four quarters of the system.
 
-    Row blocks: trace equation, traction-jump equation; column blocks:
-    phi (interior density), psi (exterior density).  With rows given,
-    only the equations at nodes 0..rows-1 are formed: a (4 rows x 4 n)
-    matrix whose row blocks are those nodes' trace and traction rows.
+    Equation 0 is the trace equation (S), 1 the traction-jump equation
+    (K* + 1/2 I); density 0 is phi (interior material), 1 psi (exterior,
+    negated).  Each quarter is a (2 rows x 2n) operator of the nodes
+    0..rows-1 (default all).  A material's kernel table is dropped once its
+    K* is built, so the caller, by dropping each quarter before it asks for
+    the next, holds at most one table and one quarter at a time.
     """
     if omega <= 0:
         raise DomainError("omega must be positive")
-    n2 = 2 * grid.n_nodes
-    r2 = n2 if rows is None else 2 * rows
-    a = np.empty((2 * r2, 2 * n2), dtype=complex)
-    for col, material in ((0, pair.interior), (n2, pair.exterior)):
+    diag = np.arange(2 * (grid.n_nodes if rows is None else rows))
+    for density, material in enumerate((pair.interior, pair.exterior)):
         tab = _kernel_tables(grid, omega, material, rows)
-        a[:r2, col : col + n2] = single_layer_matrix(grid, omega, material, tab)
-        a[r2:, col : col + n2] = traction_layer_matrix(grid, omega, material, tab)
-    a[:, n2:] *= -1.0
-    di = np.arange(r2)
-    a[r2 + di, di] += 0.5
-    a[r2 + di, n2 + di] += 0.5
+        for equation, layer in enumerate((single_layer_matrix, traction_layer_matrix)):
+            quarter = layer(grid, omega, material, tab)
+            if density:
+                quarter *= -1.0
+            if equation:
+                del tab
+                quarter[diag, diag] += 0.5
+            yield equation, density, quarter
+            del quarter
+
+
+def assemble_system(grid: QuadratureGrid, pair: MaterialPair, omega: float):
+    """Dense transmission system matrix of size (4 n_nodes)^2.
+
+    Row blocks: trace equation, traction-jump equation; column blocks:
+    phi (interior density), psi (exterior density).  TransmissionSolver
+    builds its eigenblocks from the same quarters without this matrix.
+    """
+    n2 = 2 * grid.n_nodes
+    a = np.empty((2 * n2, 2 * n2), dtype=complex)
+    for equation, density, quarter in _system_quarters(grid, pair, omega):
+        a[equation * n2 : (equation + 1) * n2, density * n2 : (density + 1) * n2] = quarter
     return a
 
 
@@ -460,21 +483,28 @@ def _expand(basis: _MirrorBasis, spec, y: np.ndarray, out: np.ndarray) -> None:
         out[..., basis.partners, c] += sign * part[..., paired]
 
 
-def _block_matrix(basis: _MirrorBasis, spec, a: np.ndarray) -> np.ndarray:
-    """B = V^T A V of one eigenblock from the assembled rows a of assemble_system.
+def _eigenblocks(
+    grid: QuadratureGrid, pair: MaterialPair, omega: float, basis: _MirrorBasis
+) -> list:
+    """B = V^T A V of each eigenblock of basis, built quarter by quarter.
 
     PA = AP gives A V = V B, so row (i, k) of B is row (i, k) of A V,
     times sqrt 2 for a paired node i: only the rows of nodes 0..rows-1
-    are needed.  Formed by slicing.
+    are needed.  Each (equation, density) quarter of A is projected into
+    that quarter of every block as soon as it is built, and dropped
+    before the next one is.
     """
-    size = basis.size(spec)
-    a = a.reshape(2, basis.rows, 2, 2, basis.n, 2)  # equation, node, k, density, node, c
-    b = np.empty((2, size, 2, size), dtype=complex)
-    for k, nodes, coords, paired, _ in basis.parts(spec):
-        rows = b[:, coords]
-        _project(basis, spec, a[:, nodes, k], out=rows)  # rows (i, k) of A V
-        rows[:, paired] *= np.sqrt(2.0)
-    return b.reshape(2 * size, 2 * size)
+    sizes = [basis.size(spec) for spec in basis.blocks]
+    blocks = [np.empty((2, size, 2, size), dtype=complex) for size in sizes]
+    for equation, density, quarter in _system_quarters(grid, pair, omega, basis.rows):
+        quarter = quarter.reshape(basis.rows, 2, basis.n, 2)  # node, k, node, c
+        for spec, b in zip(basis.blocks, blocks):
+            for k, nodes, coords, paired, _ in basis.parts(spec):
+                rows = b[equation, coords, density]
+                _project(basis, spec, quarter[nodes, k], out=rows)  # rows (i, k) of A V
+                rows[paired] *= np.sqrt(2.0)
+        del quarter
+    return [b.reshape(2 * size, 2 * size) for b, size in zip(blocks, sizes)]
 
 
 @functools.cache
@@ -532,10 +562,12 @@ class TransmissionSolver:
 
     When the grid is mirror-symmetric (QuadratureGrid.mirror_symmetric)
     the system commutes with the reflection P, and its two eigenblocks
-    V+^T A V+ and V-^T A V- (each 2n x 2n) are assembled from the rows of
-    nodes 0..n/2 and factored instead of A.  Otherwise the one block is A.
-    With BLAS at one thread the two blocks are factored in two threads
-    (module docstring).
+    V+^T A V+ and V-^T A V- (each 2n x 2n) are built from the rows of
+    nodes 0..n/2, one material operator at a time, and factored instead
+    of A.  Otherwise the one block is A, in component-major order.  The
+    blocks are kept beside their LU factors for the residual check of
+    solve_many.  With BLAS at one thread the two blocks are factored in
+    two threads (module docstring).
     """
 
     def __init__(self, grid: QuadratureGrid, pair: MaterialPair, omega: float):
@@ -543,11 +575,10 @@ class TransmissionSolver:
         self.pair = pair
         self.omega = omega
         self._basis = _mirror_basis(grid)
-        a = assemble_system(grid, pair, omega, rows=self._basis.rows)
-        self._blocks = [_block_matrix(self._basis, spec, a) for spec in self._basis.blocks]
-        del a  # release the assembled rows before the LU copies are made
+        self._blocks = _eigenblocks(grid, pair, omega, self._basis)
         copies = [_lapack_copy(b) for b in self._blocks]
-        norms = [np.linalg.norm(b, 1) for b in self._blocks]
+        # 1-norms by LAPACK lange, before the LUs overwrite the copies: no |B| temporary
+        norms = [sla.get_lapack_funcs("lange", (c,))("1", c) for c in copies]
         concurrent = len(self._blocks) > 1 and _blas_single_threaded()
         start = time.perf_counter()
         factored = _map_blocks(_factor, list(zip(copies, norms)), concurrent)

@@ -548,14 +548,14 @@ def _nelder_mead(x0, maxiter: int):
         fsim[k] = yield sim[k]
     # scipy sorts twice; argsort is not stable, so ties need both
     for _ in range(2):
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+        ind = fsim.argsort()
+        sim, fsim = sim[ind], fsim[ind]
 
     iterations = 1
     while iterations < maxiter:
         if (
-            np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
-            and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol
+            np.abs(sim[1:] - sim[0]).max() <= xatol
+            and np.abs(fsim[0] - fsim[1:]).max() <= fatol
         ):
             break
         xbar = np.add.reduce(sim[:-1], 0) / N
@@ -591,9 +591,9 @@ def _nelder_mead(x0, maxiter: int):
                     sim[j] = sim[0] + sigma * (sim[j] - sim[0])
                     fsim[j] = yield sim[j]
         iterations += 1
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
-    return sim[0], np.min(fsim)
+        ind = fsim.argsort()
+        sim, fsim = sim[ind], fsim[ind]
+    return sim[0], fsim.min()
 
 
 def _lockstep(objective, starts, maxiter: int):

@@ -3,6 +3,7 @@
 import logging
 import re
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -500,6 +501,69 @@ class TestMirrorSplit:
         assert one.residual < 1e-10 and one.stability_ratio == pytest.approx(dens[3].stability_ratio)
 
 
+def _dense_basis(basis, spec):
+    """V of one eigenblock on one density, (2n x size) in node-major order,
+    written out from the definition in bie._MirrorBasis."""
+    n = basis.n
+    columns = []
+    for c, (lo, hi, sign) in enumerate(spec):
+        for j in range(lo, hi):
+            v = np.zeros((n, 2))
+            if 1 <= j <= basis.pairs:
+                v[j, c], v[n - j, c] = np.sqrt(0.5), sign * np.sqrt(0.5)
+            else:
+                v[j, c] = 1.0
+            columns.append(v.reshape(-1))
+    return np.array(columns).T
+
+
+def _mirrored(a, n):
+    """P A P for the reflection P of bie._MirrorBasis on both densities."""
+    j = -np.arange(n) % n
+    sign = np.array([1.0, -1.0])
+    a = a.reshape(2, n, 2, 2, n, 2)[:, j][:, :, :, :, j]  # eq, node, k, density, node, c
+    return (sign[:, None, None, None] * a * sign).reshape(4 * n, 4 * n)
+
+
+class TestEigenblocks:
+    def test_blocks_are_projections_of_the_dense_system(self, pair):
+        grid = build_grid(Kite(0.4), 64)
+        basis = bie._mirror_basis(grid)
+        a = assemble_system(grid, pair, 1.0)
+        blocks = bie._eigenblocks(grid, pair, 1.0, basis)
+        # the blocks take the rows of nodes 0..n/2 as if PA = AP held exactly;
+        # rounding leaves A about 3e-13 from that, and half of it shows in B
+        defect = np.linalg.norm(_mirrored(a, grid.n_nodes) - a)
+        assert defect < 1e-12 * np.linalg.norm(a)
+        assert len(blocks) == 2
+        for spec, b in zip(basis.blocks, blocks):
+            v = np.kron(np.eye(2), _dense_basis(basis, spec))  # phi and psi alike
+            assert_allclose(v.T @ v, np.eye(v.shape[1]), rtol=0, atol=1e-15)
+            ref = v.T @ a @ v
+            assert np.linalg.norm(b - ref) <= 0.5 * defect + 1e-14 * np.linalg.norm(ref)
+
+    def test_asymmetric_block_is_the_component_major_system(self, pair):
+        grid = build_grid(FourierRadius(1.0, cos_coeffs=(0.1,), sin_coeffs=(0.0, 0.1)), 64)
+        n = grid.n_nodes
+        (b,) = bie._eigenblocks(grid, pair, 1.0, bie._mirror_basis(grid))
+        a = assemble_system(grid, pair, 1.0).reshape(2, n, 2, 2, n, 2)  # eq, node, k, dens, node, c
+        assert np.array_equal(b, a.transpose(0, 2, 1, 3, 5, 4).reshape(4 * n, 4 * n))
+
+    def test_build_holds_no_full_rows(self, pair):
+        # the traced peak of a solver build stays near what it keeps: the
+        # blocks and their LU copies, plus one kernel table's transients
+        grid = build_grid(Kite(0.4), 256)
+        TransmissionSolver(grid, pair, 1.0)  # first build: lazy imports and caches
+        tracemalloc.start()
+        try:
+            solver = TransmissionSolver(grid, pair, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = sum(b.nbytes for b in solver._blocks) + sum(lu.nbytes for lu, _ in solver._lu)
+        assert peak <= 1.1 * kept
+
+
 def _factored(caplog, grid, pair):
     """A solver on grid and the way its INFO line says it factored the blocks."""
     caplog.clear()
@@ -544,15 +608,14 @@ class TestConcurrentBlocks:
     @pytest.mark.parametrize("concurrent", [False, True])
     def test_nan_in_second_block_raises_lu_factor_error(self, pair, monkeypatch, concurrent):
         monkeypatch.setattr(bie, "_blas_single_threaded", lambda: concurrent)
-        build = bie._block_matrix
+        build = bie._eigenblocks
 
-        def nan_in_block_1(basis, spec, a):
-            b = build(basis, spec, a)
-            if spec is basis.blocks[1]:
-                b[3, 5] = np.nan
-            return b
+        def nan_in_block_1(*args):
+            blocks = build(*args)
+            blocks[1][3, 5] = np.nan
+            return blocks
 
-        monkeypatch.setattr(bie, "_block_matrix", nan_in_block_1)
+        monkeypatch.setattr(bie, "_eigenblocks", nan_in_block_1)
         bad = build_grid(Kite(0.4), 64)
         before = threading.active_count()
         with pytest.raises(ValueError) as got:
