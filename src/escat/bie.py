@@ -688,25 +688,6 @@ def single_layer_apply(
     return u if dens.ndim == 3 else u[0]
 
 
-def scattered_field(
-    grid: QuadratureGrid,
-    psi: np.ndarray,
-    omega: float,
-    material: Material,
-    target,
-) -> np.ndarray:
-    """Exterior scattered field u_sc(target) = S[psi](target).
-
-    Targets inside the inclusion are rejected (the interior total field
-    is single_layer_apply of the phi density with the interior material).
-    """
-    tgt = np.asarray(target, dtype=float)
-    for p in np.atleast_2d(tgt):
-        if grid.curve.contains(p):
-            raise DomainError(f"target {p} lies inside the inclusion")
-    return single_layer_apply(grid, omega, material, psi, target)
-
-
 def traction_of_single_layer(
     grid: QuadratureGrid,
     omega: float,

@@ -77,11 +77,6 @@ class BoundaryCurve:
 
     # -- geometry helpers --------------------------------------------------
 
-    def diameter(self) -> float:
-        x = self.position(np.linspace(0, 2 * np.pi, 256, endpoint=False))
-        d2 = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=-1)
-        return float(np.sqrt(d2.max()))
-
     def contains(self, point) -> bool:
         """Winding-number test on a sampled polygon."""
         p = np.asarray(point, dtype=float)

@@ -179,72 +179,6 @@ def compute_esc(
     )
 
 
-def gamma_coeffs(esc: EscMatrix, incident_coeffs: dict) -> dict:
-    """Scattered multipole coefficients gamma^b_n from incident a^b_m.
-
-    gamma^b_n = sum_m (d^P_m W^{b,P}_{m,n} + d^S_m W^{b,S}_{m,n}) with
-    d^b_m = i a^b_m / (4 rho0 w^2); incident_coeffs maps 'P'/'S' to
-    arrays over m = -M..M with M <= K (shorter tables are zero-padded).
-    """
-    K = esc.K
-    dfac = 1j / (4.0 * esc.rho0 * esc.omega**2)
-    d = {}
-    for b in MODES:
-        a = np.asarray(incident_coeffs[b], dtype=complex)
-        if len(a) > 2 * K + 1:
-            raise DomainError("incident coefficient table exceeds truncation order")
-        if len(a) % 2 == 0:
-            raise DomainError(
-                f"incident coefficient table of length {len(a)} is not over m = -M..M"
-            )
-        pad = np.zeros(2 * K + 1, dtype=complex)
-        off = K - (len(a) - 1) // 2
-        pad[off : off + len(a)] = a
-        d[b] = dfac * pad
-    out = {}
-    for b in MODES:
-        out[b] = d["P"] @ esc.blocks[b + "P"] + d["S"] @ esc.blocks[b + "S"]
-    return out
-
-
-FAR_PHASE = {"P": 1.0, "S": -1.0}
-
-
-def far_field_amplitude_factor(
-    mode: str, n: int | np.ndarray, material: Material, omega: float
-) -> complex | np.ndarray:
-    """A^{inf,a}_n in H^a_n ~ (e^{i k r}/sqrt r) A^{inf,a}_n (P_n or S_n)."""
-    kappa = material.kappa(omega, mode)
-    return FAR_PHASE[mode] * (1.0 + 1.0j) * np.sqrt(kappa / np.pi) * np.exp(-0.5j * n * np.pi)
-
-
-@dataclass
-class FarFieldPattern:
-    directions: np.ndarray
-    uP: np.ndarray  # (n_dir, 2) complex, parallel to e_r
-    uS: np.ndarray  # (n_dir, 2) complex, parallel to e_theta
-
-
-def far_field(esc: EscMatrix, incident_coeffs: dict, directions) -> FarFieldPattern:
-    """Longitudinal and transverse far-field patterns on given angles."""
-    if esc.pair is None:
-        raise DomainError("EscMatrix carries no material metadata")
-    ext = esc.pair.exterior
-    gam = gamma_coeffs(esc, incident_coeffs)
-    th = np.asarray(directions, dtype=float)
-    er = np.stack([np.cos(th), np.sin(th)], axis=-1)
-    et = np.stack([-np.sin(th), np.cos(th)], axis=-1)
-    orders = np.arange(-esc.K, esc.K + 1)
-    phases = np.exp(1j * np.outer(th, orders))  # e^{i n theta}
-    ap = far_field_amplitude_factor("P", orders, ext, esc.omega)
-    as_ = far_field_amplitude_factor("S", orders, ext, esc.omega)
-    up_scalar = phases @ (gam["P"] * ap)
-    us_scalar = phases @ (gam["S"] * as_)
-    return FarFieldPattern(
-        directions=th, uP=up_scalar[:, None] * er, uS=us_scalar[:, None] * et
-    )
-
-
 def _order_flip(g: np.ndarray) -> np.ndarray:
     """G with the orders m, n -> -m, -n inside each of its four blocks."""
     k = g.shape[0] // 2

@@ -289,13 +289,25 @@ def simulate_msr(
     mode='bie' solves the transmission problem per plane-wave incidence
     (ground truth, all multipole orders); mode='expansion' evaluates the
     truncated model X G Y* exactly at order K (model-error free), using
-    the supplied EscMatrix or computing one.
+    the supplied EscMatrix (at the acquisition's omega and rho0) or
+    computing one.  Both modes reject receivers inside the inclusion.
     """
+    # contains tests a polygon of 512 samples: no receiver beyond their largest radius is in it
+    x = curve.position(np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False))
+    if config.radius <= np.hypot(x[:, 0], x[:, 1]).max():
+        for p in config.receiver_points():
+            if curve.contains(p):
+                raise DomainError(f"receiver at {p.tolist()} lies inside the inclusion")
     if mode == "expansion":
         if K is None and esc is None:
             raise DomainError("expansion mode needs K or an EscMatrix")
         if esc is None:
             esc = compute_esc(curve, pair, config.omega, K=K, n_nodes=n_nodes)
+        elif (esc.omega, esc.rho0) != (config.omega, config.exterior.rho):
+            raise DomainError(
+                f"EscMatrix at (omega, rho0) = ({esc.omega}, {esc.rho0}) does not match the "
+                f"acquisition's ({config.omega}, {config.exterior.rho})"
+            )
         model = assemble_model(config, esc.K)
         a = model.X @ esc.to_global() @ model.Y.conj().T
         return MsrDataset.from_stacked(a, config)

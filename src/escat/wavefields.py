@@ -39,9 +39,7 @@ __all__ = [
     "cyl_wave_J",
     "cyl_wave_H",
     "cyl_wave_traction",
-    "plane_wave_coeffs",
     "plane_wave_traction",
-    "fundamental_solution",
     "perp",
 ]
 
@@ -245,27 +243,6 @@ def cyl_wave_traction(
     return tr[0] if np.asarray(point).ndim == 1 else tr
 
 
-def plane_wave_coeffs(
-    direction, omega: float, material: Material, m_max: int
-) -> dict[str, np.ndarray]:
-    """Multipole coefficients a^b_m of the combined plane wave.
-
-    a^b_m = -(i / (rho c_b^2 kappa_b)) e^{i m (pi/2 - theta_d)} for
-    m = -m_max..m_max; |a^b_m| is independent of m.
-    """
-    d = np.asarray(direction, dtype=float)
-    if abs(np.hypot(d[0], d[1]) - 1.0) > 1e-12:
-        raise DomainError("direction must be a unit vector")
-    theta_d = np.arctan2(d[1], d[0])
-    m = np.arange(-m_max, m_max + 1)
-    phase = np.exp(1j * m * (np.pi / 2.0 - theta_d))
-    out = {}
-    for mode, c in (("P", material.c_p), ("S", material.c_s)):
-        kappa = omega / c
-        out[mode] = -1j / (material.rho * c * c * kappa) * phase
-    return out
-
-
 def _single_plane_wave(direction, point, material, omega, mode):
     """Pressure (amp d) or shear (amp d_perp) plane wave and its polarization."""
     d = np.asarray(direction, dtype=float)
@@ -307,27 +284,6 @@ def plane_wave_mode_field(
     return out[0] if np.asarray(point).ndim == 1 else out
 
 
-def fundamental_solution(x, y, omega: float, material: Material) -> np.ndarray:
-    """Outgoing fundamental solution Gamma^w(x - y) of 2-D elastodynamics.
-
-    Gamma = g_S I / mu + Hess(g_S - g_P) / (rho w^2) with
-    g_a(r) = (i/4) H^(1)_0(kappa_a r); the Hessian is evaluated in closed
-    form through H_0 and H_1 (no numerical differentiation).
-
-    Accepts broadcastable point arrays; for x of shape (N,2) and y of
-    shape (N,2) returns (N,2,2).
-    """
-    xv = np.atleast_2d(np.asarray(x, dtype=float))
-    yv = np.atleast_2d(np.asarray(y, dtype=float))
-    dv = xv - yv
-    r = np.hypot(dv[..., 0], dv[..., 1])
-    if np.any(r < 1e-14):
-        raise DomainError("fundamental solution is singular at coincident points")
-    out = _gamma_tensor(dv, r, omega, material)
-    single = np.asarray(x).ndim == 1 and np.asarray(y).ndim == 1
-    return out[0] if single else out
-
-
 def _radial_kernels(zp, zs, r, omega, material):
     """Kupradze radial functions from Z_nu(kappa r) at the P and S wavenumbers.
 
@@ -362,7 +318,7 @@ def _radial_kernels(zp, zs, r, omega, material):
 def _hankel_radial(r, omega, material):
     """_radial_kernels at Z = H^(1) from scipy's Hankel routine.
 
-    Off-surface targets (receivers, far-field probes) reach kappa r ~ 1e4,
+    Off-surface targets (receivers) reach kappa r ~ 1e4,
     where sp.hankel1 keeps full relative accuracy and J + iY does not.
     """
     tp, ts = material.kappa_p(omega) * r, material.kappa_s(omega) * r
@@ -396,6 +352,7 @@ def _traction_components(a, rhat, nrm):
 
 
 def _gamma_tensor(dv, r, omega, material):
+    """Kupradze tensor Gamma^w(x - y), (..., 2, 2), at dv = x - y of length r > 0."""
     phi, chi, _ = _hankel_radial(r, omega, material)
     comp = _gamma_components(phi, chi, dv / r[..., None])
     return np.stack([np.stack(row, axis=-1) for row in comp], axis=-2)

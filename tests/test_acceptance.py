@@ -49,15 +49,12 @@ def report(num, passed, detail):
 
 
 def _shape_set():
-    shapes = []
-    for name, curve in (
-        ("disk", Circle(1.0)),
-        ("ellipse", Ellipse(1.0, 0.5)),
-        ("kite", Kite(0.45)),
-    ):
-        omega = 1.0 / curve.diameter()  # kappa_S diam = 1 (c_S = 1)
-        shapes.append((name, curve, omega))
-    return shapes
+    # omega = 1 / diameter: kappa_S diam = 1 (c_S = 1)
+    return [
+        ("disk", Circle(1.0), 0.5),
+        ("ellipse", Ellipse(1.0, 0.5), 0.5),
+        ("kite", Kite(0.45), 0.7407407407407407),
+    ]
 
 
 @pytest.fixture(scope="module")

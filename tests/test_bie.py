@@ -19,7 +19,6 @@ from escat.bie import (
     assemble_system,
     build_grid,
     cot_weights,
-    scattered_field,
     single_layer_apply,
     single_layer_matrix,
     traction_layer_matrix,
@@ -275,7 +274,7 @@ class TestTransmission:
         tc = cyl_wave_traction(idx, grid.nodes, grid.normals, exterior, OMEGA, "J")
         dens = solver.solve(tr, tc)
         x = np.array([3.0, 0.4])
-        got = scattered_field(grid, dens.psi, OMEGA, exterior, x)
+        got = single_layer_apply(grid, OMEGA, exterior, dens.psi, x)
         w1 = analytic_disk_esc(pair, 1.0, OMEGA, 1)
         # u_sc = (i/(4 rho w^2)) sum_alpha H^alpha_1 W^{alpha,P}
         rho_w2 = exterior.rho * OMEGA**2
@@ -306,7 +305,7 @@ class TestTransmission:
         tr = cyl_wave_J(idx, grid.nodes, exterior, OMEGA)
         tc = cyl_wave_traction(idx, grid.nodes, grid.normals, exterior, OMEGA, "J")
         dens = solver.solve(tr, tc)
-        u_sc = scattered_field(grid, dens.psi, OMEGA, exterior, np.array([2.0, 0.0]))
+        u_sc = single_layer_apply(grid, OMEGA, exterior, dens.psi, np.array([2.0, 0.0]))
         assert np.abs(u_sc).max() < 1e-4 * np.abs(tr).max()
 
     def test_self_convergence_superalgebraic(self, pair, exterior):
@@ -343,16 +342,11 @@ class TestTransmission:
         wavelength = 2 * np.pi / exterior.kappa_s(OMEGA)
         radii = np.array([1e2, 1e3]) * wavelength
         mags = [
-            np.abs(scattered_field(grid, dens.psi, OMEGA, exterior, np.array([r, 0.0]))).max()
+            np.abs(single_layer_apply(grid, OMEGA, exterior, dens.psi, np.array([r, 0.0]))).max()
             for r in radii
         ]
         slope = np.log(mags[1] / mags[0]) / np.log(radii[1] / radii[0])
         assert abs(slope + 0.5) < 0.02 * 0.5 + 0.01
-
-    def test_target_inside_rejected(self, pair, exterior):
-        grid = build_grid(Circle(1.0), 64)
-        with pytest.raises(DomainError):
-            scattered_field(grid, np.ones((64, 2)), OMEGA, exterior, np.array([0.1, 0.0]))
 
     def test_interior_field_matches_modal_solution(self, pair, exterior, interior):
         # u_tot inside the disk = St[phi] must reproduce the interior
@@ -481,7 +475,8 @@ class TestMirrorSplit:
     def test_asymmetric_curve_meets_identities(self, pair):
         # a sine term breaks the mirror symmetry: one block, all rows
         curve = FourierRadius(1.0, cos_coeffs=(0.1,), sin_coeffs=(0.0, 0.1))
-        esc = compute_esc(curve, pair, 1.0 / curve.diameter(), K=8, n_nodes=192)
+        # omega = 1 / diameter: kappa_S diam = 1 (c_S = 1)
+        esc = compute_esc(curve, pair, 0.4538585049431525, K=8, n_nodes=192)
         rep = verify_symmetries(esc)
         assert rep["reciprocity"] < 1e-7
         assert rep["mirror"] > 1e-3

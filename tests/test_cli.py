@@ -113,6 +113,15 @@ class TestEscCompute:
 
 
 class TestMsr:
+    def test_receivers_inside_inclusion_exit_1(self, tmp_path, capsys):
+        doc = {k: v for k, v in ACQ.items() if k != "radius_wavelengths"}
+        cfg = write(tmp_path, "acq.json", dict(doc, radius=0.5))
+        assert main(["msr", "simulate", "--config", cfg, "--out", str(tmp_path / "d")]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        message = "receiver at [0.5, 0.0] lies inside the inclusion"
+        assert err == {"type": "runtime", "message": message}
+        assert [f.name for f in tmp_path.iterdir()] == ["acq.json"]
+
     def test_round_trip(self, tmp_path):
         cfg = write(tmp_path, "acq.json", dict(ACQ, mode="expansion", method="lsq"))
         prefix = tmp_path / "data"
@@ -445,6 +454,12 @@ class TestReadmeUsage:
         for ln in lines:
             argv = ln.replace("[", " ").replace("]", " ").split()[1:]
             assert build_parser().parse_args(argv).func is not None, ln
+
+
+    def test_quick_tour_runs(self):
+        # a deleted or renamed public name fails here, not in a reader's hands
+        block = README.read_text().split("```python\n", 1)[1].split("```", 1)[0]
+        exec(compile(block, str(README), "exec"), {})
 
 
 class TestImports:

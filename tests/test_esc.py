@@ -1,10 +1,10 @@
-"""ESC assembly, expansions and the structural identity checks."""
+"""ESC assembly, the model field against the solver and the structural identity checks."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from escat.bie import TransmissionSolver, build_grid, scattered_field
+from escat.bie import TransmissionSolver, build_grid
 from escat.cloak import analytic_disk_esc
 from escat.curves import Circle, Ellipse, FourierRadius, Kite
 from escat.errors import DomainError
@@ -12,22 +12,11 @@ from escat.esc import (
     EscMatrix,
     compute_esc,
     decay_profile,
-    far_field,
-    far_field_amplitude_factor,
-    gamma_coeffs,
     verify_optical,
     verify_symmetries,
 )
-from escat.wavefields import (
-    Material,
-    MaterialPair,
-    ModeIndex,
-    cyl_wave_H,
-    cyl_wave_J,
-    cyl_wave_traction,
-    plane_wave_coeffs,
-    plane_wave_mode_field,
-)
+from escat.msr import MsrConfig, simulate_msr
+from escat.wavefields import Material, MaterialPair, ModeIndex, cyl_wave_J, cyl_wave_traction
 
 OMEGA = 1.0
 
@@ -102,6 +91,16 @@ class TestComputeEsc:
                     want = np.sum(p * psi)
                     assert abs(esc.entry(a, b, m, q) - want) <= 1e-14 * esc.scale()
 
+    def test_expansion_matches_bie_field(self, kite_esc, pair, exterior):
+        # the model X G Y* of the kite's W must match the solver's
+        # receiver data at 20 shear wavelengths, 2K+1 sources and receivers
+        n = 2 * kite_esc.K + 1
+        cfg = MsrConfig(radius=20 * 2 * np.pi / exterior.kappa_s(OMEGA), n_sources=n,
+                        n_receivers=n, omega=OMEGA, exterior=exterior)
+        model = simulate_msr(Kite(0.4), pair, cfg, mode="expansion", esc=kite_esc).stacked()
+        direct = simulate_msr(Kite(0.4), pair, cfg, mode="bie", n_nodes=160).stacked()
+        assert np.abs(model - direct).max() / np.abs(direct).max() < 1e-4
+
     def test_negative_k_rejected(self, pair):
         with pytest.raises(DomainError):
             compute_esc(Circle(1.0), pair, OMEGA, K=-1)
@@ -120,122 +119,6 @@ class TestComputeEsc:
         back = EscMatrix.from_dict(d)
         for key in disk_esc.blocks:
             assert_allclose(back.blocks[key], disk_esc.blocks[key])
-
-
-class TestGammaCoeffs:
-    def test_zero_esc_gives_zero(self, exterior, pair):
-        blocks = {k: np.zeros((5, 5), dtype=complex) for k in ("PP", "SP", "PS", "SS")}
-        esc = EscMatrix(K=2, blocks=blocks, omega=OMEGA, pair=pair, rho0=1.0)
-        gam = gamma_coeffs(esc, {"P": np.ones(5), "S": np.ones(5)})
-        assert np.abs(gam["P"]).max() == 0.0
-
-    def test_single_coefficient_isolates_column(self, disk_esc):
-        a = {"P": np.array([1.0]), "S": np.array([0.0])}  # only a^P_0
-        gam = gamma_coeffs(disk_esc, a)
-        d00 = 1j / (4 * disk_esc.rho0 * OMEGA**2)
-        K = disk_esc.K
-        assert_allclose(gam["P"], d00 * disk_esc.block("P", "P")[K, :], rtol=1e-13)
-        assert_allclose(gam["S"], d00 * disk_esc.block("S", "P")[K, :], rtol=1e-13)
-
-    def test_even_length_table_rejected(self, disk_esc):
-        # a table over m = -M..M has odd length; [1, 2] has no centre order
-        with pytest.raises(DomainError, match="length 2"):
-            gamma_coeffs(disk_esc, {"P": np.array([1.0, 2.0]), "S": np.zeros(3)})
-
-    def test_linearity(self, kite_esc):
-        rng = np.random.default_rng(3)
-        K = kite_esc.K
-        t1 = {b: rng.standard_normal(2 * K + 1) + 1j * rng.standard_normal(2 * K + 1) for b in "PS"}
-        t2 = {b: rng.standard_normal(2 * K + 1) + 1j * rng.standard_normal(2 * K + 1) for b in "PS"}
-        t12 = {b: t1[b] + 2.0 * t2[b] for b in "PS"}
-        g1 = gamma_coeffs(kite_esc, t1)
-        g2 = gamma_coeffs(kite_esc, t2)
-        g12 = gamma_coeffs(kite_esc, t12)
-        for b in "PS":
-            assert_allclose(g12[b], g1[b] + 2.0 * g2[b], rtol=1e-12)
-
-    def test_expansion_matches_bie_field(self, kite_esc, pair, exterior):
-        # plane-wave incidence: sum gamma H must match the solver field
-        # at 20 shear wavelengths
-        d = np.array([np.cos(0.3), np.sin(0.3)])
-        coeffs = plane_wave_coeffs(d, OMEGA, exterior, kite_esc.K)
-        gam = gamma_coeffs(kite_esc, coeffs)
-        r = 20 * 2 * np.pi / exterior.kappa_s(OMEGA)
-        x = r * np.array([np.cos(1.1), np.sin(1.1)])
-        acc = np.zeros(2, dtype=complex)
-        for i, n in enumerate(range(-kite_esc.K, kite_esc.K + 1)):
-            acc += gam["P"][i] * cyl_wave_H(ModeIndex("P", n), x, exterior, OMEGA)
-            acc += gam["S"][i] * cyl_wave_H(ModeIndex("S", n), x, exterior, OMEGA)
-        grid = build_grid(Kite(0.4), 160)
-        solver = TransmissionSolver(grid, pair, OMEGA)
-        tr = plane_wave_mode_field(d, grid.nodes, exterior, OMEGA, "P") + \
-            plane_wave_mode_field(d, grid.nodes, exterior, OMEGA, "S")
-        from escat.wavefields import plane_wave_traction
-
-        tc = plane_wave_traction(d, grid.nodes, grid.normals, exterior, OMEGA, "P") + \
-            plane_wave_traction(d, grid.nodes, grid.normals, exterior, OMEGA, "S")
-        dens = solver.solve(tr, tc)
-        direct = scattered_field(grid, dens.psi, OMEGA, exterior, x)
-        assert np.abs(acc - direct).max() / np.abs(direct).max() < 1e-4
-
-
-class TestFarField:
-    def test_polarization(self, disk_esc, exterior):
-        coeffs = plane_wave_coeffs(np.array([1.0, 0.0]), OMEGA, exterior, disk_esc.K)
-        pat = far_field(disk_esc, coeffs, np.linspace(0, 2 * np.pi, 7))
-        for th, up, us in zip(pat.directions, pat.uP, pat.uS):
-            er = np.array([np.cos(th), np.sin(th)])
-            et = np.array([-np.sin(th), np.cos(th)])
-            # parallel to e_r / e_theta by construction (scalar * frame
-            # vector); the cross projections vanish to rounding
-            assert abs(up @ et) < 1e-15 * max(np.abs(up).max(), 1e-30)
-            assert abs(us @ er) < 1e-15 * max(np.abs(us).max(), 1e-30)
-
-    def test_matches_scaled_far_evaluation(self, disk_esc, pair, exterior):
-        d = np.array([1.0, 0.0])
-        coeffs = plane_wave_coeffs(d, OMEGA, exterior, disk_esc.K)
-        th = 0.9
-        pat = far_field(disk_esc, coeffs, [th])
-        kappa_p = exterior.kappa_p(OMEGA)
-        r = 1e3 * 2 * np.pi / kappa_p
-        x = r * np.array([np.cos(th), np.sin(th)])
-        grid = build_grid(Circle(1.0), 128)
-        solver = TransmissionSolver(grid, pair, OMEGA)
-        from escat.wavefields import plane_wave_traction
-
-        tr = plane_wave_mode_field(d, grid.nodes, exterior, OMEGA, "P") + \
-            plane_wave_mode_field(d, grid.nodes, exterior, OMEGA, "S")
-        tc = plane_wave_traction(d, grid.nodes, grid.normals, exterior, OMEGA, "P") + \
-            plane_wave_traction(d, grid.nodes, grid.normals, exterior, OMEGA, "S")
-        dens = solver.solve(tr, tc)
-        u = scattered_field(grid, dens.psi, OMEGA, exterior, x)
-        er = np.array([np.cos(th), np.sin(th)])
-        extracted = (u @ er) * np.sqrt(r) * np.exp(-1j * kappa_p * r)
-        assert abs(extracted - pat.uP[0] @ er) / abs(pat.uP[0] @ er) < 1e-2
-
-    def test_reciprocity_spot_check(self, kite_esc, exterior):
-        # u_inf_P(xhat; dhat, P) = u_inf_P(-dhat; -xhat, P)
-        th_d, th_x = 0.4, 2.1
-        d1 = np.array([np.cos(th_d), np.sin(th_d)])
-        d2 = -np.array([np.cos(th_x), np.sin(th_x)])
-        c1 = plane_wave_coeffs(d1, OMEGA, exterior, kite_esc.K)
-        c2 = plane_wave_coeffs(d2, OMEGA, exterior, kite_esc.K)
-        c1 = {"P": c1["P"], "S": np.zeros_like(c1["S"])}
-        c2 = {"P": c2["P"], "S": np.zeros_like(c2["S"])}
-        p1 = far_field(kite_esc, c1, [th_x])
-        p2 = far_field(kite_esc, c2, [th_d + np.pi])
-        er1 = np.array([np.cos(th_x), np.sin(th_x)])
-        er2 = np.array([np.cos(th_d + np.pi), np.sin(th_d + np.pi)])
-        v1 = p1.uP[0] @ er1
-        v2 = p2.uP[0] @ er2
-        assert abs(v1 - v2) / abs(v1) < 1e-6
-
-    def test_amplitude_factor_magnitude(self, exterior):
-        # |A_n|^2 = 2 kappa / pi for either mode
-        for mode in "PS":
-            kappa = exterior.kappa(OMEGA, mode)
-            a = far_field_amplitude_factor(mode, 3, exterior, OMEGA)
-            assert abs(abs(a) ** 2 - 2 * kappa / np.pi) < 1e-13
 
 
 class TestVerifyOptical:

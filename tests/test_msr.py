@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from escat.curves import Circle
+from escat.curves import Circle, Ellipse
 from escat.errors import ConfigError, DomainError, RangeError, ReconstructionError
 from escat.esc import EscMatrix, compute_esc, verify_symmetries
 from escat.msr import (
@@ -98,6 +98,31 @@ class TestSimulate:
         model = assemble_model(cfg, 4)
         want = model.X @ esc.to_global() @ model.Y.conj().T
         assert np.abs(data.stacked() - want).max() < 1e-12 * np.abs(want).max()
+
+    def test_receivers_inside_inclusion_rejected(self, pair, exterior):
+        # R = 0.5 around the unit disk: every receiver is inside, in both modes
+        cfg_in = MsrConfig(radius=0.5, n_sources=4, n_receivers=4, omega=OMEGA, exterior=exterior)
+        for mode in ("bie", "expansion"):
+            with pytest.raises(DomainError, match=r"receiver at \[0\.5, 0\.0\] lies inside"):
+                simulate_msr(Circle(1.0), pair, cfg_in, mode=mode, K=1, n_nodes=64)
+
+    def test_receivers_within_the_largest_radius_tested_one_by_one(self, pair, exterior):
+        # R = 0.75 is below both ellipses' largest radius 1; the receivers
+        # (+-0.75, 0) are outside the tall one and inside the wide one
+        cfg_mid = MsrConfig(radius=0.75, n_sources=2, n_receivers=2, omega=OMEGA, exterior=exterior)
+        data = simulate_msr(Ellipse(0.5, 1.0), pair, cfg_mid, mode="bie", n_nodes=64)
+        assert np.isfinite(data.stacked()).all()
+        with pytest.raises(DomainError, match="inside the inclusion"):
+            simulate_msr(Ellipse(1.0, 0.5), pair, cfg_mid, mode="bie", n_nodes=64)
+
+    def test_far_receivers_skip_the_winding_test(self, pair, cfg, monkeypatch):
+        monkeypatch.setattr(Circle, "contains", lambda self, p: pytest.fail("contains called"))
+        simulate_msr(Circle(1.0), pair, cfg, mode="expansion", esc=synthetic_esc(4))
+
+    def test_esc_at_other_omega_or_rho0_rejected(self, pair, cfg):
+        for esc in (EscMatrix.from_global(np.eye(18), 2.0 * OMEGA), synthetic_esc(4, rho0=2.0)):
+            with pytest.raises(DomainError, match="does not match the acquisition"):
+                simulate_msr(Circle(1.0), pair, cfg, mode="expansion", esc=esc)
 
     def test_bie_vs_expansion_truncation_sweep(self, pair, exterior):
         # the entrywise gap between the solver data and the truncated

@@ -1,4 +1,4 @@
-"""Wave bases, fundamental solution and traction coefficient functions."""
+"""Wave bases, the Kupradze tensor and traction coefficient functions."""
 
 import numpy as np
 import pytest
@@ -7,16 +7,16 @@ from numpy.testing import assert_allclose
 from conftest import fd_lame_residual, fd_traction
 from escat.cloak import _layer_matrices
 from escat.errors import DomainError
+from escat.msr import MsrConfig, assemble_model
 from escat.wavefields import (
     Material,
     MaterialPair,
     ModeIndex,
+    _gamma_tensor,
     cyl_wave_H,
     cyl_wave_J,
     cyl_wave_traction,
-    fundamental_solution,
     perp,
-    plane_wave_coeffs,
     plane_wave_mode_field,
     plane_wave_traction,
 )
@@ -156,16 +156,23 @@ class TestCylWaves:
 
 class TestPlaneWave:
     def test_partial_sum_reproduces_plane_wave(self, exterior):
-        d = np.array([np.cos(0.4), np.sin(0.4)])
-        coeffs = plane_wave_coeffs(d, OMEGA, exterior, 30)
+        # row k of the MSR model's X, times 4 rho0 w^2 / i, holds the
+        # J-coefficients of incidence k's P (par rows) and S (perp rows) wave
+        K, ns = 30, 61
+        cfg = MsrConfig(radius=1e3, n_sources=ns, n_receivers=ns, omega=OMEGA, exterior=exterior)
+        coeffs = assemble_model(cfg, K).X * (4.0 * exterior.rho * OMEGA**2 / 1j)
         pts = np.array([[0.5, 0.2], [-1.0, 0.7], [2.0, -3.0]])
-        acc = np.zeros((3, 2), dtype=complex)
-        for i, m in enumerate(range(-30, 31)):
-            acc += coeffs["P"][i] * cyl_wave_J(ModeIndex("P", m), pts, exterior, OMEGA)
-            acc += coeffs["S"][i] * cyl_wave_J(ModeIndex("S", m), pts, exterior, OMEGA)
-        direct = plane_wave_mode_field(d, pts, exterior, OMEGA, "P") + \
-            plane_wave_mode_field(d, pts, exterior, OMEGA, "S")
-        assert np.abs(acc - direct).max() / np.abs(direct).max() < 1e-8
+        for ib, mode in enumerate("PS"):
+            basis = np.array(
+                [cyl_wave_J(ModeIndex(mode, m), pts, exterior, OMEGA) for m in range(-K, K + 1)]
+            )
+            rows = coeffs[ib * ns : (ib + 1) * ns, ib * (2 * K + 1) : (ib + 1) * (2 * K + 1)]
+            acc = np.einsum("km,mpc->kpc", rows, basis)
+            direct = np.array(
+                [plane_wave_mode_field(d, pts, exterior, OMEGA, mode)
+                 for d in cfg.incident_directions()]
+            )
+            assert np.abs(acc - direct).max() / np.abs(direct).max() < 1e-8
 
     def test_field_is_the_closed_form(self, exterior):
         # (1/(rho cP^2)) e^{i kP x.d} d + (1/(rho cS^2)) e^{i kS x.d} d_perp,
@@ -183,16 +190,6 @@ class TestPlaneWave:
             plane_wave_mode_field(d, pts[1], exterior, OMEGA, "S")
         assert np.array_equal(one, got[1])
 
-    def test_vertical_incidence_phases_are_one(self, exterior):
-        d = np.array([0.0, 1.0])  # theta_d = pi/2
-        coeffs = plane_wave_coeffs(d, OMEGA, exterior, 5)
-        assert_allclose(coeffs["P"], coeffs["P"][0] * np.ones(11), rtol=1e-13)
-
-    def test_moduli_independent_of_order(self, exterior):
-        coeffs = plane_wave_coeffs(np.array([1.0, 0.0]), OMEGA, exterior, 8)
-        want = 1.0 / (exterior.rho * exterior.c_p**2 * exterior.kappa_p(OMEGA))
-        assert_allclose(np.abs(coeffs["P"]), want, rtol=1e-14)
-
     def test_traction_against_fd(self, exterior):
         d = np.array([0.6, 0.8])
         x0 = np.array([0.3, -0.2])
@@ -204,11 +201,17 @@ class TestPlaneWave:
             assert np.abs(got - want).max() < 1e-8 * np.abs(want).max()
 
 
+def kupradze(x, y, material):
+    """Gamma^w(x - y) from the solver's Kupradze tensor."""
+    dv = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+    return _gamma_tensor(dv, np.hypot(dv[..., 0], dv[..., 1]), OMEGA, material)
+
+
 class TestFundamentalSolution:
     def test_symmetry(self, exterior):
         x, y = np.array([0.3, 0.8]), np.array([-0.5, 0.1])
-        g1 = fundamental_solution(x, y, OMEGA, exterior)
-        g2 = fundamental_solution(y, x, OMEGA, exterior)
+        g1 = kupradze(x, y, exterior)
+        g2 = kupradze(y, x, exterior)
         assert np.abs(g1 - g2.T).max() < 1e-12 * np.abs(g1).max()
 
     def test_multipole_expansion(self, exterior):
@@ -226,19 +229,15 @@ class TestFundamentalSolution:
                     * cyl_wave_H(idx, x, exterior, OMEGA)
                     * np.vdot(cyl_wave_J(idx, y, exterior, OMEGA), p)
                 )
-        direct = fundamental_solution(x, y, OMEGA, exterior) @ p
+        direct = kupradze(x, y, exterior) @ p
         assert np.abs(acc - direct).max() / np.abs(direct).max() < 1e-9
 
     def test_lame_residual_of_columns(self, exterior):
         y = np.array([-0.3, 0.4])
         x0 = np.array([0.9, -0.1])
         wavelength = 2 * np.pi / exterior.kappa_s(OMEGA)
-        f = lambda p: fundamental_solution(p, y, OMEGA, exterior)[:, 0]
+        f = lambda p: kupradze(p, y, exterior)[:, 0]
         assert fd_lame_residual(f, x0, exterior, OMEGA, 1e-4 * wavelength) < 1e-4
-
-    def test_coincident_points_rejected(self, exterior):
-        with pytest.raises(DomainError):
-            fundamental_solution(np.ones(2), np.ones(2), OMEGA, exterior)
 
 
 def traction_rows(n, r, material):
