@@ -47,18 +47,38 @@ reflection P (node j -> n - j, components times (1, -1), on phi and psi
 alike) then commutes with the system matrix A, and in the orthonormal
 eigenbases V+ and V- of P the system splits into two 2n x 2n blocks
 V+^T A V+ and V-^T A V-.  TransmissionSolver factors those instead of
-A; because A V = V B, the blocks need only the rows of nodes 0..n/2, so
-assembly evaluates half the rows.  The check is made on the grid data
-(QuadratureGrid.mirror_symmetric); any other grid is the one-block case
-of the same code, with the identity basis and all rows.
+A; because A V = V B, the blocks need only the rows of nodes 0..n/2.
+The check is made on the grid data (QuadratureGrid.mirror_symmetric);
+any other grid is the one-block case of the same code, with the
+identity basis and all rows.
 
-A is never formed for the solver.  Each material's kernel table gives
-its S and K* rows, which take their sign and 1/2 I and are projected
-straight into their quarter of both blocks; each table and each
-operator is dropped before the next is built.  At n=512 the traced peak
-of a solver build is 68.4 MB, against the 67.1 MB of blocks and LU
-copies it keeps; forming the 33.7 MB of rows first made it 81.2 MB.
-assemble_system builds the dense A from the same quarters, as an oracle.
+Z, and so every radial kernel, depends on a node pair only through its
+distance and index offset, which (i, j) shares with (j, i) and, on a
+mirror grid, with (n-i, n-j) and (n-j, n-i).  Each class of such pairs
+is evaluated once and gathered (_distinct_pairs): at n=512 the blocks
+read 131,584 entries of 65,793 classes; an unsplit grid has n(n+1)/2
+classes.  In the frame of rhat and the normal, S and K* regroup into
+coefficients of the class times geometry factors that do not depend on
+the material (KernelTable).  The factors, with |x'(t_j)| and the mirror
+scalings of the eigenbasis folded in, are formed once per build and
+serve both materials.
+
+A is never formed for the solver.  The build runs over slabs of block
+columns: each component of a material's S or K*, with its sign and
+1/2 I, is written straight into both eigenblocks, where a paired node's
+column is the sum or the difference of the columns of nodes j and n - j.
+The blocks are stored as their transposes in C order, which is the
+Fortran order LAPACK factors, so the LU copies are plain copies.  The
+kernel tables are evaluated and the slabs formed in chunks of _CHUNK
+entries, so that at n=512 the build's temporaries stay below 22 MB beside
+the 33.6 MB of blocks (12.6 MB of it the two class tables), and the
+traced peak of a solver build is 67.2 MB, against the 67.1 MB of blocks
+and LU copies it keeps.  The blocks are allocated before the
+temporaries: freed, those leave one span that the LU copies can reuse,
+instead of holes that raised the peak resident memory of repeated
+solves by up to 18 MB.  assemble_system and the one-material matrices
+single_layer_matrix and traction_layer_matrix are the identity-basis
+case of the same build, reordered node-major.
 
 The two eigenblocks are independent, so when the OpenBLAS that
 scipy.linalg calls runs one thread, each block's LU and condition
@@ -202,219 +222,52 @@ def build_grid(curve: BoundaryCurve, n_nodes: int) -> QuadratureGrid:
 
 
 # ---------------------------------------------------------------------------
-# quadrature weight matrices on the uniform grid
+# quadrature weights on the uniform grid
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=8)
 def _log_row(n: int) -> np.ndarray:
-    """R_ij as a function of the offset k = |i - j| (mod n), k = 0..n/2."""
+    """R_ij as a function of the offset k = |i - j| (mod n), k = 0..n/2 (read-only)."""
     theta = 2.0 * np.pi * np.arange(n // 2 + 1) / n
     m = np.arange(1, n // 2)
     row = -(4.0 * np.pi / n) * np.cos(np.outer(theta, m)) @ (1.0 / m)
-    return row - (4.0 * np.pi / (n * n)) * np.cos((n / 2.0) * theta)
+    row -= (4.0 * np.pi / (n * n)) * np.cos((n / 2.0) * theta)
+    row.flags.writeable = False
+    return row
 
 
-def _offsets(n: int, rows: int | None = None) -> np.ndarray:
-    """(rows x n) offsets (i - j) mod n; rows defaults to n."""
-    return (np.arange(n if rows is None else rows)[:, None] - np.arange(n)[None, :]) % n
-
-
-def _even_circulant(row: np.ndarray, n: int, rows: int | None = None) -> np.ndarray:
-    """Exactly symmetric matrix row[min(k, n - k)], k = (i - j) mod n, first rows rows."""
-    idx = _offsets(n, rows)
-    return row[np.minimum(idx, n - idx)]
-
-
-def cot_weights(n: int, rows: int | None = None) -> np.ndarray:
-    """Weights C_ij for p.v. (1/2pi) int cot((s - t_i)/2) f(s) ds.
+def _cot_row(n: int) -> np.ndarray:
+    """Weights C_ij = row(t_i - t_j) for p.v. (1/2pi) int cot((s - t_i)/2) f(s) ds.
 
     Exact for trigonometric polynomials of degree < n/2 (the conjugate
     function operator: e^{ims} -> i sign(m) e^{imt}).  The row function
-    is odd, so C_ij = row(t_i - t_j) with row(h) = -(2/n) sum_m sin(m h).
-    Only the first rows rows (default all n) are formed.
+    row(h) = -(2/n) sum_m sin(m h), 0 < m < n/2, is odd; at the offsets
+    h = 2 pi k/n, k = 0..n-1, the sum is cot(pi k/n) for odd k and 0 for
+    even k.
     """
-    theta = 2.0 * np.pi * np.arange(n) / n
-    m = np.arange(1, n // 2)
-    row = -(2.0 / n) * np.sin(np.outer(theta, m)).sum(axis=1)
-    return row[_offsets(n, rows)]
+    k = np.arange(n)
+    row = np.zeros(n)
+    row[1::2] = -(2.0 / n) / np.tan(np.pi * k[1::2] / n)
+    return row
+
+
+def _kelvin_row(n: int) -> np.ndarray:
+    """(2 pi/n) cot((t_j - t_i)/2)/2 - pi C_ij by the offset k = (i - j) mod n.
+
+    The Kelvin skew kernel's cot term leaves the trapezoidal rule for the
+    conjugation weights C.  The diagonal, k = 0, is 0: it is set in
+    closed form.
+    """
+    k = np.arange(1, n)
+    row = np.zeros(n)
+    row[1:] = -(np.pi / n) / np.tan(np.pi * k / n) - np.pi * _cot_row(n)[1:]
+    return row
 
 
 # ---------------------------------------------------------------------------
-# Nystrom kernels
+# the reflection's eigenbases
 # ---------------------------------------------------------------------------
-
-
-def _static_constants(material: Material):
-    lam, mu = material.lam, material.mu
-    c1 = (lam + 3.0 * mu) / (4.0 * np.pi * mu * (lam + 2.0 * mu))
-    c2 = (lam + mu) / (4.0 * np.pi * mu * (lam + 2.0 * mu))
-    m_c = mu / (2.0 * np.pi * (lam + 2.0 * mu))
-    p_c = (lam + mu) / (np.pi * (lam + 2.0 * mu))
-    return c1, c2, m_c, p_c
-
-
-def _pairwise(grid: QuadratureGrid, rows: int):
-    x = grid.nodes
-    dv = x[:rows, None, :] - x[None, :, :]
-    r = np.hypot(dv[..., 0], dv[..., 1])
-    np.fill_diagonal(r, 1.0)  # placeholder, diagonals set analytically
-    return r, dv / r[..., None]
-
-
-class KernelTable(NamedTuple):
-    """Quadrature-weighted radial kernels of one material on a grid.
-
-    Row i is target node i; a table may hold only the first rows rows.
-    """
-
-    rhat: np.ndarray  # (rows, n, 2) unit vectors (x_i - x_j) / r_ij
-    phi: np.ndarray  # (rows, n) radial parts of S, diagonal not meaningful
-    chi: np.ndarray
-    traction: tuple  # (a1, a2, a4) of K*, same layout
-
-
-def _kernel_tables(
-    grid: QuadratureGrid, omega: float, material: Material, rows: int | None = None
-) -> KernelTable:
-    """Radial kernels of one material at the folded Z_nu of the module docstring.
-
-    Only target rows 0..rows-1 (default all) are evaluated.
-
-    Z is symmetric in (i, j) because r, R and ln 4 sin^2 are; |x'(t_j)|
-    multiplies the results, not Z, so the rounding of the P-S cancellation
-    near the diagonal stays the same for (i, j) and (j, i) and largely
-    drops out of smooth integrals.
-    """
-    n = grid.n_nodes
-    rows = n if rows is None else rows
-    h = 2.0 * np.pi / n
-    r, rhat = _pairwise(grid, rows)
-    w_row = _log_row(n)  # R - (2 pi/n) ln 4 sin^2 by offset; the diagonal is unused
-    w_row[1:] -= h * np.log(4.0 * np.sin(np.pi * np.arange(1, n // 2 + 1) / n) ** 2)
-    w_log = _even_circulant(w_row / np.pi, n, rows)
-    z = []
-    for kappa in (material.kappa_p(omega), material.kappa_s(omega)):
-        t = kappa * r
-        z.append(
-            tuple(
-                h * jv + 1j * (h * yv + w_log * jv)
-                for jv, yv in ((sp.j0(t), sp.y0(t)), (sp.j1(t), sp.y1(t)))
-            )
-        )
-    phi, chi, traction = _radial_kernels(z[0], z[1], r, omega, material)
-    jac = grid.jacobians
-    return KernelTable(rhat, phi * jac, chi * jac, tuple(a * jac for a in traction))
-
-
-def _node_blocks(comp, diag: np.ndarray) -> np.ndarray:
-    """(2 rows x 2n) matrix from 2x2 component arrays (rows, n) and diagonal blocks (n, 2, 2)."""
-    rows, n = comp[0][0].shape
-    op = np.empty((rows, 2, n, 2), dtype=complex)
-    for k in (0, 1):
-        for l in (0, 1):
-            op[:, k, :, l] = comp[k][l]
-    di = np.arange(rows)
-    op[di, :, di, :] = diag[:rows]
-    return op.reshape(2 * rows, 2 * n)
-
-
-def single_layer_matrix(
-    grid: QuadratureGrid, omega: float, material: Material, tables: KernelTable | None = None
-):
-    """Discrete single-layer trace operator (2n x 2n).
-
-    Given a table of the first rows nodes, only their 2 * rows rows are formed.
-    Diagonal blocks are R_ii m1_ii + (2 pi/n) m2_ii from the closed-form
-    limits of the log split M = M1 ln 4 sin^2 + M2.
-    """
-    tab = tables if tables is not None else _kernel_tables(grid, omega, material)
-    n = grid.n_nodes
-    jac = grid.jacobians
-    c1, c2, _, _ = _static_constants(material)
-    mu, lam2mu = material.mu, material.lam + 2.0 * material.mu
-    g_big_s = 0.25j - (np.log(material.kappa_s(omega) / 2.0) + _EULER) / (2.0 * np.pi)
-    g_big_p = 0.25j - (np.log(material.kappa_p(omega) / 2.0) + _EULER) / (2.0 * np.pi)
-    phi0 = g_big_s / (2.0 * mu) + g_big_p / (2.0 * lam2mu) - c2 / 2.0
-    m1 = -0.5 * c1 * jac
-    m2 = (phi0 - c1 * np.log(jac)) * jac
-    tau_outer = grid.tangents[:, :, None] * grid.tangents[:, None, :]
-    diag = (_log_row(n)[0] * m1 + (2.0 * np.pi / n) * m2)[:, None, None] * np.eye(2)
-    diag = diag + ((2.0 * np.pi / n) * c2 * jac)[:, None, None] * tau_outer
-    return _node_blocks(_gamma_components(tab.phi, tab.chi, tab.rhat), diag)
-
-
-def traction_layer_matrix(
-    grid: QuadratureGrid, omega: float, material: Material, tables: KernelTable | None = None
-):
-    """Discrete principal-value traction operator K* (2n x 2n).
-
-    Given a table of the first rows nodes, only their 2 * rows rows are formed.
-    Off the diagonal, K*_ij = radial part + m_c E ((2 pi/n) cot((t_j - t_i)/2)/2
-    - pi C_ij): the Kelvin skew kernel's cot term leaves the trapezoidal
-    rule for the conjugation weights C.  Diagonal blocks are (2 pi/n)
-    times the curvature limits (C_ii = 0 and the log coefficient vanishes).
-    """
-    tab = tables if tables is not None else _kernel_tables(grid, omega, material)
-    n = grid.n_nodes
-    rows = tab.phi.shape[0]
-    h = 2.0 * np.pi / n
-    jac, nrm = grid.jacobians, grid.normals
-    _, _, m_c, p_c = _static_constants(material)
-    dtheta = grid.t[None, :] - grid.t[:rows, None]
-    np.fill_diagonal(dtheta, np.pi)  # placeholder, the diagonal is set below
-    kelvin = m_c * (0.5 * h / np.tan(dtheta / 2.0) - np.pi * cot_weights(n, rows))
-    comp = _traction_components(tab.traction, tab.rhat, nrm[:rows, None, :])
-    comp = ((comp[0][0], comp[0][1] + kelvin), (comp[1][0] - kelvin, comp[1][1]))
-    cross = nrm[:, 0] * grid.accel[:, 1] - nrm[:, 1] * grid.accel[:, 0]  # n x x''
-    add_n = np.einsum("ij,ij->i", grid.accel, nrm)  # x'' . n
-    tau_outer = grid.tangents[:, :, None] * grid.tangents[:, None, :]
-    diag = h * (
-        -m_c * (cross / (2.0 * jac))[:, None, None] * _E_SKEW
-        + (add_n / (2.0 * jac))[:, None, None] * (m_c * np.eye(2) + p_c * tau_outer)
-    )
-    return _node_blocks(comp, diag)
-
-
-def _system_quarters(
-    grid: QuadratureGrid, pair: MaterialPair, omega: float, rows: int | None = None
-):
-    """Yield (equation, density, quarter) for the four quarters of the system.
-
-    Equation 0 is the trace equation (S), 1 the traction-jump equation
-    (K* + 1/2 I); density 0 is phi (interior material), 1 psi (exterior,
-    negated).  Each quarter is a (2 rows x 2n) operator of the nodes
-    0..rows-1 (default all).  A material's kernel table is dropped once its
-    K* is built, so the caller, by dropping each quarter before it asks for
-    the next, holds at most one table and one quarter at a time.
-    """
-    if omega <= 0:
-        raise DomainError("omega must be positive")
-    diag = np.arange(2 * (grid.n_nodes if rows is None else rows))
-    for density, material in enumerate((pair.interior, pair.exterior)):
-        tab = _kernel_tables(grid, omega, material, rows)
-        for equation, layer in enumerate((single_layer_matrix, traction_layer_matrix)):
-            quarter = layer(grid, omega, material, tab)
-            if density:
-                quarter *= -1.0
-            if equation:
-                del tab
-                quarter[diag, diag] += 0.5
-            yield equation, density, quarter
-            del quarter
-
-
-def assemble_system(grid: QuadratureGrid, pair: MaterialPair, omega: float):
-    """Dense transmission system matrix of size (4 n_nodes)^2.
-
-    Row blocks: trace equation, traction-jump equation; column blocks:
-    phi (interior density), psi (exterior density).  TransmissionSolver
-    builds its eigenblocks from the same quarters without this matrix.
-    """
-    n2 = 2 * grid.n_nodes
-    a = np.empty((2 * n2, 2 * n2), dtype=complex)
-    for equation, density, quarter in _system_quarters(grid, pair, omega):
-        a[equation * n2 : (equation + 1) * n2, density * n2 : (density + 1) * n2] = quarter
-    return a
 
 
 class _MirrorBasis(NamedTuple):
@@ -452,20 +305,23 @@ class _MirrorBasis(NamedTuple):
             off += hi - lo
 
 
+def _identity_basis(n: int) -> _MirrorBasis:
+    return _MirrorBasis(n, n, 0, (((0, n, 1.0), (0, n, 1.0)),))
+
+
 def _mirror_basis(grid: QuadratureGrid) -> _MirrorBasis:
     n = grid.n_nodes
     if not grid.mirror_symmetric:
-        return _MirrorBasis(n, n, 0, (((0, n, 1.0), (0, n, 1.0)),))
+        return _identity_basis(n)
     # nodes 0 and n/2 lie on the axis: their x_1 component is P-even, x_2 odd
     m = n // 2
     full, inner = (0, m + 1, 1.0), (1, m, -1.0)
     return _MirrorBasis(n, m + 1, m - 1, ((full, inner), (inner, full)))
 
 
-def _project(basis: _MirrorBasis, spec, x: np.ndarray, out=None) -> np.ndarray:
-    """V^T x for x of shape (..., n, 2): block coordinates (..., size), into out if given."""
-    if out is None:
-        out = np.empty(x.shape[:-2] + (basis.size(spec),), dtype=complex)
+def _project(basis: _MirrorBasis, spec, x: np.ndarray) -> np.ndarray:
+    """V^T x for x of shape (..., n, 2): block coordinates (..., size)."""
+    out = np.empty(x.shape[:-2] + (basis.size(spec),), dtype=complex)
     for c, nodes, coords, paired, sign in basis.parts(spec):
         part = out[..., coords]
         part[...] = x[..., nodes, c]
@@ -483,28 +339,382 @@ def _expand(basis: _MirrorBasis, spec, y: np.ndarray, out: np.ndarray) -> None:
         out[..., basis.partners, c] += sign * part[..., paired]
 
 
+# ---------------------------------------------------------------------------
+# Nystrom kernels and the block build
+# ---------------------------------------------------------------------------
+
+
+# pairs per kernel-table chunk and layout entries per slab: the build's
+# temporaries stay a few MB beside the class tables and the blocks
+_CHUNK = 16384
+
+
+def _tri(a, b, size: int):
+    """Position of the pair a <= b in np.triu_indices(size) order."""
+    return a * (2 * size - a + 1) // 2 + b - a
+
+
+def _distinct_pairs(basis: _MirrorBasis):
+    """(p, q, index): one node pair (p[c], q[c]) per class c, and each layout entry's class.
+
+    A layout array has one row per source node, 0..rows-1 and then the
+    partners n-1..n-pairs, and one column per target node 0..rows-1; its
+    entry [s, i] is the pair (i, source s).  The radial kernels depend on
+    a pair only through its distance and index offset, which (i, j)
+    shares with (j, i) and, on a mirror grid, with (n-i, n-j) and
+    (n-j, n-i): pairs that agree so form one class.
+    """
+    n, rows, pairs = basis.n, basis.rows, basis.pairs
+    src, tgt = np.ogrid[:rows, :rows]
+    index = _tri(np.minimum(src, tgt), np.maximum(src, tgt), rows)
+    p, q = np.triu_indices(rows)
+    if not pairs:
+        return p, q, index
+    # (i, n-j) mirrors to (n-i, j): on the axis targets i = 0 and n/2 it is
+    # the class of (i, j); between them the classes form a second triangle
+    src, tgt = np.ogrid[:pairs, :pairs]  # nodes 1..pairs
+    lower = index[1 : pairs + 1].copy()
+    lower[:, 1 : pairs + 1] = len(p) + _tri(np.minimum(src, tgt), np.maximum(src, tgt), pairs)
+    a, b = np.triu_indices(pairs)
+    p, q = np.concatenate([p, a + 1]), np.concatenate([q, n - 1 - b])
+    return p, q, np.concatenate([index, lower])
+
+
+def _pair_geometry(grid: QuadratureGrid, p: np.ndarray, q: np.ndarray):
+    """(r, w_log) of the node pairs (p, q): the distance, 1 where p = q
+    (a placeholder: the diagonal is set in closed form), and
+    (R - (2 pi/n) ln 4 sin^2) / pi by the index offset."""
+    n = grid.n_nodes
+    x = grid.nodes
+    r = np.hypot(x[p, 0] - x[q, 0], x[p, 1] - x[q, 1])
+    r[p == q] = 1.0
+    w_row = _log_row(n).copy()  # the diagonal entry is unused
+    w_row[1:] -= (2.0 * np.pi / n) * np.log(4.0 * np.sin(np.pi * np.arange(1, n // 2 + 1) / n) ** 2)
+    k = (q - p) % n
+    return r, w_row[np.minimum(k, n - k)] / np.pi
+
+
+class KernelTable(NamedTuple):
+    """Quadrature-weighted radial kernels of one material, per node pair.
+
+    With rhat = (cos a, sin a), the target normal (cos b, sin b),
+    C = cos(b - a), Sn = sin(b - a), J the rotation by pi/2 and
+    R(t) = [[cos t, sin t], [sin t, -cos t]], the kernels of
+    wavefields._radial_kernels regroup as
+
+        S  = s_iso I + s_ref R(2a)
+        K* = t_iso C I + t_skew Sn J + t_ref R(a + b) + t_ref2 C R(2a)
+
+    (K* without its Kelvin cot term, _kelvin_row), so that every
+    coefficient depends on the pair's distance and offset alone:
+    s_iso = phi + chi/2, s_ref = chi/2, t_iso = (a1 + 3 a2 + a4)/2,
+    t_skew = (a1 - a2)/2, t_ref = (a1 + a2)/2 and t_ref2 = a4/2.
+    """
+
+    s_iso: np.ndarray
+    s_ref: np.ndarray
+    t_iso: np.ndarray
+    t_skew: np.ndarray
+    t_ref: np.ndarray
+    t_ref2: np.ndarray
+
+
+def _kernel_table(r, w_log, n: int, omega: float, material: Material) -> KernelTable:
+    """The kernels of pairs (r, w_log) at the folded Z_nu of the module docstring.
+
+    Evaluated in chunks of _CHUNK pairs, so that the temporaries stay small.
+    """
+    if omega <= 0:
+        raise DomainError("omega must be positive")
+    h = 2.0 * np.pi / n
+    table = KernelTable(*(np.empty(len(r), dtype=complex) for _ in KernelTable._fields))
+    for lo in range(0, len(r), _CHUNK):
+        part = slice(lo, lo + _CHUNK)
+        z = []
+        for kappa in (material.kappa_p(omega), material.kappa_s(omega)):
+            t = kappa * r[part]
+            for jv, yv in ((sp.j0(t), sp.y0(t)), (sp.j1(t), sp.y1(t))):
+                zv = np.empty(t.shape, dtype=complex)
+                zv.real = h * jv
+                zv.imag = h * yv + w_log[part] * jv
+                z.append(zv)
+        phi, chi, (a1, a2, a4) = _radial_kernels(z[:2], z[2:], r[part], omega, material)
+        half_chi = 0.5 * chi
+        values = (phi + half_chi, half_chi, 0.5 * (a1 + 3.0 * a2 + a4), 0.5 * (a1 - a2))
+        values += (0.5 * (a1 + a2), 0.5 * a4)
+        for coeff, value in zip(table, values):
+            coeff[part] = value
+    return table
+
+
+def _diagonal_blocks(grid: QuadratureGrid, omega: float, material: Material):
+    """(S, K*, m_c): the (n, 2, 2) diagonal blocks and the Kelvin constant.
+
+    The blocks are the closed-form limits.  S: R_ii m1_ii + (2 pi/n) m2_ii
+    of the log split M = M1 ln 4 sin^2 + M2.  K*: (2 pi/n) times the
+    curvature limits (C_ii = 0 and the log coefficient vanishes).
+    """
+    n = grid.n_nodes
+    h = 2.0 * np.pi / n
+    jac, nrm = grid.jacobians, grid.normals
+    lam, mu = material.lam, material.mu
+    lam2mu = lam + 2.0 * mu
+    c1 = (lam + 3.0 * mu) / (4.0 * np.pi * mu * lam2mu)
+    c2 = (lam + mu) / (4.0 * np.pi * mu * lam2mu)
+    m_c = mu / (2.0 * np.pi * lam2mu)
+    p_c = (lam + mu) / (np.pi * lam2mu)
+    g_big_s = 0.25j - (np.log(material.kappa_s(omega) / 2.0) + _EULER) / (2.0 * np.pi)
+    g_big_p = 0.25j - (np.log(material.kappa_p(omega) / 2.0) + _EULER) / (2.0 * np.pi)
+    phi0 = g_big_s / (2.0 * mu) + g_big_p / (2.0 * lam2mu) - c2 / 2.0
+    m1 = -0.5 * c1 * jac
+    m2 = (phi0 - c1 * np.log(jac)) * jac
+    tau_outer = grid.tangents[:, :, None] * grid.tangents[:, None, :]
+    single = (_log_row(n)[0] * m1 + h * m2)[:, None, None] * np.eye(2)
+    single = single + (h * c2 * jac)[:, None, None] * tau_outer
+    cross = nrm[:, 0] * grid.accel[:, 1] - nrm[:, 1] * grid.accel[:, 0]  # n x x''
+    add_n = np.einsum("ij,ij->i", grid.accel, nrm)  # x'' . n
+    traction = h * (
+        -m_c * (cross / (2.0 * jac))[:, None, None] * _E_SKEW
+        + (add_n / (2.0 * jac))[:, None, None] * (m_c * np.eye(2) + p_c * tau_outer)
+    )
+    return single, traction, m_c
+
+
+class _Slab(NamedTuple):
+    """Layout rows for the block columns of the nodes a..b-1, and their geometry.
+
+    The rows are the sources a..b-1, then the partners n-j of the paired
+    nodes j = qa..qb-1 among them; the columns are the targets 0..rows-1
+    (_distinct_pairs).  The geometry factors carry |x'| of the source and
+    the mirror scalings of _eigenblocks, so that a gathered kernel times
+    one of them is block-ready; kelvin carries the scalings only.
+    """
+
+    a: int
+    b: int
+    qa: int
+    qb: int
+    index: np.ndarray  # class of each entry
+    single: tuple  # W, W cos 2a, W sin 2a
+    traction: tuple  # W C, W Sn, W cos(a + b), W sin(a + b), W C cos 2a, W C sin 2a
+    kelvin: np.ndarray
+
+
+def _slabs(grid: QuadratureGrid, basis: _MirrorBasis, index: np.ndarray, r: np.ndarray):
+    """Yield the _Slab of each run of block columns; r is the class distance."""
+    n, rows, pairs = basis.n, basis.rows, basis.pairs
+    kelvin_row = _kelvin_row(n)
+    x, jac = grid.nodes, grid.jacobians
+    n0, n1 = grid.normals[:rows, 0], grid.normals[:rows, 1]
+    paired_tgt = np.zeros(rows, dtype=bool)
+    paired_tgt[1 : pairs + 1] = True
+    step = max(1, _CHUNK // (2 * rows))  # a slab has up to 2 step rows
+    for a in range(0, rows, step):
+        b = min(a + step, rows)
+        qa = max(a, 1)
+        qb = max(min(b, pairs + 1), qa)
+        src = np.concatenate([np.arange(a, b), n - np.arange(qa, qb)])
+        slab_index = np.concatenate([index[a:b], index[rows + qa - 1 : rows + qb - 1]])
+        # row (i, k) of a block is sqrt 2 times row (i, k) of A V for a
+        # paired node i, and column (j, c) of A V is (A e_j + sign A e_(n-j))
+        # / sqrt 2 for a paired node j: the entry scale is 1 when both nodes
+        # are paired or neither is
+        paired_src = np.concatenate([paired_tgt[a:b], np.ones(qb - qa, dtype=bool)])
+        scale = np.ones((len(src), rows))
+        scale[np.ix_(~paired_src, paired_tgt)] = np.sqrt(2.0)
+        scale[np.ix_(paired_src, ~paired_tgt)] = _SQRT_HALF
+        kelvin = kelvin_row[(np.arange(rows) - src[:, None]) % n] * scale
+        weight = scale
+        weight *= jac[src, None]
+        dist = r[slab_index]
+        r0 = (x[:rows, 0] - x[src, None, 0]) / dist
+        r1 = (x[:rows, 1] - x[src, None, 1]) / dist
+        cos2 = r0 * r0 - r1 * r1
+        sin2 = 2.0 * r0 * r1
+        dot = weight * (r0 * n0 + r1 * n1)
+        traction = (
+            dot,
+            weight * (r0 * n1 - r1 * n0),
+            weight * (r0 * n0 - r1 * n1),
+            weight * (r0 * n1 + r1 * n0),
+            dot * cos2,
+            dot * sin2,
+        )
+        cos2 *= weight
+        sin2 *= weight
+        yield _Slab(a, b, qa, qb, slab_index, (weight, cos2, sin2), traction, kelvin)
+
+
+def _components(slab: _Slab, table: KernelTable, single_diag, traction_diag, m_c: float):
+    """Yield (equation, k, c, comp): component (k, c) of S (equation 0) and K* (1) on the slab.
+
+    comp is a layout array of the slab, block-ready (_Slab) and with the
+    closed-form diagonal blocks in place; drop it before the next.
+    """
+    a, b = slab.a, slab.b
+    diagonal = (np.arange(b - a), np.arange(a, b))  # the entries (j, j)
+
+    def gather(coeff):
+        return np.take(coeff, slab.index)
+
+    def done(equation, k, c, comp):
+        comp[diagonal] = (traction_diag if equation else single_diag)[a:b, k, c]
+        return equation, k, c, comp
+
+    weight, cos2, sin2 = slab.single
+    ref = gather(table.s_ref)
+    ref_cos = ref * cos2
+    ref *= sin2
+    yield done(0, 0, 1, ref)
+    yield 0, 1, 0, ref  # S is symmetric
+    del ref
+    iso = gather(table.s_iso)
+    iso *= weight
+    yield done(0, 0, 0, iso + ref_cos)
+    iso -= ref_cos
+    yield done(0, 1, 1, iso)
+    del iso, ref_cos
+
+    dot, cross, cos_ab, sin_ab, dot_cos2, dot_sin2 = slab.traction
+    ref_cos = gather(table.t_ref)
+    ref_sin = ref_cos * sin_ab
+    ref_cos *= cos_ab
+    ref2 = gather(table.t_ref2)
+    ref_cos += ref2 * dot_cos2
+    ref2 *= dot_sin2
+    ref_sin += ref2
+    del ref2
+    iso = gather(table.t_iso)
+    iso *= dot
+    yield done(1, 0, 0, iso + ref_cos)
+    iso -= ref_cos
+    yield done(1, 1, 1, iso)
+    del iso, ref_cos
+    skew = gather(table.t_skew)
+    skew *= cross
+    skew -= m_c * slab.kelvin
+    yield done(1, 0, 1, ref_sin - skew)
+    ref_sin += skew
+    yield done(1, 1, 0, ref_sin)
+
+
+def _assemble(grid: QuadratureGrid, basis: _MirrorBasis, omega: float, operators, shift, write):
+    """Run write(slab, density, equation, k, c, comp) over every component of the operators.
+
+    operators lists (material, sign), one per density.  Each class of
+    pairs is evaluated once per material; the slabs share the geometry
+    between the materials.
+    """
+    p, q, index = _distinct_pairs(basis)
+    r, w_log = _pair_geometry(grid, p, q)
+    terms = []  # the _components arguments of sign S and sign K* + shift I
+    for material, sign in operators:
+        table = _kernel_table(r, w_log, grid.n_nodes, omega, material)
+        for coeff in table:
+            coeff *= sign
+        single, traction, m_c = _diagonal_blocks(grid, omega, material)
+        terms.append((table, sign * single, sign * traction + shift * np.eye(2), sign * m_c))
+    for slab in _slabs(grid, basis, index, r):
+        for density, term in enumerate(terms):
+            for equation, k, c, comp in _components(slab, *term):
+                write(slab, density, equation, k, c, comp)
+
+
+def _write(basis: _MirrorBasis, spec, slab: _Slab, out: np.ndarray, k: int, c: int, comp) -> None:
+    """Write component (k, c) of the slab into out[(c, j), (k, i)] = B[(k, i), (c, j)].
+
+    For a paired node j the entry combines the columns of the nodes j and
+    n - j with the block's sign for component c.
+    """
+    parts = list(basis.parts(spec))
+    _, nodes, coords, _, sign = parts[c]
+    _, targets, target_coords, _, _ = parts[k]
+    j0, j1 = max(slab.a, nodes.start), min(slab.b, nodes.stop)
+    if j0 >= j1:
+        return
+    p0 = min(max(j0, slab.qa), j1)  # paired nodes p0..p1-1
+    p1 = max(min(j1, slab.qb), p0)
+    dest = out[coords.start + j0 - nodes.start : coords.start + j1 - nodes.start, target_coords]
+    direct = comp[j0 - slab.a : j1 - slab.a, targets]
+    offset = slab.b - slab.a - slab.qa  # the partner of node j is row offset + j
+    lo, hi = p0 - j0, p1 - j0
+    combine = np.add if sign > 0 else np.subtract
+    combine(direct[lo:hi], comp[offset + p0 : offset + p1, targets], out=dest[lo:hi])
+    dest[:lo] = direct[:lo]
+    dest[hi:] = direct[hi:]
+
+
 def _eigenblocks(
     grid: QuadratureGrid, pair: MaterialPair, omega: float, basis: _MirrorBasis
 ) -> list:
-    """B = V^T A V of each eigenblock of basis, built quarter by quarter.
+    """B = V^T A V of each eigenblock of basis, in Fortran order.
 
     PA = AP gives A V = V B, so row (i, k) of B is row (i, k) of A V,
     times sqrt 2 for a paired node i: only the rows of nodes 0..rows-1
-    are needed.  Each (equation, density) quarter of A is projected into
-    that quarter of every block as soon as it is built, and dropped
-    before the next one is.
+    are needed.  Each component of each material's S and K*, with psi's
+    -1 and the traction equation's +1/2 I, is written straight into its
+    quarter of every block, one slab of columns at a time.
     """
     sizes = [basis.size(spec) for spec in basis.blocks]
-    blocks = [np.empty((2, size, 2, size), dtype=complex) for size in sizes]
-    for equation, density, quarter in _system_quarters(grid, pair, omega, basis.rows):
-        quarter = quarter.reshape(basis.rows, 2, basis.n, 2)  # node, k, node, c
-        for spec, b in zip(basis.blocks, blocks):
-            for k, nodes, coords, paired, _ in basis.parts(spec):
-                rows = b[equation, coords, density]
-                _project(basis, spec, quarter[nodes, k], out=rows)  # rows (i, k) of A V
-                rows[paired] *= np.sqrt(2.0)
-        del quarter
-    return [b.reshape(2 * size, 2 * size) for b, size in zip(blocks, sizes)]
+    # B^T in C order, indexed (density, column, equation, row), allocated
+    # before the build's temporaries (module docstring)
+    trans = [np.empty((2, size, 2, size), dtype=complex) for size in sizes]
+
+    def write(slab, density, equation, k, c, comp):
+        for spec, t in zip(basis.blocks, trans):
+            _write(basis, spec, slab, t[density, :, equation, :], k, c, comp)
+
+    _assemble(grid, basis, omega, ((pair.interior, 1.0), (pair.exterior, -1.0)), 0.5, write)
+    return [t.reshape(2 * size, 2 * size).T for t, size in zip(trans, sizes)]
+
+
+def _layer_matrix(grid: QuadratureGrid, omega: float, material: Material, equation: int):
+    """S (equation 0) or K* (1) of one material, node-major (2n x 2n), on the solver's path."""
+    n = grid.n_nodes
+    basis = _identity_basis(n)
+    (spec,) = basis.blocks
+    out = np.empty((2 * n, 2 * n), dtype=complex)  # (c, j) x (k, i)
+
+    def write(slab, density, eq, k, c, comp):
+        if eq == equation:
+            _write(basis, spec, slab, out, k, c, comp)
+
+    _assemble(grid, basis, omega, ((material, 1.0),), 0.0, write)
+    return out.reshape(2, n, 2, n).transpose(3, 2, 1, 0).reshape(2 * n, 2 * n)
+
+
+def single_layer_matrix(grid: QuadratureGrid, omega: float, material: Material):
+    """Discrete single-layer trace operator (2n x 2n, node-major).
+
+    Diagonal blocks are R_ii m1_ii + (2 pi/n) m2_ii from the closed-form
+    limits of the log split M = M1 ln 4 sin^2 + M2.
+    """
+    return _layer_matrix(grid, omega, material, 0)
+
+
+def traction_layer_matrix(grid: QuadratureGrid, omega: float, material: Material):
+    """Discrete principal-value traction operator K* (2n x 2n, node-major).
+
+    Off the diagonal, K*_ij = radial part + m_c E ((2 pi/n) cot((t_j - t_i)/2)/2
+    - pi C_ij): the Kelvin skew kernel's cot term leaves the trapezoidal
+    rule for the conjugation weights C.  Diagonal blocks are (2 pi/n)
+    times the curvature limits (C_ii = 0 and the log coefficient vanishes).
+    """
+    return _layer_matrix(grid, omega, material, 1)
+
+
+def assemble_system(grid: QuadratureGrid, pair: MaterialPair, omega: float):
+    """Dense transmission system matrix of size (4 n_nodes)^2.
+
+    Row blocks: trace equation, traction-jump equation; column blocks:
+    phi (interior density), psi (exterior density); node-major inside
+    each.  It is the one eigenblock of the identity basis, built by the
+    solver's own path and reordered.
+    """
+    n = grid.n_nodes
+    (b,) = _eigenblocks(grid, pair, omega, _identity_basis(n))
+    # (equation, k, i) x (density, c, j) -> (equation, i, k) x (density, j, c)
+    return b.reshape(2, 2, n, 2, 2, n).transpose(0, 2, 1, 3, 5, 4).reshape(4 * n, 4 * n)
 
 
 @functools.cache
@@ -548,13 +758,22 @@ def _factor(a: np.ndarray, anorm: float):
     return (lu, piv), float(rcond)
 
 
-def _lapack_copy(a: np.ndarray) -> np.ndarray:
-    """Fortran-order copy of a for LAPACK to overwrite; ValueError if a is not finite.
+def _lapack_copy(a: np.ndarray):
+    """(copy, 1-norm) of the Fortran-order block a; ValueError if a is not finite.
 
-    Made on the calling thread, finiteness check included, so that the
-    threads of _map_blocks allocate no array temporaries (module docstring).
+    The copy is for LAPACK to overwrite.  The norm is summed over slabs of
+    columns, so no |a| temporary of the block's size is formed, and a
+    finite norm shows that every entry is finite.  Made on the calling
+    thread, so that the threads of _map_blocks allocate no array
+    temporaries (module docstring).
     """
-    return np.array(np.asarray_chkfinite(a), order="F")  # a copy even if a is Fortran-order
+    columns = a.T  # C order: row j is column j of a
+    norm = np.max(
+        [np.abs(columns[j : j + 128]).sum(axis=1).max() for j in range(0, len(columns), 128)]
+    )
+    if not np.isfinite(norm):
+        np.asarray_chkfinite(a)  # raises numpy's ValueError for a non-finite entry
+    return np.array(a, order="F"), float(norm)  # a copy even though a is Fortran-order
 
 
 class TransmissionSolver:
@@ -576,9 +795,7 @@ class TransmissionSolver:
         self.omega = omega
         self._basis = _mirror_basis(grid)
         self._blocks = _eigenblocks(grid, pair, omega, self._basis)
-        copies = [_lapack_copy(b) for b in self._blocks]
-        # 1-norms by LAPACK lange, before the LUs overwrite the copies: no |B| temporary
-        norms = [sla.get_lapack_funcs("lange", (c,))("1", c) for c in copies]
+        copies, norms = zip(*[_lapack_copy(b) for b in self._blocks])
         concurrent = len(self._blocks) > 1 and _blas_single_threaded()
         start = time.perf_counter()
         factored = _map_blocks(_factor, list(zip(copies, norms)), concurrent)

@@ -40,13 +40,7 @@ import numpy as np
 from .bie import TransmissionSolver, build_grid
 from .curves import BoundaryCurve
 from .errors import DomainError
-from .wavefields import (
-    Material,
-    MaterialPair,
-    ModeIndex,
-    cyl_wave_J,
-    cyl_wave_traction,
-)
+from .wavefields import Material, MaterialPair, _j_wave_table
 
 logger = logging.getLogger(__name__)
 
@@ -161,15 +155,12 @@ def compute_esc(
     ext = pair.exterior
     grid = build_grid(curve, n_nodes)
     solver = TransmissionSolver(grid, pair, omega)
-    modes = [ModeIndex(a, n) for a in MODES for n in range(-K, K + 1)]
-    j_stack = np.array([cyl_wave_J(idx, grid.nodes, ext, omega) for idx in modes])
-    tractions = np.array(
-        [cyl_wave_traction(idx, grid.nodes, grid.normals, ext, omega, "J") for idx in modes]
-    )
+    # J^b_m for b in MODES, m = -K..K, and their tractions: one Bessel table per mode
+    j_stack, tractions = _j_wave_table(grid.nodes, grid.normals, ext, omega, K)
     densities = solver.solve_many(j_stack, tractions)
     # G[(b,m),(a,n)] = sum_j psi^b_m(y_j) . conj(J^a_n(y_j)) w_j
-    psi_stack = np.stack([dens.psi for dens in densities]).reshape(len(modes), -1)
-    proj = (np.conj(j_stack) * grid.weights[:, None]).reshape(len(modes), -1)
+    psi_stack = np.stack([dens.psi for dens in densities]).reshape(len(j_stack), -1)
+    proj = (np.conj(j_stack) * grid.weights[:, None]).reshape(len(j_stack), -1)
     return EscMatrix.from_global(
         psi_stack @ proj.T,
         omega,

@@ -289,8 +289,9 @@ def simulate_msr(
     mode='bie' solves the transmission problem per plane-wave incidence
     (ground truth, all multipole orders); mode='expansion' evaluates the
     truncated model X G Y* exactly at order K (model-error free), using
-    the supplied EscMatrix (at the acquisition's omega and rho0) or
-    computing one.  Both modes reject receivers inside the inclusion.
+    the supplied EscMatrix (at the acquisition's omega and rho0, and at K
+    if K is given) or computing one.  Both modes reject receivers inside
+    the inclusion.
     """
     # contains tests a polygon of 512 samples: no receiver beyond their largest radius is in it
     x = curve.position(np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False))
@@ -308,6 +309,8 @@ def simulate_msr(
                 f"EscMatrix at (omega, rho0) = ({esc.omega}, {esc.rho0}) does not match the "
                 f"acquisition's ({config.omega}, {config.exterior.rho})"
             )
+        elif K is not None and K != esc.K:
+            raise DomainError(f"K = {K} does not match the EscMatrix's K = {esc.K}")
         model = assemble_model(config, esc.K)
         a = model.X @ esc.to_global() @ model.Y.conj().T
         return MsrDataset.from_stacked(a, config)

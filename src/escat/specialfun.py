@@ -10,10 +10,11 @@ recurrence oracles.
 One routine, _fold, gives Z_n and Z_n' for Z in (J, Y, H^(1)) at one
 order and a scalar or an array of arguments: the value, the derivative
 (Z_{n-1} - Z_{n+1}) / 2 and the parity identity Z_{-n} = (-1)^n Z_n for
-negative orders.  The cylindrical waves, the transfer matrices and the
-MSR model matrices all take their values from it; only the
-Kupradze kernel tables (bie, wavefields) call scipy for orders 0 and 1
-directly.
+negative orders.  _fold_orders is its table form: every order -K..K from
+one call over the orders 0..K+1, with the same values bit for bit.  The
+cylindrical waves, the transfer matrices and the MSR model matrices all
+take their values from these two; only the Kupradze kernel tables (bie,
+wavefields) call scipy for orders 0 and 1 directly.
 """
 
 from __future__ import annotations
@@ -53,3 +54,21 @@ def _fold(z, order: int, t):
         return -val, -der
     return val, der
 
+
+def _fold_orders(z, K: int, t):
+    """(Z_n(t), Z_n'(t)) for n = -K..K along a new leading axis, each as _fold gives it.
+
+    One ufunc call on the orders 0..K+1 serves every value: the
+    derivative is (Z_{n-1} - Z_{n+1}) / 2 for n > 0 and -Z_1 at n = 0, and
+    a negative order takes the parity sign (-1)^n, exactly as in _fold.
+    """
+    axes = (1,) * np.ndim(t)
+    zs = z(np.arange(K + 2).reshape((-1,) + axes), t)
+    der = np.empty_like(zs[: K + 1])
+    der[0] = -zs[1]
+    der[1:] = (zs[:K] - zs[2:]) / 2.0
+    parity = ((-1.0) ** np.arange(K, 0, -1)).reshape((-1,) + axes)  # n = -K..-1
+    return (
+        np.concatenate([parity * zs[K:0:-1], zs[: K + 1]]),
+        np.concatenate([parity * der[K:0:-1], der]),
+    )

@@ -11,9 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from .bie import build_grid, traction_of_single_layer
-from .cloak import analytic_disk_esc
+from .cloak import LayeredStructure, _w_stack
 from .curves import Circle, Kite
-from .esc import compute_esc, verify_optical, verify_symmetries
+from .esc import MIRROR_SIGN, MODES, compute_esc, verify_optical, verify_symmetries
 from .msr import MsrConfig, assemble_model
 from .wavefields import Material, MaterialPair, ModeIndex
 
@@ -154,7 +154,11 @@ def _suite_disk(_negate):
     g = compute_esc(Circle(1.0), pair, omega, K=K, n_nodes=128).to_global()
     # diag[b, a, m] = W^{a,b}_{m,m}; the transfer matrix gives wa[m][a, b]
     diag = g.reshape(2, 2 * K + 1, 2, 2 * K + 1).diagonal(axis1=1, axis2=3)
-    wa = np.array([analytic_disk_esc(pair, 1.0, omega, m) for m in range(-K, K + 1)])
+    disk = LayeredStructure(radii=(1.0,), layers=(), exterior=pair.exterior, inner=pair.interior)
+    w = _w_stack(disk, [omega], K)[0]  # orders 0..K
+    # the disk is mirror-symmetric: W^{a,b}_{-m,-m} = s_a s_b W^{a,b}_{m,m}
+    s = np.array([MIRROR_SIGN[a] for a in MODES])
+    wa = np.concatenate([w[:0:-1] * np.outer(s, s), w])
     worst = np.abs(diag - wa.transpose(2, 1, 0)).max()
     return [_check("disk_bie_vs_transfer_matrix", worst / np.abs(g).max(), 1e-9)]
 

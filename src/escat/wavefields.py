@@ -30,7 +30,7 @@ import numpy as np
 from scipy import special as sp
 
 from .errors import DomainError
-from .specialfun import _fold
+from .specialfun import _fold, _fold_orders
 
 __all__ = [
     "Material",
@@ -124,10 +124,11 @@ def perp(d: np.ndarray) -> np.ndarray:
     return np.array([d[1], -d[0]])
 
 
-def _modal(mode: str, n: int, t, lam: float, mu: float, z, zp):
+def _modal(mode: str, n, t, lam: float, mu: float, z, zp):
     """(r u_r, r u_t, r^2 s_rr, r^2 s_rt) of the order-n P or S wave; z = Z_n(t).
 
-    The phase e^{inf} is stripped; the tuple is one column of M_n(r).
+    The phase e^{inf} is stripped; the tuple is one column of M_n(r).  n
+    is an int, or an array of orders broadcast against z's order axis.
     The P-mode shear stress and the S-mode radial stress are the same
     function of (n, t, mu); it is written once.
     """
@@ -150,14 +151,19 @@ def _wave_columns(idx: ModeIndex, point, material: Material, omega: float, kind:
         raise DomainError("omega must be positive")
     if kind not in ("J", "H"):
         raise DomainError(f"kind must be 'J' or 'H', got {kind!r}")
-    pts = np.atleast_2d(np.asarray(point, dtype=float))
-    r, phi = np.hypot(pts[:, 0], pts[:, 1]), np.arctan2(pts[:, 1], pts[:, 0])
+    r, phi = _polar(point)
     at0 = r < 1e-14
     r, phi = r[~at0], phi[~at0]
     t = material.kappa(omega, idx.mode) * r
     z, zp = _fold(sp.jv if kind == "J" else sp.hankel1, idx.order, t)
     col = _modal(idx.mode, idx.order, t, material.lam, material.mu, z, zp)
     return at0, r, phi, t, z, col
+
+
+def _polar(point):
+    """(r, phi) of one point (2,) or of points (N, 2), as arrays (N,)."""
+    pts = np.atleast_2d(np.asarray(point, dtype=float))
+    return np.hypot(pts[:, 0], pts[:, 1]), np.arctan2(pts[:, 1], pts[:, 0])
 
 
 def _cartesian(phi, v_r, v_t, scale):
@@ -228,19 +234,52 @@ def cyl_wave_traction(
     at0, r, phi, t, z, (_, _, s_rr, s_rt) = _wave_columns(idx, point, material, omega, kind)
     if np.any(at0):
         raise DomainError("traction evaluation requires point != origin")
-    div = -t * t * z if idx.mode == "P" else 0.0  # r^2 div u
+    tr = _traction(idx.mode, idx.order, material, r, phi, t, z, s_rr, s_rt, normal)
+    return tr[0] if np.asarray(point).ndim == 1 else tr
+
+
+def _traction(mode, order, material, r, phi, t, z, s_rr, s_rt, normal):
+    """Cartesian traction of the wave whose _modal stresses are s_rr, s_rt.
+
+    order is an int, or an array of orders against an order axis of z,
+    s_rr and s_rt.
+    """
+    div = -t * t * z if mode == "P" else 0.0  # r^2 div u
     s_tt = 2.0 * (material.lam + material.mu) * div - s_rr
     nrm = np.atleast_2d(np.asarray(normal, dtype=float))
     c, s = np.cos(phi), np.sin(phi)
     n_r = nrm[:, 0] * c + nrm[:, 1] * s
     n_t = nrm[:, 1] * c - nrm[:, 0] * s
-    tr = _cartesian(
+    return _cartesian(
         phi,
         s_rr * n_r + s_rt * n_t,
         s_rt * n_r + s_tt * n_t,
-        np.exp(1j * idx.order * phi) / (r * r),
+        np.exp(1j * order * phi) / (r * r),
     )
-    return tr[0] if np.asarray(point).ndim == 1 else tr
+
+
+def _j_wave_table(points, normals, material: Material, omega: float, K: int):
+    """Every J^a_n and its traction at points, a = P then S and n = -K..K.
+
+    Returns two (2 (2K+1), N, 2) arrays in that mode order, equal bit for
+    bit to cyl_wave_J and cyl_wave_traction(kind="J") of each mode: one
+    sp.jv call per mode serves every order (_fold_orders), and _modal,
+    _traction and _cartesian run once on the order axis.
+    """
+    if omega <= 0:
+        raise DomainError("omega must be positive")
+    r, phi = _polar(points)
+    if np.any(r < 1e-14):
+        raise DomainError("traction evaluation requires point != origin")
+    n = np.arange(-K, K + 1)[:, None]
+    fields, tractions = [], []
+    for mode in ("P", "S"):
+        t = material.kappa(omega, mode) * r
+        z, zp = _fold_orders(sp.jv, K, t)
+        ru_r, ru_t, s_rr, s_rt = _modal(mode, n, t, material.lam, material.mu, z, zp)
+        fields.append(_cartesian(phi, ru_r, ru_t, np.exp(1j * n * phi) / r))
+        tractions.append(_traction(mode, n, material, r, phi, t, z, s_rr, s_rt, normals))
+    return np.concatenate(fields), np.concatenate(tractions)
 
 
 def _single_plane_wave(direction, point, material, omega, mode):

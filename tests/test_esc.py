@@ -16,7 +16,14 @@ from escat.esc import (
     verify_symmetries,
 )
 from escat.msr import MsrConfig, simulate_msr
-from escat.wavefields import Material, MaterialPair, ModeIndex, cyl_wave_J, cyl_wave_traction
+from escat.wavefields import (
+    Material,
+    MaterialPair,
+    ModeIndex,
+    _j_wave_table,
+    cyl_wave_J,
+    cyl_wave_traction,
+)
 
 OMEGA = 1.0
 
@@ -29,6 +36,23 @@ def disk_esc(pair):
 @pytest.fixture(scope="module")
 def kite_esc(pair):
     return compute_esc(Kite(0.4), pair, OMEGA, K=6, n_nodes=160)
+
+
+class TestIncidentTable:
+    @pytest.mark.parametrize("K", [0, 1, 8])
+    def test_table_is_every_mode_bit_for_bit(self, exterior, K):
+        # compute_esc's traces and tractions: one Bessel table per mode,
+        # the same bytes as the per-mode evaluators, odd negative orders too
+        grid = build_grid(Kite(0.4), 64)
+        omega = 1.3
+        fields, tractions = _j_wave_table(grid.nodes, grid.normals, exterior, omega, K)
+        modes = [ModeIndex(a, n) for a in "PS" for n in range(-K, K + 1)]
+        assert fields.shape == tractions.shape == (len(modes), 64, 2)
+        assert any(idx.order < 0 and idx.order % 2 for idx in modes) == (K > 0)
+        for row, idx in enumerate(modes):
+            assert np.array_equal(fields[row], cyl_wave_J(idx, grid.nodes, exterior, omega))
+            want = cyl_wave_traction(idx, grid.nodes, grid.normals, exterior, omega, "J")
+            assert np.array_equal(tractions[row], want)
 
 
 class TestComputeEsc:

@@ -124,6 +124,14 @@ class TestSimulate:
             with pytest.raises(DomainError, match="does not match the acquisition"):
                 simulate_msr(Circle(1.0), pair, cfg, mode="expansion", esc=esc)
 
+    def test_k_given_with_esc_must_match(self, pair, cfg):
+        esc = synthetic_esc(4)
+        alone = simulate_msr(Circle(1.0), pair, cfg, mode="expansion", esc=esc)
+        same = simulate_msr(Circle(1.0), pair, cfg, mode="expansion", K=4, esc=esc)
+        assert np.array_equal(same.stacked(), alone.stacked())
+        with pytest.raises(DomainError, match=r"^K = 1 does not match the EscMatrix's K = 4$"):
+            simulate_msr(Circle(1.0), pair, cfg, mode="expansion", K=1, esc=esc)
+
     def test_bie_vs_expansion_truncation_sweep(self, pair, exterior):
         # the entrywise gap between the solver data and the truncated
         # model decreases geometrically in K (fitted ratio < 1); probe
