@@ -11,14 +11,13 @@ from .cloak import LayeredStructure, analytic_disk_esc, layered_esc
 from .curves import Circle, Ellipse, FourierRadius, Kite, curve_from_dict
 from .esc import EscMatrix, compute_esc
 from .msr import MsrConfig, MsrDataset, reconstruct, simulate_msr
-from .wavefields import Material, MaterialPair, ModeIndex
+from .wavefields import Material, MaterialPair
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Material",
     "MaterialPair",
-    "ModeIndex",
     "Circle",
     "Ellipse",
     "Kite",

@@ -76,9 +76,9 @@ traced peak of a solver build is 67.2 MB, against the 67.1 MB of blocks
 and LU copies it keeps.  The blocks are allocated before the
 temporaries: freed, those leave one span that the LU copies can reuse,
 instead of holes that raised the peak resident memory of repeated
-solves by up to 18 MB.  assemble_system and the one-material matrices
-single_layer_matrix and traction_layer_matrix are the identity-basis
-case of the same build, reordered node-major.
+solves by up to 18 MB.  The one-material matrix _layer_matrix (S or K*,
+which single_layer_matrix reads) is the identity-basis case of the same
+build, reordered node-major.
 
 The two eigenblocks are independent, so when the OpenBLAS that
 scipy.linalg calls runs one thread, each block's LU and condition
@@ -690,31 +690,6 @@ def single_layer_matrix(grid: QuadratureGrid, omega: float, material: Material):
     limits of the log split M = M1 ln 4 sin^2 + M2.
     """
     return _layer_matrix(grid, omega, material, 0)
-
-
-def traction_layer_matrix(grid: QuadratureGrid, omega: float, material: Material):
-    """Discrete principal-value traction operator K* (2n x 2n, node-major).
-
-    Off the diagonal, K*_ij = radial part + m_c E ((2 pi/n) cot((t_j - t_i)/2)/2
-    - pi C_ij): the Kelvin skew kernel's cot term leaves the trapezoidal
-    rule for the conjugation weights C.  Diagonal blocks are (2 pi/n)
-    times the curvature limits (C_ii = 0 and the log coefficient vanishes).
-    """
-    return _layer_matrix(grid, omega, material, 1)
-
-
-def assemble_system(grid: QuadratureGrid, pair: MaterialPair, omega: float):
-    """Dense transmission system matrix of size (4 n_nodes)^2.
-
-    Row blocks: trace equation, traction-jump equation; column blocks:
-    phi (interior density), psi (exterior density); node-major inside
-    each.  It is the one eigenblock of the identity basis, built by the
-    solver's own path and reordered.
-    """
-    n = grid.n_nodes
-    (b,) = _eigenblocks(grid, pair, omega, _identity_basis(n))
-    # (equation, k, i) x (density, c, j) -> (equation, i, k) x (density, j, c)
-    return b.reshape(2, 2, n, 2, 2, n).transpose(0, 2, 1, 3, 5, 4).reshape(4 * n, 4 * n)
 
 
 @functools.cache

@@ -57,23 +57,22 @@ class BoundaryCurve:
 
     @staticmethod
     def _self_intersects(x: np.ndarray) -> bool:
-        # segment-pair sampling check; adjacent segments share endpoints
+        # segments a_i + t r_i and a_j + u s_j, i < j, all pairs at once but
+        # the adjacent ones (which share endpoints); parallel pairs are skipped.
+        # They cross where t = (q x s) / (r x s) and u = (q x r) / (r x s),
+        # q = a_j - a_i, both lie strictly inside (0, 1)
         n = len(x)
-        a = x
-        b = np.roll(x, -1, axis=0)
-        d = b - a
-        for i in range(n - 2):
-            j = np.arange(i + 2, n if i > 0 else n - 1)
-            r = d[i]
-            s = d[j]
-            qp = a[j] - a[i]
-            denom = r[0] * s[:, 1] - r[1] * s[:, 0]
-            mask = np.abs(denom) > 1e-14
-            tt = (qp[:, 0] * s[:, 1] - qp[:, 1] * s[:, 0])[mask] / denom[mask]
-            uu = (qp[:, 0] * r[1] - qp[:, 1] * r[0])[mask] / (-denom[mask])
-            if np.any((tt > 1e-9) & (tt < 1 - 1e-9) & (uu > 1e-9) & (uu < 1 - 1e-9)):
-                return True
-        return False
+        d = np.roll(x, -1, axis=0) - x
+        (r0, r1), (s0, s1) = d.T[:, :, None], d.T[:, None, :]
+        q0 = x[None, :, 0] - x[:, None, 0]
+        q1 = x[None, :, 1] - x[:, None, 1]
+        denom = r0 * s1 - r1 * s0
+        pair = np.triu(np.ones((n, n), dtype=bool), 2)
+        pair[0, n - 1] = False
+        mask = pair & (np.abs(denom) > 1e-14)
+        tt = (q0 * s1 - q1 * s0)[mask] / denom[mask]
+        uu = (q0 * r1 - q1 * r0)[mask] / denom[mask]
+        return bool(np.any((tt > 1e-9) & (tt < 1 - 1e-9) & (uu > 1e-9) & (uu < 1 - 1e-9)))
 
     # -- geometry helpers --------------------------------------------------
 

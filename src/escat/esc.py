@@ -36,11 +36,12 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import special as sp
 
 from .bie import TransmissionSolver, build_grid
 from .curves import BoundaryCurve
 from .errors import DomainError
-from .wavefields import Material, MaterialPair, _j_wave_table
+from .wavefields import Material, MaterialPair, _wave_table
 
 logger = logging.getLogger(__name__)
 
@@ -156,7 +157,7 @@ def compute_esc(
     grid = build_grid(curve, n_nodes)
     solver = TransmissionSolver(grid, pair, omega)
     # J^b_m for b in MODES, m = -K..K, and their tractions: one Bessel table per mode
-    j_stack, tractions = _j_wave_table(grid.nodes, grid.normals, ext, omega, K)
+    j_stack, tractions = _wave_table(sp.jv, grid.nodes, grid.normals, ext, omega, K)
     densities = solver.solve_many(j_stack, tractions)
     # G[(b,m),(a,n)] = sum_j psi^b_m(y_j) . conj(J^a_n(y_j)) w_j
     psi_stack = np.stack([dens.psi for dens in densities]).reshape(len(j_stack), -1)

@@ -33,7 +33,7 @@ from .curves import BoundaryCurve
 from .errors import ConfigError, DomainError, ReconstructionError
 from .esc import EscMatrix, _energy_residual, _reciprocity_image, compute_esc
 from .wavefields import Material, MaterialPair, plane_wave_mode_field, plane_wave_traction
-from .specialfun import _check, _fold
+from .specialfun import _check, _fold_orders
 
 logger = logging.getLogger(__name__)
 
@@ -234,7 +234,7 @@ def _gh_factors(config: MsrConfig, K: int):
     for mode in MODES:
         kappa = ext.kappa(omega, mode)
         _check(K, kappa * R)
-        h, hp = np.array([_fold(sp.hankel1, m, kappa * R) for m in n]).T
+        h, hp = _fold_orders(sp.hankel1, K, kappa * R)
         if mode == "P":
             out["gP"] = kappa * hp
             out["hP"] = (1j * n / R) * h

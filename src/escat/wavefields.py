@@ -30,15 +30,11 @@ import numpy as np
 from scipy import special as sp
 
 from .errors import DomainError
-from .specialfun import _fold, _fold_orders
+from .specialfun import _fold_orders
 
 __all__ = [
     "Material",
     "MaterialPair",
-    "ModeIndex",
-    "cyl_wave_J",
-    "cyl_wave_H",
-    "cyl_wave_traction",
     "plane_wave_traction",
     "perp",
 ]
@@ -106,18 +102,6 @@ class MaterialPair:
             )
 
 
-@dataclass(frozen=True)
-class ModeIndex:
-    """Wave mode ('P' or 'S') and integer multipole order."""
-
-    mode: str
-    order: int
-
-    def __post_init__(self):
-        if self.mode not in ("P", "S"):
-            raise DomainError(f"mode must be 'P' or 'S', got {self.mode!r}")
-
-
 def perp(d: np.ndarray) -> np.ndarray:
     """Perpendicular (d2, -d1) used in the shear plane wave."""
     d = np.asarray(d, dtype=float)
@@ -140,145 +124,45 @@ def _modal(mode: str, n, t, lam: float, mu: float, z, zp):
     return 1j * n * z, -t * zp, coupling, s_rt
 
 
-def _wave_columns(idx: ModeIndex, point, material: Material, omega: float, kind: str):
-    """Shared prologue of the cylindrical-wave evaluators.
-
-    Checks omega and kind, and returns (at0, r, phi, t, z, column): the
-    mask of points at the origin, then for the other points the polar
-    coordinates, t = kappa r, z = Z_n(t) and the _modal column.
-    """
-    if omega <= 0:
-        raise DomainError("omega must be positive")
-    if kind not in ("J", "H"):
-        raise DomainError(f"kind must be 'J' or 'H', got {kind!r}")
-    r, phi = _polar(point)
-    at0 = r < 1e-14
-    r, phi = r[~at0], phi[~at0]
-    t = material.kappa(omega, idx.mode) * r
-    z, zp = _fold(sp.jv if kind == "J" else sp.hankel1, idx.order, t)
-    col = _modal(idx.mode, idx.order, t, material.lam, material.mu, z, zp)
-    return at0, r, phi, t, z, col
-
-
-def _polar(point):
-    """(r, phi) of one point (2,) or of points (N, 2), as arrays (N,)."""
-    pts = np.atleast_2d(np.asarray(point, dtype=float))
-    return np.hypot(pts[:, 0], pts[:, 1]), np.arctan2(pts[:, 1], pts[:, 0])
-
-
-def _cartesian(phi, v_r, v_t, scale):
-    """Cartesian components of (v_r e_r + v_t e_t) * scale."""
-    c, s = np.cos(phi), np.sin(phi)
+def _cartesian(c, s, v_r, v_t, scale):
+    """Cartesian components of (v_r e_r + v_t e_t) * scale, with (c, s) = (cos f, sin f)."""
     return np.stack([(v_r * c - v_t * s) * scale, (v_r * s + v_t * c) * scale], axis=-1)
 
 
-def cyl_wave_J(idx: ModeIndex, point, material: Material, omega: float) -> np.ndarray:
-    """Entire cylindrical eigenvector J^P_m or J^S_m at one or more points.
+def _wave_table(z, points, normals, material: Material, omega: float, K: int):
+    """Every Z^a_n and its traction at points, a = P then S and n = -K..K.
 
-    Parameters
-    ----------
-    idx : ModeIndex
-    point : array_like, shape (2,) or (N, 2)
-    material, omega
-        Fix the wavenumber kappa_mode = omega / c_mode.
-
-    Returns
-    -------
-    np.ndarray, complex, shape like the input points
-        Cartesian components.  At the origin the polar decomposition is
-        singular but the field is entire; the series limit is used there
-        (nonzero only for |m| = 1).
-    """
-    at0, r, phi, _, _, (ru_r, ru_t, _, _) = _wave_columns(idx, point, material, omega, "J")
-    m = idx.order
-    out = np.zeros((len(at0), 2), dtype=complex)
-    out[~at0] = _cartesian(phi, ru_r, ru_t, np.exp(1j * m * phi) / r)
-    if np.any(at0) and abs(m) == 1:
-        # grad[J_m(kr) e^{imf}] at 0 is (m k / 2)(1, i m) for |m| = 1, zero otherwise
-        gp = 0.5 * m * material.kappa(omega, idx.mode) * np.array([1.0, 1j * m])
-        out[at0] = gp if idx.mode == "P" else (gp[1], -gp[0])
-    return out[0] if np.asarray(point).ndim == 1 else out
-
-
-def cyl_wave_H(idx: ModeIndex, point, material: Material, omega: float) -> np.ndarray:
-    """Outgoing cylindrical eigenvector H^P_m or H^S_m (point != origin)."""
-    at0, r, phi, _, _, (ru_r, ru_t, _, _) = _wave_columns(idx, point, material, omega, "H")
-    if np.any(at0):
-        raise DomainError("H-type wave functions are singular at the origin")
-    out = _cartesian(phi, ru_r, ru_t, np.exp(1j * idx.order * phi) / r)
-    return out[0] if np.asarray(point).ndim == 1 else out
-
-
-def cyl_wave_traction(
-    idx: ModeIndex,
-    point,
-    normal,
-    material: Material,
-    omega: float,
-    kind: str = "J",
-) -> np.ndarray:
-    """Surface traction of a cylindrical eigenvector on an arbitrary boundary.
-
-    Evaluates T u = sigma n in the polar frame for u = J^a_m or H^a_m,
-    from the _modal stresses (no finite differences).  The hoop stress
-    follows from the trace identity s_rr + s_tt = 2 (lam + mu) div u,
-    with r^2 div u = -t^2 Z_m(t) for P and 0 for S.
-
-    Parameters
-    ----------
-    point, normal : array_like, shape (2,) or (N, 2)
-        Evaluation points (away from the origin) and unit normals there.
-    kind : 'J' or 'H'
-        Entire or outgoing family.
-    """
-    at0, r, phi, t, z, (_, _, s_rr, s_rt) = _wave_columns(idx, point, material, omega, kind)
-    if np.any(at0):
-        raise DomainError("traction evaluation requires point != origin")
-    tr = _traction(idx.mode, idx.order, material, r, phi, t, z, s_rr, s_rt, normal)
-    return tr[0] if np.asarray(point).ndim == 1 else tr
-
-
-def _traction(mode, order, material, r, phi, t, z, s_rr, s_rt, normal):
-    """Cartesian traction of the wave whose _modal stresses are s_rr, s_rt.
-
-    order is an int, or an array of orders against an order axis of z,
-    s_rr and s_rt.
-    """
-    div = -t * t * z if mode == "P" else 0.0  # r^2 div u
-    s_tt = 2.0 * (material.lam + material.mu) * div - s_rr
-    nrm = np.atleast_2d(np.asarray(normal, dtype=float))
-    c, s = np.cos(phi), np.sin(phi)
-    n_r = nrm[:, 0] * c + nrm[:, 1] * s
-    n_t = nrm[:, 1] * c - nrm[:, 0] * s
-    return _cartesian(
-        phi,
-        s_rr * n_r + s_rt * n_t,
-        s_rt * n_r + s_tt * n_t,
-        np.exp(1j * order * phi) / (r * r),
-    )
-
-
-def _j_wave_table(points, normals, material: Material, omega: float, K: int):
-    """Every J^a_n and its traction at points, a = P then S and n = -K..K.
-
-    Returns two (2 (2K+1), N, 2) arrays in that mode order, equal bit for
-    bit to cyl_wave_J and cyl_wave_traction(kind="J") of each mode: one
-    sp.jv call per mode serves every order (_fold_orders), and _modal,
-    _traction and _cartesian run once on the order axis.
+    z is sp.jv for the entire waves J^a_n or sp.hankel1 for the outgoing
+    H^a_n.  Returns two (2 (2K+1), N, 2) arrays in that mode order: the
+    Cartesian fields and the tractions T u = sigma n on the unit normals.
+    One z call per mode serves every order (_fold_orders), and _modal
+    runs once on the order axis.  The hoop stress follows from the trace
+    identity s_rr + s_tt = 2 (lam + mu) div u, with r^2 div u = -t^2 Z_n(t)
+    for P and 0 for S.  Points must be off the origin, where the polar
+    frame is singular.
     """
     if omega <= 0:
         raise DomainError("omega must be positive")
-    r, phi = _polar(points)
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    r, phi = np.hypot(pts[:, 0], pts[:, 1]), np.arctan2(pts[:, 1], pts[:, 0])
     if np.any(r < 1e-14):
-        raise DomainError("traction evaluation requires point != origin")
+        raise DomainError("cylindrical waves are evaluated off the origin")
+    nrm = np.atleast_2d(np.asarray(normals, dtype=float))
+    c, s = np.cos(phi), np.sin(phi)
+    n_r = nrm[:, 0] * c + nrm[:, 1] * s
+    n_t = nrm[:, 1] * c - nrm[:, 0] * s
     n = np.arange(-K, K + 1)[:, None]
+    phase = np.exp(1j * n * phi)
+    u_scale, t_scale = phase / r, phase / (r * r)
     fields, tractions = [], []
     for mode in ("P", "S"):
         t = material.kappa(omega, mode) * r
-        z, zp = _fold_orders(sp.jv, K, t)
-        ru_r, ru_t, s_rr, s_rt = _modal(mode, n, t, material.lam, material.mu, z, zp)
-        fields.append(_cartesian(phi, ru_r, ru_t, np.exp(1j * n * phi) / r))
-        tractions.append(_traction(mode, n, material, r, phi, t, z, s_rr, s_rt, normals))
+        zn, zp = _fold_orders(z, K, t)
+        ru_r, ru_t, s_rr, s_rt = _modal(mode, n, t, material.lam, material.mu, zn, zp)
+        div = -t * t * zn if mode == "P" else 0.0  # r^2 div u
+        s_tt = 2.0 * (material.lam + material.mu) * div - s_rr
+        fields.append(_cartesian(c, s, ru_r, ru_t, u_scale))
+        tractions.append(_cartesian(c, s, s_rr * n_r + s_rt * n_t, s_rt * n_r + s_tt * n_t, t_scale))
     return np.concatenate(fields), np.concatenate(tractions)
 
 

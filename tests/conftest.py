@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from escat.wavefields import Material, MaterialPair
+from escat.wavefields import Material, MaterialPair, _wave_table
 
 # nondimensional desk-scale materials: c_S = 1, c_P = 2 outside;
 # interior = 2x contrast as in the cross-validation benchmark
@@ -24,6 +24,25 @@ def interior():
 @pytest.fixture(scope="session")
 def pair():
     return MaterialPair(EXTERIOR, INTERIOR)
+
+
+def wave(z, mode, order, points, material, omega, normals=None):
+    """Row (mode, order) of wavefields._wave_table at K = |order|: (field, traction).
+
+    z is sp.jv for J^mode_order or sp.hankel1 for H^mode_order.  The
+    tractions are on normals; without normals they are on the points
+    themselves, and only the field means anything.  Each is (2,) for one
+    point (2,), else (N, 2).
+    """
+    pts = np.asarray(points, dtype=float)
+    k = abs(order)
+    fields, tractions = _wave_table(
+        z, pts, pts if normals is None else normals, material, omega, k
+    )
+    row = "PS".index(mode) * (2 * k + 1) + order + k
+    if pts.ndim == 1:
+        return fields[row, 0], tractions[row, 0]
+    return fields[row], tractions[row]
 
 
 def fd_gradient(field, x, h=1e-6):

@@ -10,33 +10,59 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import linalg as sla
+from scipy import special as sp
 
-from conftest import fd_lame_residual
+from conftest import fd_lame_residual, wave
 from escat import bie
 from escat.bie import (
     NearBoundaryWarning,
     TransmissionSolver,
-    assemble_system,
     build_grid,
     single_layer_apply,
     single_layer_matrix,
-    traction_layer_matrix,
     traction_of_single_layer,
 )
 from escat.cloak import _layer_matrices, analytic_disk_esc
-from escat.curves import Circle, Ellipse, FourierRadius, Kite, curve_from_dict
+from escat.curves import BoundaryCurve, Circle, Ellipse, FourierRadius, Kite, curve_from_dict
 from escat.errors import ConfigError, DomainError, ResonanceError
 from escat.esc import EscMatrix, compute_esc, verify_optical, verify_symmetries
-from escat.wavefields import (
-    Material,
-    MaterialPair,
-    ModeIndex,
-    cyl_wave_H,
-    cyl_wave_J,
-    cyl_wave_traction,
-)
+from escat.wavefields import Material, MaterialPair, _wave_table
 
 OMEGA = 1.0
+
+
+def _crosses(x):
+    """Brute force: does an edge of the closed polygon x properly cross a non-adjacent one?"""
+    n = len(x)
+
+    def orient(a, b, c):
+        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+    for i in range(n):
+        for j in range(i + 2, n - (i == 0)):
+            a, b, c, d = x[i], x[(i + 1) % n], x[j], x[(j + 1) % n]
+            if orient(a, b, c) * orient(a, b, d) < 0 and orient(c, d, a) * orient(c, d, b) < 0:
+                return True
+    return False
+
+
+def _unit_circle(n, step=1):
+    """Vertices k * step of the regular n-gon, k = 0..n-1 (step 2 of 5: a pentagram)."""
+    t = 2 * np.pi * step * np.arange(n) / n
+    return np.stack([np.cos(t), np.sin(t)], axis=-1)
+
+
+def _star(inner, points):
+    """Concave star: radii alternate 1 and inner."""
+    return _unit_circle(2 * points) * np.tile([1.0, inner], points)[:, None]
+
+
+_square = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
+_square_with_midpoints = np.repeat(_square, 2, axis=0)
+_square_with_midpoints[1::2] = (_square + np.roll(_square, -1, axis=0)) / 2
+# lemniscate of Gerono, sampled so that no vertex sits on the crossing point
+_t8 = np.linspace(0.1, 0.1 + 2 * np.pi, 63, endpoint=False)
+_figure_eight = np.stack([np.cos(_t8), np.sin(2 * _t8) / 2], axis=-1)
 
 
 class TestCurves:
@@ -77,6 +103,38 @@ class TestCurves:
         with pytest.raises(DomainError):
             FourierRadius(1.0, cos_coeffs=(1.5,))  # does not enclose the origin
 
+    @pytest.mark.parametrize(
+        "x, crosses",
+        [
+            (_square, False),
+            (_square_with_midpoints, False),
+            (_star(0.4, 5), False),
+            (np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]]), True),
+            (_figure_eight, True),
+            (_unit_circle(5, 2), True),
+        ],
+        ids=["square", "collinear-midpoints", "concave-star", "bow-tie", "figure-eight", "pentagram"],
+    )
+    def test_self_intersection_on_polygons(self, x, crosses):
+        assert _crosses(x) is crosses
+        assert BoundaryCurve._self_intersects(x) is crosses
+
+    @pytest.mark.parametrize(
+        "curve",
+        [Circle(1.0), Ellipse(1.0, 0.6), Kite(0.4), FourierRadius(1.0, cos_coeffs=(0.1,), sin_coeffs=(0.0, 0.1))],
+        ids=["circle", "ellipse", "kite", "fourier"],
+    )
+    def test_shipped_curves_are_simple(self, curve):
+        # the 256 samples the constructor checks
+        x = curve.position(np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False))
+        assert not _crosses(x)
+        assert not BoundaryCurve._self_intersects(x)
+
+    def test_concave_star_shaped_curve_accepted(self):
+        # r(t) > 0 in polar form: simple, however deep its concave lobes
+        c = FourierRadius(1.0, cos_coeffs=(0.0, 0.0, 0.0, 0.0, 0.6))
+        assert c.contains(np.zeros(2))
+
 
 class TestQuadratureWeights:
     def test_log_weights_exact_on_trig(self):
@@ -102,10 +160,10 @@ def _modal_moments(beta, m, radius, material, omega, n_fine=512):
     tf = 2 * np.pi * np.arange(n_fine) / n_fine
     yf = radius * np.stack([np.cos(tf), np.sin(tf)], axis=-1)
     w = 2 * np.pi * radius / n_fine
-    jb = cyl_wave_J(ModeIndex(beta, m), yf, material, omega)
+    jb, _ = wave(sp.jv, beta, m, yf, material, omega)
     out = {}
     for al in ("P", "S"):
-        ja = cyl_wave_J(ModeIndex(al, m), yf, material, omega)
+        ja, _ = wave(sp.jv, al, m, yf, material, omega)
         out[al] = w * np.sum(np.conj(ja) * jb)
     return out
 
@@ -125,11 +183,11 @@ class TestSingleLayer:
             smat = single_layer_matrix(grid, OMEGA, exterior)
             rho_w2 = exterior.rho * OMEGA**2
             for beta, m in (("P", 0), ("S", 2)):
-                dens = cyl_wave_J(ModeIndex(beta, m), grid.nodes, exterior, OMEGA)
+                dens, _ = wave(sp.jv, beta, m, grid.nodes, exterior, OMEGA)
                 mom = _modal_moments(beta, m, 1.0, exterior, OMEGA)
                 want = (0.25j / rho_w2) * (
-                    cyl_wave_H(ModeIndex("P", m), grid.nodes, exterior, OMEGA) * mom["P"]
-                    + cyl_wave_H(ModeIndex("S", m), grid.nodes, exterior, OMEGA) * mom["S"]
+                    wave(sp.hankel1, "P", m, grid.nodes, exterior, OMEGA)[0] * mom["P"]
+                    + wave(sp.hankel1, "S", m, grid.nodes, exterior, OMEGA)[0] * mom["S"]
                 )
                 got = (smat @ dens.reshape(-1)).reshape(-1, 2)
                 assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
@@ -219,14 +277,14 @@ class TestTractionOperator:
     def test_exterior_limit_matches_modal_identity(self, exterior):
         for n in (64, 256):
             grid = build_grid(Circle(1.0), n)
-            kmat = traction_layer_matrix(grid, OMEGA, exterior)
+            kmat = bie._layer_matrix(grid, OMEGA, exterior, 1)
             rho_w2 = exterior.rho * OMEGA**2
             for beta, m in (("P", 1), ("S", 3)):
-                dens = cyl_wave_J(ModeIndex(beta, m), grid.nodes, exterior, OMEGA)
+                dens, _ = wave(sp.jv, beta, m, grid.nodes, exterior, OMEGA)
                 mom = _modal_moments(beta, m, 1.0, exterior, OMEGA)
                 want = (0.25j / rho_w2) * (
-                    cyl_wave_traction(ModeIndex("P", m), grid.nodes, grid.normals, exterior, OMEGA, "H") * mom["P"]
-                    + cyl_wave_traction(ModeIndex("S", m), grid.nodes, grid.normals, exterior, OMEGA, "H") * mom["S"]
+                    wave(sp.hankel1, "P", m, grid.nodes, exterior, OMEGA, grid.normals)[1] * mom["P"]
+                    + wave(sp.hankel1, "S", m, grid.nodes, exterior, OMEGA, grid.normals)[1] * mom["S"]
                 )
                 got = (kmat @ dens.reshape(-1)).reshape(-1, 2) - 0.5 * dens
                 assert np.abs(got - want).max() < 1e-11 * np.abs(want).max()
@@ -246,7 +304,7 @@ class TestTractionOperator:
         lim_in = (ins[2] * 8 - ins[1] * 6 + ins[0]) / 3.0
         assert np.abs((lim_out - lim_in) + dens[i0]).max() < 1e-3 * np.abs(dens[i0]).max()
         # one-sided constants: exterior -1/2, interior +1/2 against K*
-        kmat = traction_layer_matrix(grid, OMEGA, exterior)
+        kmat = bie._layer_matrix(grid, OMEGA, exterior, 1)
         kd = (kmat @ dens.reshape(-1)).reshape(-1, 2)[i0]
         assert np.abs(lim_out - (kd - 0.5 * dens[i0])).max() < 1e-3 * np.abs(dens[i0]).max()
         assert np.abs(lim_in - (kd + 0.5 * dens[i0])).max() < 1e-3 * np.abs(dens[i0]).max()
@@ -262,16 +320,14 @@ class TestTransmission:
     def test_zero_frequency_rejected(self, pair):
         grid = build_grid(Circle(1.0), 32)
         with pytest.raises(DomainError):
-            assemble_system(grid, pair, 0.0)
+            bie._eigenblocks(grid, pair, 0.0, bie._identity_basis(32))
 
     def test_disk_scattered_field_matches_analytic(self, pair, exterior):
         # incident JP_1 on the unit disk: the scattered field at |x| = 3
         # must match the transfer-matrix H-expansion
         grid = build_grid(Circle(1.0), 128)
         solver = TransmissionSolver(grid, pair, OMEGA)
-        idx = ModeIndex("P", 1)
-        tr = cyl_wave_J(idx, grid.nodes, exterior, OMEGA)
-        tc = cyl_wave_traction(idx, grid.nodes, grid.normals, exterior, OMEGA, "J")
+        tr, tc = wave(sp.jv, "P", 1, grid.nodes, exterior, OMEGA, grid.normals)
         dens = solver.solve(tr, tc)
         x = np.array([3.0, 0.4])
         got = single_layer_apply(grid, OMEGA, exterior, dens.psi, x)
@@ -279,31 +335,28 @@ class TestTransmission:
         # u_sc = (i/(4 rho w^2)) sum_alpha H^alpha_1 W^{alpha,P}
         rho_w2 = exterior.rho * OMEGA**2
         want = (0.25j / rho_w2) * (
-            cyl_wave_H(ModeIndex("P", 1), x, exterior, OMEGA) * w1[0, 0]
-            + cyl_wave_H(ModeIndex("S", 1), x, exterior, OMEGA) * w1[1, 0]
+            wave(sp.hankel1, "P", 1, x, exterior, OMEGA)[0] * w1[0, 0]
+            + wave(sp.hankel1, "S", 1, x, exterior, OMEGA)[0] * w1[1, 0]
         )
         assert np.abs(got - want).max() < 1e-7 * np.abs(want).max()
         assert dens.residual < 1e-10
 
     def test_discrete_residual_small(self, pair, exterior):
         grid = build_grid(Circle(1.0), 256)
-        a = assemble_system(grid, pair, 2.0)  # kappa_S * diam = 4
+        # the identity-basis eigenblock is the full system, component-major
+        (a,) = bie._eigenblocks(grid, pair, 2.0, bie._identity_basis(256))  # kappa_S * diam = 4
         solver = TransmissionSolver(grid, pair, 2.0)
-        idx = ModeIndex("P", 1)
-        tr = cyl_wave_J(idx, grid.nodes, exterior, 2.0)
-        tc = cyl_wave_traction(idx, grid.nodes, grid.normals, exterior, 2.0, "J")
+        tr, tc = wave(sp.jv, "P", 1, grid.nodes, exterior, 2.0, grid.normals)
         dens = solver.solve(tr, tc)
-        x = np.concatenate([dens.phi.reshape(-1), dens.psi.reshape(-1)])
-        rhs = np.concatenate([tr.reshape(-1), tc.reshape(-1)])
+        x = np.concatenate([dens.phi.T.reshape(-1), dens.psi.T.reshape(-1)])
+        rhs = np.concatenate([tr.T.reshape(-1), tc.T.reshape(-1)])
         assert np.linalg.norm(a @ x - rhs) < 1e-10 * np.linalg.norm(rhs)
 
     def test_near_zero_contrast_scatters_weakly(self, exterior):
         inte = Material(2.0 * (1 + 1e-6), 1.0 * (1 + 1e-6), 1.0)
         grid = build_grid(Circle(1.0), 64)
         solver = TransmissionSolver(grid, MaterialPair(exterior, inte), OMEGA)
-        idx = ModeIndex("P", 1)
-        tr = cyl_wave_J(idx, grid.nodes, exterior, OMEGA)
-        tc = cyl_wave_traction(idx, grid.nodes, grid.normals, exterior, OMEGA, "J")
+        tr, tc = wave(sp.jv, "P", 1, grid.nodes, exterior, OMEGA, grid.normals)
         dens = solver.solve(tr, tc)
         u_sc = single_layer_apply(grid, OMEGA, exterior, dens.psi, np.array([2.0, 0.0]))
         assert np.abs(u_sc).max() < 1e-4 * np.abs(tr).max()
@@ -319,12 +372,10 @@ class TestTransmission:
         def esc_entry(n):
             grid = build_grid(kite, n)
             solver = TransmissionSolver(grid, pair, omega)
-            idx = ModeIndex("P", 1)
-            tr = cyl_wave_J(idx, grid.nodes, exterior, omega)
-            tc = cyl_wave_traction(idx, grid.nodes, grid.normals, exterior, omega, "J")
+            tr, tc = wave(sp.jv, "P", 1, grid.nodes, exterior, omega, grid.normals)
             dens = solver.solve(tr, tc)
             w = grid.weights[:, None]
-            proj = np.conj(cyl_wave_J(ModeIndex("P", 1), grid.nodes, exterior, omega))
+            proj = np.conj(tr)
             return np.sum(w * proj * dens.psi)
 
         ref = esc_entry(384)
@@ -335,9 +386,7 @@ class TestTransmission:
     def test_radiation_decay_exponent(self, pair, exterior):
         grid = build_grid(Circle(1.0), 96)
         solver = TransmissionSolver(grid, pair, OMEGA)
-        idx = ModeIndex("P", 0)
-        tr = cyl_wave_J(idx, grid.nodes, exterior, OMEGA)
-        tc = cyl_wave_traction(idx, grid.nodes, grid.normals, exterior, OMEGA, "J")
+        tr, tc = wave(sp.jv, "P", 0, grid.nodes, exterior, OMEGA, grid.normals)
         dens = solver.solve(tr, tc)
         wavelength = 2 * np.pi / exterior.kappa_s(OMEGA)
         radii = np.array([1e2, 1e3]) * wavelength
@@ -353,9 +402,7 @@ class TestTransmission:
         # J-expansion of the mode-matching solution
         grid = build_grid(Circle(1.0), 128)
         solver = TransmissionSolver(grid, pair, OMEGA)
-        idx = ModeIndex("S", 1)
-        tr = cyl_wave_J(idx, grid.nodes, exterior, OMEGA)
-        tc = cyl_wave_traction(idx, grid.nodes, grid.normals, exterior, OMEGA, "J")
+        tr, tc = wave(sp.jv, "S", 1, grid.nodes, exterior, OMEGA, grid.normals)
         dens = solver.solve(tr, tc)
         # interior coefficients from the 4x4 interface system
         m_out = _layer_matrices(1, [1.0], [exterior], OMEGA)[0]
@@ -367,9 +414,10 @@ class TestTransmission:
         b = sol[:2]
         x_in = np.array([0.3, 0.2])
         u_in = single_layer_apply(grid, OMEGA, interior, dens.phi, x_in)
-        want = b[0] * cyl_wave_J(ModeIndex("P", 1), x_in, interior, OMEGA) + b[
-            1
-        ] * cyl_wave_J(ModeIndex("S", 1), x_in, interior, OMEGA)
+        want = (
+            b[0] * wave(sp.jv, "P", 1, x_in, interior, OMEGA)[0]
+            + b[1] * wave(sp.jv, "S", 1, x_in, interior, OMEGA)[0]
+        )
         assert np.abs(u_in - want).max() < 1e-8 * np.abs(want).max()
 
     def test_resonance_guard(self, exterior):
@@ -405,29 +453,16 @@ class TestTransmission:
             TransmissionSolver(grid, pair, mid)
 
 
-def _incident(grid, exterior, omega, K):
-    """J-mode traces and tractions in compute_esc's order: (b, m), b in P, S."""
-    keys = [(b, m) for b in "PS" for m in range(-K, K + 1)]
-    traces = np.stack(
-        [cyl_wave_J(ModeIndex(b, m), grid.nodes, exterior, omega) for b, m in keys]
-    )
-    tractions = np.stack(
-        [
-            cyl_wave_traction(ModeIndex(b, m), grid.nodes, grid.normals, exterior, omega, "J")
-            for b, m in keys
-        ]
-    )
-    return traces, tractions
-
-
 def _unsplit_esc(curve, pair, omega, K, n):
     """W from the full (4n)^2 system and a dense solve, projected as compute_esc does."""
     ext = pair.exterior
     grid = build_grid(curve, n)
-    traces, tractions = _incident(grid, ext, omega, K)
-    rhs = np.concatenate([traces.reshape(len(traces), -1), tractions.reshape(len(traces), -1)], 1)
-    x = sla.solve(assemble_system(grid, pair, omega), rhs.T)
-    psi = x[2 * n :].T.reshape(-1, n, 2)
+    traces, tractions = _wave_table(sp.jv, grid.nodes, grid.normals, ext, omega, K)
+    # the identity-basis eigenblock: rows (equation, k, i), columns (density, c, j)
+    (a,) = bie._eigenblocks(grid, pair, omega, bie._identity_basis(n))
+    rhs = np.concatenate([v.transpose(0, 2, 1).reshape(len(traces), -1) for v in (traces, tractions)], 1)
+    x = sla.solve(a, rhs.T)
+    psi = x[2 * n :].T.reshape(-1, 2, n).transpose(0, 2, 1)
     jconj = np.conj(traces) * grid.weights[:, None]  # conj(J^a_n), same (a, n) order
     w = np.einsum("aic,bic->ba", jconj, psi)  # w[(b, m), (a, n)] = W^{a,b}_{m,n}
     return EscMatrix.from_global(w, omega, rho0=ext.rho, pair=pair)
@@ -486,7 +521,7 @@ class TestMirrorSplit:
         # README scene: every density is checked against the factored blocks
         grid = build_grid(Kite(0.4), 256)
         solver = TransmissionSolver(grid, pair, 1.0)
-        traces, tractions = _incident(grid, exterior, 1.0, 6)
+        traces, tractions = _wave_table(sp.jv, grid.nodes, grid.normals, exterior, 1.0, 6)
         dens = solver.solve_many(traces, tractions)
         assert max(d.residual for d in dens) < 1e-10
         assert all(0.0 < d.stability_ratio < np.inf for d in dens)
@@ -497,27 +532,27 @@ class TestMirrorSplit:
 
 
 def _dense_basis(basis, spec):
-    """V of one eigenblock on one density, (2n x size) in node-major order,
+    """V of one eigenblock on one density, (2n x size) in component-major order,
     written out from the definition in bie._MirrorBasis."""
     n = basis.n
     columns = []
     for c, (lo, hi, sign) in enumerate(spec):
         for j in range(lo, hi):
-            v = np.zeros((n, 2))
+            v = np.zeros((2, n))
             if 1 <= j <= basis.pairs:
-                v[j, c], v[n - j, c] = np.sqrt(0.5), sign * np.sqrt(0.5)
+                v[c, j], v[c, n - j] = np.sqrt(0.5), sign * np.sqrt(0.5)
             else:
-                v[j, c] = 1.0
+                v[c, j] = 1.0
             columns.append(v.reshape(-1))
     return np.array(columns).T
 
 
 def _mirrored(a, n):
-    """P A P for the reflection P of bie._MirrorBasis on both densities."""
+    """P A P for the reflection P of bie._MirrorBasis on both densities (component-major A)."""
     j = -np.arange(n) % n
     sign = np.array([1.0, -1.0])
-    a = a.reshape(2, n, 2, 2, n, 2)[:, j][:, :, :, :, j]  # eq, node, k, density, node, c
-    return (sign[:, None, None, None] * a * sign).reshape(4 * n, 4 * n)
+    a = a.reshape(2, 2, n, 2, 2, n)[:, :, j][..., j]  # eq, k, node, density, c, node
+    return (sign[:, None, None, None, None] * a * sign[:, None]).reshape(4 * n, 4 * n)
 
 
 def _layout_pairs(basis):
@@ -584,7 +619,7 @@ class TestEigenblocks:
     def test_blocks_are_projections_of_the_dense_system(self, pair):
         grid = build_grid(Kite(0.4), 64)
         basis = bie._mirror_basis(grid)
-        a = assemble_system(grid, pair, 1.0)
+        (a,) = bie._eigenblocks(grid, pair, 1.0, bie._identity_basis(grid.n_nodes))
         blocks = bie._eigenblocks(grid, pair, 1.0, basis)
         # the blocks take the rows of nodes 0..n/2 as if PA = AP held exactly;
         # rounding leaves A about 3e-13 from that, and half of it shows in B
@@ -599,10 +634,9 @@ class TestEigenblocks:
 
     def test_asymmetric_block_is_the_component_major_system(self, pair):
         grid = build_grid(FourierRadius(1.0, cos_coeffs=(0.1,), sin_coeffs=(0.0, 0.1)), 64)
-        n = grid.n_nodes
         (b,) = bie._eigenblocks(grid, pair, 1.0, bie._mirror_basis(grid))
-        a = assemble_system(grid, pair, 1.0).reshape(2, n, 2, 2, n, 2)  # eq, node, k, dens, node, c
-        assert np.array_equal(b, a.transpose(0, 2, 1, 3, 5, 4).reshape(4 * n, 4 * n))
+        (a,) = bie._eigenblocks(grid, pair, 1.0, bie._identity_basis(grid.n_nodes))
+        assert np.array_equal(b, a)
 
     def test_build_holds_no_full_rows(self, pair):
         # the traced peak of a solver build stays near what it keeps: the
@@ -635,7 +669,7 @@ def _kite_solve(pair, exterior, monkeypatch, caplog, concurrent):
     grid = build_grid(Kite(0.4), 256)
     solver, line = _factored(caplog, grid, pair)
     assert ("factored concurrently" if concurrent else "factored serially") in line
-    dens = solver.solve_many(*_incident(grid, exterior, 1.0, 6))
+    dens = solver.solve_many(*_wave_table(sp.jv, grid.nodes, grid.normals, exterior, 1.0, 6))
     w = compute_esc(Kite(0.4), pair, 1.0, K=6, n_nodes=256).to_global()
     return solver, w, dens
 

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import special as sp
 
+from conftest import fd_lame_residual, fd_traction, wave
 from escat.bie import TransmissionSolver, build_grid
 from escat.cloak import analytic_disk_esc
 from escat.curves import Circle, Ellipse, FourierRadius, Kite
@@ -16,14 +18,7 @@ from escat.esc import (
     verify_symmetries,
 )
 from escat.msr import MsrConfig, simulate_msr
-from escat.wavefields import (
-    Material,
-    MaterialPair,
-    ModeIndex,
-    _j_wave_table,
-    cyl_wave_J,
-    cyl_wave_traction,
-)
+from escat.wavefields import Material, MaterialPair, _wave_table
 
 OMEGA = 1.0
 
@@ -38,21 +33,43 @@ def kite_esc(pair):
     return compute_esc(Kite(0.4), pair, OMEGA, K=6, n_nodes=160)
 
 
-class TestIncidentTable:
-    @pytest.mark.parametrize("K", [0, 1, 8])
-    def test_table_is_every_mode_bit_for_bit(self, exterior, K):
-        # compute_esc's traces and tractions: one Bessel table per mode,
-        # the same bytes as the per-mode evaluators, odd negative orders too
-        grid = build_grid(Kite(0.4), 64)
-        omega = 1.3
-        fields, tractions = _j_wave_table(grid.nodes, grid.normals, exterior, omega, K)
-        modes = [ModeIndex(a, n) for a in "PS" for n in range(-K, K + 1)]
-        assert fields.shape == tractions.shape == (len(modes), 64, 2)
-        assert any(idx.order < 0 and idx.order % 2 for idx in modes) == (K > 0)
-        for row, idx in enumerate(modes):
-            assert np.array_equal(fields[row], cyl_wave_J(idx, grid.nodes, exterior, omega))
-            want = cyl_wave_traction(idx, grid.nodes, grid.normals, exterior, omega, "J")
-            assert np.array_equal(tractions[row], want)
+class TestWaveTable:
+    # compute_esc reads one table of every order; each row of a K = 3 table
+    # against math that does not go through it
+    K, omega = 3, 1.3
+
+    @pytest.mark.parametrize("order", range(-3, 4))
+    @pytest.mark.parametrize("mode", ["P", "S"])
+    @pytest.mark.parametrize("z", [sp.jv, sp.hankel1], ids=["J", "H"])
+    def test_row_meets_fd_traction_and_navier(self, exterior, z, mode, order):
+        K, omega = self.K, self.omega
+        row = "PS".index(mode) * (2 * K + 1) + order + K
+        field = lambda p: _wave_table(z, p, p, exterior, omega, K)[0][row, 0]
+        x = 2.0 * np.array([np.cos(1.9), np.sin(1.9)])
+        nrm = np.array([np.cos(2.5), np.sin(2.5)])  # turned off e_r: the hoop stress enters
+        _, tractions = _wave_table(z, x, nrm, exterior, omega, K)
+        want = fd_traction(field, x, nrm, exterior)
+        assert np.abs(tractions[row, 0] - want).max() < 1e-5 * np.abs(want).max()
+        wavelength = 2 * np.pi / exterior.kappa(omega, mode)
+        assert fd_lame_residual(field, x, exterior, omega, 1e-4 * wavelength) < 1e-4
+
+    @pytest.mark.parametrize("z, zp", [(sp.jv, sp.jvp), (sp.hankel1, sp.h1vp)], ids=["J", "H"])
+    def test_rows_are_the_defining_formulas(self, exterior, z, zp):
+        # P_n = kP Z_n' e_r + (i n / r) Z_n e_t and S_n = (i n / r) Z_n e_r - kS Z_n' e_t,
+        # times e^{in th}, from scipy's derivative routines at negative orders too:
+        # pins each row's mode, order and kind
+        K, omega, r, th = self.K, self.omega, 1.7, 0.8
+        x = r * np.array([np.cos(th), np.sin(th)])
+        er, et = x / r, np.array([-np.sin(th), np.cos(th)])
+        fields, _ = _wave_table(z, x, er, exterior, omega, K)
+        n = np.arange(-K, K + 1)[:, None]
+        tp, ts = exterior.kappa_p(omega) * r, exterior.kappa_s(omega) * r
+        p_wave = tp * zp(n, tp) * er + 1j * n * z(n, tp) * et
+        s_wave = 1j * n * z(n, ts) * er - ts * zp(n, ts) * et
+        want = np.concatenate([p_wave, s_wave]) * np.tile(np.exp(1j * n * th) / r, (2, 1))
+        assert fields.shape == (2 * (2 * K + 1), 1, 2)
+        err = np.abs(fields[:, 0] - want).max(axis=1)
+        assert np.all(err <= 1e-13 * np.abs(want).max(axis=1))
 
 
 class TestComputeEsc:
@@ -100,17 +117,13 @@ class TestComputeEsc:
         ext, orders = pair.exterior, range(-K, K + 1)
         w = grid.weights[:, None]
         proj = {
-            (a, q): np.conj(cyl_wave_J(ModeIndex(a, q), grid.nodes, ext, OMEGA)) * w
+            (a, q): np.conj(wave(sp.jv, a, q, grid.nodes, ext, OMEGA)[0]) * w
             for a in "PS"
             for q in orders
         }
         for b in "PS":
             for m in orders:
-                idx = ModeIndex(b, m)
-                psi = solver.solve(
-                    cyl_wave_J(idx, grid.nodes, ext, OMEGA),
-                    cyl_wave_traction(idx, grid.nodes, grid.normals, ext, OMEGA, "J"),
-                ).psi
+                psi = solver.solve(*wave(sp.jv, b, m, grid.nodes, ext, OMEGA, grid.normals)).psi
                 for (a, q), p in proj.items():
                     want = np.sum(p * psi)
                     assert abs(esc.entry(a, b, m, q) - want) <= 1e-14 * esc.scale()

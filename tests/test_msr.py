@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from escat import msr
 from escat.curves import Circle, Ellipse
 from escat.errors import ConfigError, DomainError, RangeError, ReconstructionError
 from escat.esc import EscMatrix, compute_esc, verify_symmetries
@@ -25,6 +26,7 @@ from escat.msr import (
     singular_values,
     snr_estimate,
 )
+from escat.specialfun import _fold
 from escat.wavefields import Material
 
 OMEGA = 1.0
@@ -83,6 +85,20 @@ class TestModelMatrices:
             vals.append(off)
         slope = np.polyfit(np.log(radii_wl), np.log(vals), 1)[0]
         assert abs(slope + 2.0) < 0.2
+
+    @pytest.mark.parametrize("K", [0, 1, 4])
+    def test_hankel_table_is_the_per_order_fold(self, cfg, monkeypatch, K):
+        # Y's factors read one Hankel table over the orders; one _fold call
+        # per order gives the same bytes
+        got = assemble_model(cfg, K)
+
+        def per_order(z, k, t):
+            return np.array([_fold(z, m, t) for m in range(-k, k + 1)]).T
+
+        monkeypatch.setattr(msr, "_fold_orders", per_order)
+        want = assemble_model(cfg, K)
+        for name in ("X", "Y", "z_x", "z_y"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
 
     def test_yty_approaches_diagonal(self, cfg):
         model = assemble_model(cfg, 4)

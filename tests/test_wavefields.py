@@ -3,19 +3,17 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import special as sp
 
-from conftest import fd_lame_residual, fd_traction
+from conftest import fd_lame_residual, fd_traction, wave
 from escat.cloak import _layer_matrices
 from escat.errors import DomainError
 from escat.msr import MsrConfig, assemble_model
 from escat.wavefields import (
     Material,
     MaterialPair,
-    ModeIndex,
     _gamma_tensor,
-    cyl_wave_H,
-    cyl_wave_J,
-    cyl_wave_traction,
+    _wave_table,
     perp,
     plane_wave_mode_field,
     plane_wave_traction,
@@ -62,7 +60,7 @@ class TestOrthogonality:
 class TestCylWaves:
     def test_p_mode_order_zero_is_radial(self, exterior):
         pts = np.array([[0.7, 0.0], [0.0, 1.3], [0.5, 0.5]])
-        u = cyl_wave_J(ModeIndex("P", 0), pts, exterior, OMEGA)
+        u, _ = wave(sp.jv, "P", 0, pts, exterior, OMEGA)
         for x, v in zip(pts, u):
             et = np.array([-x[1], x[0]]) / np.hypot(*x)
             assert abs(v @ et) < 1e-14 * np.abs(v).max()
@@ -71,7 +69,7 @@ class TestCylWaves:
         x0 = np.array([0.6, 0.35])
         h = 1e-6
         for m in (0, 1, 3):
-            f = lambda p: cyl_wave_J(ModeIndex("S", m), p, exterior, OMEGA)
+            f = lambda p: wave(sp.jv, "S", m, p, exterior, OMEGA)[0]
             e = np.eye(2)
             div = (
                 (f(x0 + h * e[0]) - f(x0 - h * e[0]))[0]
@@ -83,7 +81,7 @@ class TestCylWaves:
     def test_pressure_field_curl_free(self, exterior):
         x0 = np.array([0.4, -0.8])
         h = 1e-6
-        f = lambda p: cyl_wave_J(ModeIndex("P", 2), p, exterior, OMEGA)
+        f = lambda p: wave(sp.jv, "P", 2, p, exterior, OMEGA)[0]
         e = np.eye(2)
         curl = (
             (f(x0 + h * e[0]) - f(x0 - h * e[0]))[1]
@@ -99,24 +97,14 @@ class TestCylWaves:
         cands = rng.uniform(0.6, 2.5, size=(6, 2))
         # H-fields steepen toward the origin; sample them farther out
         cands_h = rng.uniform(2.0, 3.5, size=(6, 2))
-        fj = lambda p: cyl_wave_J(ModeIndex(mode, m), p, exterior, OMEGA)
-        fh = lambda p: cyl_wave_H(ModeIndex(mode, m), p, exterior, OMEGA)
+        fj = lambda p: wave(sp.jv, mode, m, p, exterior, OMEGA)[0]
+        fh = lambda p: wave(sp.hankel1, mode, m, p, exterior, OMEGA)[0]
         x0 = max(cands, key=lambda p: np.abs(fj(p)).max())
         x1 = max(cands_h, key=lambda p: np.abs(fh(p)).max())
         wavelength = 2 * np.pi / exterior.kappa(OMEGA, mode)
         h = 1e-4 * wavelength
         assert fd_lame_residual(fj, x0, exterior, OMEGA, h) < 1e-4
         assert fd_lame_residual(fh, x1, exterior, OMEGA, h) < 1e-4
-
-    def test_entire_field_at_origin(self, exterior):
-        org = np.zeros(2)
-        assert np.abs(cyl_wave_J(ModeIndex("P", 0), org, exterior, OMEGA)).max() < 1e-14
-        assert np.abs(cyl_wave_J(ModeIndex("P", 2), org, exterior, OMEGA)).max() < 1e-14
-        v = cyl_wave_J(ModeIndex("P", 1), org, exterior, OMEGA)
-        assert_allclose(v, 0.5 * exterior.kappa_p(OMEGA) * np.array([1.0, 1j]), rtol=1e-12)
-        # continuity: series limit matches the polar formula nearby
-        near = cyl_wave_J(ModeIndex("P", 1), np.array([1e-9, 0.0]), exterior, OMEGA)
-        assert_allclose(near, v, rtol=1e-6)
 
     def test_h_field_far_asymptotics(self, exterior):
         # H^P_n ~ (e^{i k r}/sqrt r) A_n P_n with A_n = (1+i) sqrt(k/pi) e^{-i n pi/2}
@@ -125,7 +113,7 @@ class TestCylWaves:
         th = 0.37
         x = r * np.array([np.cos(th), np.sin(th)])
         for n in (0, 2, 5):
-            u = cyl_wave_H(ModeIndex("P", n), x, exterior, OMEGA)
+            u, _ = wave(sp.hankel1, "P", n, x, exterior, OMEGA)
             a_inf = (1 + 1j) * np.sqrt(kappa / np.pi) * np.exp(-0.5j * n * np.pi)
             want = (
                 np.exp(1j * kappa * r)
@@ -143,15 +131,18 @@ class TestCylWaves:
         for r in (1e2, 1e3):
             x = np.array([r, 0.0])
             h = 1e-4
-            f = lambda p: cyl_wave_H(ModeIndex("P", 1), p, exterior, OMEGA)
+            f = lambda p: wave(sp.hankel1, "P", 1, p, exterior, OMEGA)[0]
             du = (f(x + [h, 0]) - f(x - [h, 0])) / (2 * h)
             vals.append(np.abs(du - 1j * kappa * f(x)).max())
         slope = np.log(vals[1] / vals[0]) / np.log(10.0)
         assert slope < -1.0  # faster than r^{-1/2} (which has slope -1/2)
 
     def test_h_requires_nonzero_point(self, exterior):
-        with pytest.raises(DomainError):
-            cyl_wave_H(ModeIndex("P", 0), np.zeros(2), exterior, OMEGA)
+        # the polar frame is singular at the origin, for the entire waves too
+        pts = np.array([[0.5, 0.2], [0.0, 0.0]])
+        for z in (sp.jv, sp.hankel1):
+            with pytest.raises(DomainError, match="origin"):
+                _wave_table(z, pts, pts, exterior, OMEGA, 2)
 
 
 class TestPlaneWave:
@@ -162,10 +153,9 @@ class TestPlaneWave:
         cfg = MsrConfig(radius=1e3, n_sources=ns, n_receivers=ns, omega=OMEGA, exterior=exterior)
         coeffs = assemble_model(cfg, K).X * (4.0 * exterior.rho * OMEGA**2 / 1j)
         pts = np.array([[0.5, 0.2], [-1.0, 0.7], [2.0, -3.0]])
+        table, _ = _wave_table(sp.jv, pts, pts, exterior, OMEGA, K)
         for ib, mode in enumerate("PS"):
-            basis = np.array(
-                [cyl_wave_J(ModeIndex(mode, m), pts, exterior, OMEGA) for m in range(-K, K + 1)]
-            )
+            basis = table[ib * (2 * K + 1) : (ib + 1) * (2 * K + 1)]
             rows = coeffs[ib * ns : (ib + 1) * ns, ib * (2 * K + 1) : (ib + 1) * (2 * K + 1)]
             acc = np.einsum("km,mpc->kpc", rows, basis)
             direct = np.array(
@@ -219,16 +209,10 @@ class TestFundamentalSolution:
         y = np.array([0.8, 0.6])
         p = np.array([0.2, -1.1])
         rho_w2 = exterior.rho * OMEGA**2
-        acc = np.zeros(2, dtype=complex)
-        for n in range(-25, 26):
-            for mode in ("P", "S"):
-                idx = ModeIndex(mode, n)
-                acc += (
-                    0.25j
-                    / rho_w2
-                    * cyl_wave_H(idx, x, exterior, OMEGA)
-                    * np.vdot(cyl_wave_J(idx, y, exterior, OMEGA), p)
-                )
+        # every (mode, order) with n = -25..25: rows of one H and one J table
+        h, _ = _wave_table(sp.hankel1, x, x, exterior, OMEGA, 25)
+        j, _ = _wave_table(sp.jv, y, y, exterior, OMEGA, 25)
+        acc = (0.25j / rho_w2) * np.einsum("ak,a->k", h[:, 0], np.conj(j[:, 0]) @ p)
         direct = kupradze(x, y, exterior) @ p
         assert np.abs(acc - direct).max() / np.abs(direct).max() < 1e-9
 
@@ -276,36 +260,30 @@ class TestTractionCoeffs:
         er, et = nrm, np.array([-np.sin(th), np.cos(th)])
         phase = np.exp(1j * n * th)
         want_h = (b[2 + col] * phase * er + c[2 + col] * phase * et) / r**2
-        got_h = cyl_wave_traction(ModeIndex(mode, n), x, nrm, exterior, OMEGA, "H")
+        _, got_h = wave(sp.hankel1, mode, n, x, exterior, OMEGA, nrm)
         assert np.abs(got_h - want_h).max() < 1e-11 * np.abs(want_h).max()
         want_j = (b[col] * phase * er + c[col] * phase * et) / r**2
-        got_j = cyl_wave_traction(ModeIndex(mode, n), x, nrm, exterior, OMEGA, "J")
+        _, got_j = wave(sp.jv, mode, n, x, exterior, OMEGA, nrm)
         assert np.abs(got_j - want_j).max() < 1e-11 * max(np.abs(want_j).max(), 1e-14)
 
     @pytest.mark.parametrize("n", [-3, 0, 2, 5])
-    @pytest.mark.parametrize("kind", ["J", "H"])
+    @pytest.mark.parametrize("z", [sp.jv, sp.hankel1], ids=["J", "H"])
     @pytest.mark.parametrize("mode", ["P", "S"])
-    def test_traction_matches_finite_differences(self, exterior, mode, kind, n):
+    def test_traction_matches_finite_differences(self, exterior, mode, z, n):
         # the normal is turned off e_r, so the hoop stress s_tt enters
         r, th = 1.1, 1.9
         x = r * np.array([np.cos(th), np.sin(th)])
         nrm = np.array([np.cos(th + 0.6), np.sin(th + 0.6)])
-        wave = cyl_wave_J if kind == "J" else cyl_wave_H
-        f = lambda p: wave(ModeIndex(mode, n), p, exterior, OMEGA)
+        f = lambda p: wave(z, mode, n, p, exterior, OMEGA)[0]
         want = fd_traction(f, x, nrm, exterior)
-        got = cyl_wave_traction(ModeIndex(mode, n), x, nrm, exterior, OMEGA, kind)
+        _, got = wave(z, mode, n, x, exterior, OMEGA, nrm)
         assert np.abs(got - want).max() / np.abs(want).max() < 1e-5
 
     @pytest.mark.parametrize("omega", [0.0, -1.0])
     def test_traction_rejects_nonpositive_omega(self, exterior, omega):
         x = np.array([1.0, 0.5])
         with pytest.raises(DomainError):
-            cyl_wave_traction(ModeIndex("P", 1), x, x / np.hypot(*x), exterior, omega)
-
-    def test_traction_rejects_unknown_kind(self, exterior):
-        x = np.array([1.0, 0.5])
-        with pytest.raises(DomainError, match="kind"):
-            cyl_wave_traction(ModeIndex("S", 1), x, x / np.hypot(*x), exterior, OMEGA, "Y")
+            _wave_table(sp.jv, x, x / np.hypot(*x), exterior, omega, 1)
 
     def test_small_argument_slope(self, exterior):
         # B^P_n(t) ~ t^{-n}: log-log slope -n over t in [1e-4, 1e-3]
