@@ -43,17 +43,17 @@ class BoundaryCurve:
         speed = np.hypot(v[:, 0], v[:, 1])
         if speed.min() < 1e-8:
             raise DomainError("curve has a cusp: |velocity| vanishes")
-        if not self._winds_around_origin(x):
+        if not abs(abs(self._winding_angle(x)) - 2.0 * np.pi) < 1e-6:
             raise DomainError("curve must enclose the origin")
         if self._self_intersects(x):
             raise DomainError("curve must be simple (no self-intersection)")
 
     @staticmethod
-    def _winds_around_origin(x: np.ndarray) -> bool:
+    def _winding_angle(x: np.ndarray) -> float:
+        """Angle the closed polygon x turns through about the origin: 2 pi times its winding number."""
         ang = np.arctan2(x[:, 1], x[:, 0])
         dang = np.diff(np.concatenate([ang, ang[:1]]))
-        dang = (dang + np.pi) % (2.0 * np.pi) - np.pi
-        return abs(abs(dang.sum()) - 2.0 * np.pi) < 1e-6
+        return ((dang + np.pi) % (2.0 * np.pi) - np.pi).sum()
 
     @staticmethod
     def _self_intersects(x: np.ndarray) -> bool:
@@ -80,10 +80,7 @@ class BoundaryCurve:
         """Winding-number test on a sampled polygon."""
         p = np.asarray(point, dtype=float)
         x = self.position(np.linspace(0, 2 * np.pi, 512, endpoint=False)) - p
-        ang = np.arctan2(x[:, 1], x[:, 0])
-        dang = np.diff(np.concatenate([ang, ang[:1]]))
-        dang = (dang + np.pi) % (2.0 * np.pi) - np.pi
-        return abs(dang.sum()) > np.pi
+        return bool(abs(self._winding_angle(x)) > np.pi)
 
 
 class Circle(BoundaryCurve):

@@ -7,6 +7,10 @@ fields through the boundary densities of the transmission problem:
     W^{a,b}_{m,n} = int_dD conj(J^a_n(y)) . psi^b_m(y) ds(y),
     u_sc = (i / (4 rho0 w^2)) sum_n [ H^P_n W^{P,b}_{m,n} + H^S_n W^{S,b}_{m,n} ].
 
+EscMatrix holds them as the one (4K+2)^2 matrix G[(b,m),(a,n)] =
+W^{a,b}_{m,n} that compute_esc forms, the data model A = X G Y* and
+the checks below read; a block W^{a,b} is a view of G.
+
 Structural identities verified by this module (and pinned numerically by
 the test suite against two independent computations of W):
 
@@ -50,62 +54,57 @@ MODES = ("P", "S")
 
 @dataclass
 class EscMatrix:
-    """Four-block truncated matrix of scattering coefficients.
+    """Truncated matrix G of scattering coefficients, (4K+2) x (4K+2).
 
-    blocks['ab'][m + K, n + K] = W^{a,b}_{m,n} with m the incident and n
-    the scattered multipole order, |m|, |n| <= K.
+    G[(b, m), (a, n)] = W^{a,b}_{m,n}: rows follow the incident index
+    (b, m), columns the scattered index (a, n), with a, b in MODES and
+    m, n = -K..K, so that G[ib (2K+1) + m + K, ia (2K+1) + n + K] is
+    W^{a,b}_{m,n}.  This is the G of the data model A = X G Y*.
     """
 
-    K: int
-    blocks: dict
+    g: np.ndarray
     omega: float
     pair: MaterialPair | None = None
     curve_descriptor: dict = field(default_factory=dict)
     rho0: float = 1.0
 
+    def __post_init__(self):
+        # C order, whatever the caller passed: products with G keep their bytes
+        self.g = np.ascontiguousarray(self.g, dtype=complex)
+        size = self.g.shape[0] if self.g.ndim == 2 else -1
+        if size % 4 != 2 or self.g.shape != (size, size):
+            raise DomainError(f"G must be (4K+2) x (4K+2), got shape {self.g.shape}")
+
+    @property
+    def K(self) -> int:
+        return len(self.g) // 4
+
     def block(self, alpha: str, beta: str) -> np.ndarray:
-        return self.blocks[alpha + beta]
+        """W^{alpha,beta} as a view of G: [m + K, n + K]."""
+        size = 2 * self.K + 1
+        return self.g.reshape(2, size, 2, size)[MODES.index(beta), :, MODES.index(alpha)]
 
     def entry(self, alpha: str, beta: str, m: int, n: int) -> complex:
-        return self.blocks[alpha + beta][m + self.K, n + self.K]
+        return self.block(alpha, beta)[m + self.K, n + self.K]
 
     def to_global(self) -> np.ndarray:
-        """Global (4K+2)^2 matrix G[(b,m),(a,n)] = W^{a,b}_{m,n}.
-
-        Rows follow the incident index (b, m), columns the scattered
-        index (a, n), compatible with the data model A = X G Y*.
-        """
-        return np.block([[self.blocks[a + b] for a in MODES] for b in MODES]).astype(
-            complex, copy=False
-        )
-
-    @classmethod
-    def from_global(
-        cls, g: np.ndarray, omega: float, rho0: float = 1.0, **meta
-    ) -> "EscMatrix":
-        k = g.shape[0] // 2
-        g4 = g.reshape(2, k, 2, k)  # [b, m, a, n]
-        blocks = {
-            a + b: g4[ib, :, ia, :].copy()
-            for ib, b in enumerate(MODES)
-            for ia, a in enumerate(MODES)
-        }
-        return cls(K=(k - 1) // 2, blocks=blocks, omega=omega, rho0=rho0, **meta)
-
-    def scale(self) -> float:
-        return max(np.abs(self.blocks[a + b]).max() for a in MODES for b in MODES)
+        """G itself."""
+        return self.g
 
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
+        size = 2 * self.K + 1
+        pairs = np.stack([self.g.real, self.g.imag], axis=-1).reshape(2, size, 2, size, 2)
         out = {
             "K": self.K,
             "omega": self.omega,
             "rho0": self.rho0,
             "curve": self.curve_descriptor,
             "blocks": {
-                key: np.stack([blk.real, blk.imag], axis=-1).tolist()
-                for key, blk in self.blocks.items()
+                a + b: pairs[ib, :, ia].tolist()
+                for ib, b in enumerate(MODES)
+                for ia, a in enumerate(MODES)
             },
         }
         if self.pair is not None:
@@ -117,11 +116,13 @@ class EscMatrix:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EscMatrix":
+        K = int(d["K"])
+        pairs = {key: np.array(blk, dtype=float) for key, blk in d["blocks"].items()}
+        shapes = {key: p.shape for key, p in pairs.items()}
+        if shapes != {a + b: (2 * K + 1, 2 * K + 1, 2) for a in MODES for b in MODES}:
+            raise DomainError(f'ESC blocks of shapes {shapes} do not fit "K" = {K}')
         # each [re, im] pair read back as one complex double, bit for bit
-        blocks = {
-            key: np.array(blk, dtype=float).view(complex)[..., 0]
-            for key, blk in d["blocks"].items()
-        }
+        g = np.block([[pairs[a + b].view(complex)[..., 0] for a in MODES] for b in MODES])
         pair = None
         if "materials" in d:
             pair = MaterialPair(
@@ -129,12 +130,11 @@ class EscMatrix:
                 Material.from_dict(d["materials"]["interior"]),
             )
         return cls(
-            K=int(d["K"]),
-            blocks=blocks,
-            omega=float(d["omega"]),
-            rho0=float(d.get("rho0", 1.0)),
-            curve_descriptor=d.get("curve", {}),
+            g,
+            float(d["omega"]),
             pair=pair,
+            curve_descriptor=d.get("curve", {}),
+            rho0=float(d.get("rho0", 1.0)),
         )
 
 
@@ -158,17 +158,10 @@ def compute_esc(
     solver = TransmissionSolver(grid, pair, omega)
     # J^b_m for b in MODES, m = -K..K, and their tractions: one Bessel table per mode
     j_stack, tractions = _wave_table(sp.jv, grid.nodes, grid.normals, ext, omega, K)
-    densities = solver.solve_many(j_stack, tractions)
+    psi = solver.solve_many(j_stack, tractions).psi.reshape(len(j_stack), -1)
     # G[(b,m),(a,n)] = sum_j psi^b_m(y_j) . conj(J^a_n(y_j)) w_j
-    psi_stack = np.stack([dens.psi for dens in densities]).reshape(len(j_stack), -1)
     proj = (np.conj(j_stack) * grid.weights[:, None]).reshape(len(j_stack), -1)
-    return EscMatrix.from_global(
-        psi_stack @ proj.T,
-        omega,
-        rho0=ext.rho,
-        pair=pair,
-        curve_descriptor=curve.to_dict(),
-    )
+    return EscMatrix(psi @ proj.T, omega, pair, curve.to_dict(), ext.rho)
 
 
 def _order_flip(g: np.ndarray) -> np.ndarray:
@@ -203,7 +196,7 @@ def verify_optical(esc: EscMatrix) -> dict:
     theorem; exact up to truncation for lossless materials).  The
     elementwise-conjugate variant is reported as a diagnostic.
     """
-    g = esc.to_global()
+    g = esc.g
     rho_w2 = esc.rho0 * esc.omega**2
     norm = np.linalg.norm(g)
     if norm == 0:
@@ -230,7 +223,7 @@ def verify_symmetries(esc: EscMatrix) -> dict:
     The conjugated (Hermitian/conjugate-parity) defects are reported for
     diagnosis; they are O(1) for generic frequencies.
     """
-    g = esc.to_global()
+    g = esc.g
     scale = np.abs(g).max()
     if scale == 0:
         return {"reciprocity": 0.0, "mirror": 0.0, "hermitian_conj": 0.0, "parity_conj": 0.0}
@@ -254,7 +247,7 @@ def decay_profile(esc: EscMatrix) -> dict:
     the normalized residual spread of the fit.
     """
     K = esc.K
-    mag = np.abs(esc.to_global())
+    mag = np.abs(esc.g)
     level = np.tile(np.abs(np.arange(-K, K + 1)), 2)  # |m| along the global index
     prof = np.zeros(K + 1)
     np.maximum.at(prof, np.maximum.outer(level, level).ravel(), mag.ravel())

@@ -10,9 +10,11 @@ d_r_perp = e_theta(theta_r).  With
     Y^a_par[r, n]  = conj(H^a_n(x_r)) . d_r,
     Y^a_perp[r, n] = conj(H^a_n(x_r)) . d_r_perp,
 
-the four response matrices assemble into A = X G Y* + E (+ noise) where
-G is the global ESC matrix with incident-index rows, and E is the
-truncation error.  X*X = N_s Z_X holds exactly (Fourier orthogonality)
+the 2N_s x 2N_r response matrix A, whose four N_s x N_r quarters are
+these par/perp projections of the P and S incidences, is A = X G Y* + E
+(+ noise), where G is the ESC matrix with incident-index rows
+(EscMatrix.g) and E is the truncation error.  MsrDataset holds A; its
+quarters, one CSV file each, are views of it.  X*X = N_s Z_X holds exactly (Fourier orthogonality)
 while Y*Y approaches N_r Z_Y with O(R^-2) off-diagonal blocks, giving
 the explicit left pseudo-inverse used for reconstruction.
 """
@@ -31,13 +33,11 @@ from scipy import special as sp
 from .bie import TransmissionSolver, build_grid, single_layer_apply
 from .curves import BoundaryCurve
 from .errors import ConfigError, DomainError, ReconstructionError
-from .esc import EscMatrix, _energy_residual, _reciprocity_image, compute_esc
-from .wavefields import Material, MaterialPair, plane_wave_mode_field, plane_wave_traction
+from .esc import MODES, EscMatrix, _energy_residual, _reciprocity_image, compute_esc
+from .wavefields import Material, MaterialPair, _plane_wave_table
 from .specialfun import _check, _fold_orders
 
 logger = logging.getLogger(__name__)
-
-MODES = ("P", "S")
 
 
 @dataclass(frozen=True)
@@ -100,34 +100,46 @@ class MsrConfig:
 
 # one row of a dataset CSV file
 _CSV_ROW = np.dtype([("s", np.int64), ("r", np.int64), ("re", float), ("im", float)])
+# the four N_s x N_r quarters of A, one CSV file each, in row-major order
+_QUARTERS = ("par_par", "par_perp", "perp_par", "perp_perp")
+
+
+def _quarter(i: int, j: int):
+    """Read-only view of quarter (i, j) of MsrDataset.a."""
+
+    def view(self) -> np.ndarray:
+        ns, nr = self.config.n_sources, self.config.n_receivers
+        out = self.a[i * ns : (i + 1) * ns, j * nr : (j + 1) * nr]
+        out.flags.writeable = False
+        return out
+
+    return property(view)
 
 
 @dataclass
 class MsrDataset:
-    """Four N_s x N_r response matrices plus the acquisition geometry."""
+    """The 2N_s x 2N_r response matrix A plus the acquisition geometry.
 
-    a_par_par: np.ndarray
-    a_par_perp: np.ndarray
-    a_perp_par: np.ndarray
-    a_perp_perp: np.ndarray
+    A = [[A_par,par  A_par,perp], [A_perp,par  A_perp,perp]]: row s < N_s
+    is source s's P incidence and row N_s + s its S incidence; column r <
+    N_r is receiver r's d_r component and column N_r + r its d_r_perp one.
+    """
+
+    a: np.ndarray
     config: MsrConfig
 
-    def stacked(self) -> np.ndarray:
-        """Global 2N_s x 2N_r block matrix [[par,par  par,perp], ...]."""
-        return np.block(
-            [[self.a_par_par, self.a_par_perp], [self.a_perp_par, self.a_perp_perp]]
-        )
+    a_par_par, a_par_perp = _quarter(0, 0), _quarter(0, 1)
+    a_perp_par, a_perp_perp = _quarter(1, 0), _quarter(1, 1)
 
-    @classmethod
-    def from_stacked(cls, a: np.ndarray, config: MsrConfig) -> "MsrDataset":
-        ns, nr = config.n_sources, config.n_receivers
-        return cls(
-            a_par_par=a[:ns, :nr].copy(),
-            a_par_perp=a[:ns, nr:].copy(),
-            a_perp_par=a[ns:, :nr].copy(),
-            a_perp_perp=a[ns:, nr:].copy(),
-            config=config,
-        )
+    def __post_init__(self):
+        # C order, whatever the caller passed: products with A keep their bytes
+        self.a = np.ascontiguousarray(self.a, dtype=complex)
+        shape = (2 * self.config.n_sources, 2 * self.config.n_receivers)
+        if self.a.shape != shape:
+            raise DomainError(
+                f"response matrix of shape {self.a.shape} does not fit {self.config.n_sources} "
+                f"sources x {self.config.n_receivers} receivers, which need {shape}"
+            )
 
     def save(self, prefix) -> None:
         """JSON header + four CSV matrices (s, r, re, im), written atomically.
@@ -141,14 +153,8 @@ class MsrDataset:
 
         prefix = pathlib.Path(prefix)
         atomic_write_json(f"{prefix}.json", {"config": self.config.to_dict()})
-        names = {
-            "par_par": self.a_par_par,
-            "par_perp": self.a_par_perp,
-            "perp_par": self.a_perp_par,
-            "perp_perp": self.a_perp_perp,
-        }
-        for name, mat in names.items():
-            z = np.asarray(mat, dtype=complex)
+        for name in _QUARTERS:
+            z = getattr(self, "a_" + name)
             rows = zip(itertools.product(range(z.shape[0]), range(z.shape[1])),
                        z.real.ravel().tolist(), z.imag.ravel().tolist())
             text = "".join([f"{s},{r},{re!r},{im!r}\r\n" for (s, r), re, im in rows])
@@ -167,8 +173,8 @@ class MsrDataset:
         except (TypeError, ValueError) as e:
             raise ConfigError(f"{header}: not a dataset header ({e})") from e
         ns, nr = config.n_sources, config.n_receivers
-        mats = {}
-        for name in ("par_par", "par_perp", "perp_par", "perp_perp"):
+        mats = []
+        for name in _QUARTERS:
             path = f"{prefix}_{name}.csv"
             with warnings.catch_warnings():
                 # a file without rows is reported below, as missing entries
@@ -200,14 +206,8 @@ class MsrDataset:
             mat = np.empty(ns * nr, dtype=complex)
             mat.real[flat] = rows["re"]
             mat.imag[flat] = rows["im"]
-            mats[name] = mat.reshape(ns, nr)
-        return cls(
-            a_par_par=mats["par_par"],
-            a_par_perp=mats["par_perp"],
-            a_perp_par=mats["perp_par"],
-            a_perp_perp=mats["perp_perp"],
-            config=config,
-        )
+            mats.append(mat.reshape(ns, nr))
+        return cls(np.block([mats[:2], mats[2:]]), config)
 
 
 @dataclass
@@ -248,29 +248,18 @@ def assemble_model(config: MsrConfig, K: int) -> ModelMatrices:
     """Model matrices for truncation K; requires 2K+1 <= min(N_s, N_r)."""
     if 2 * K + 1 > min(config.n_sources, config.n_receivers):
         raise DomainError("truncation K violates 2K+1 <= min(N_s, N_r)")
-    ns, nr = config.n_sources, config.n_receivers
     n = np.arange(-K, K + 1)
     theta_d = config.source_angles() + np.pi
-    x = np.zeros((2 * ns, 4 * K + 2), dtype=complex)
-    for ib, mode in enumerate(MODES):
-        b = _b_factor(config.exterior, config.omega, mode)
-        x[ib * ns : (ib + 1) * ns, ib * (2 * K + 1) : (ib + 1) * (2 * K + 1)] = (
-            np.exp(1j * np.outer(np.pi / 2.0 - theta_d, n)) / b
-        )
-    th_r = config.receiver_angles()
+    b = [_b_factor(config.exterior, config.omega, mode) for mode in MODES]
+    # X is block diagonal: X^b[s, m] on the rows of mode b's sources
+    wave = np.exp(1j * np.outer(np.pi / 2.0 - theta_d, n))
+    zero = np.zeros_like(wave)
+    x = np.block([[wave / b[0], zero], [zero, wave / b[1]]])
     gh = _gh_factors(config, K)
-    phase = np.exp(-1j * np.outer(th_r, n))
-    y = np.zeros((2 * nr, 4 * K + 2), dtype=complex)
-    y[:nr, : 2 * K + 1] = np.conj(gh["gP"])[None, :] * phase
-    y[:nr, 2 * K + 1 :] = np.conj(gh["gS"])[None, :] * phase
-    y[nr:, : 2 * K + 1] = np.conj(gh["hP"])[None, :] * phase
-    y[nr:, 2 * K + 1 :] = np.conj(gh["hS"])[None, :] * phase
-    z_x = np.concatenate(
-        [
-            np.full(2 * K + 1, 1.0 / _b_factor(config.exterior, config.omega, "P") ** 2),
-            np.full(2 * K + 1, 1.0 / _b_factor(config.exterior, config.omega, "S") ** 2),
-        ]
-    )
+    phase = np.exp(-1j * np.outer(config.receiver_angles(), n))
+    # Y[(par | perp, r), (a, n)] = conj(g^a_n | h^a_n) e^{-i n theta_r}
+    y = np.block([[np.conj(gh[f + a]) * phase for a in MODES] for f in "gh"])
+    z_x = np.repeat([1.0 / b[0] ** 2, 1.0 / b[1] ** 2], 2 * K + 1)
     z_y = np.concatenate([np.abs(gh["gP"]) ** 2, np.abs(gh["hS"]) ** 2])
     return ModelMatrices(X=x, Y=y, z_x=z_x, z_y=z_y, K=K)
 
@@ -312,8 +301,7 @@ def simulate_msr(
         elif K is not None and K != esc.K:
             raise DomainError(f"K = {K} does not match the EscMatrix's K = {esc.K}")
         model = assemble_model(config, esc.K)
-        a = model.X @ esc.to_global() @ model.Y.conj().T
-        return MsrDataset.from_stacked(a, config)
+        return MsrDataset(model.X @ esc.g @ model.Y.conj().T, config)
     if mode != "bie":
         raise DomainError(f"unknown simulation mode {mode!r}")
 
@@ -321,32 +309,26 @@ def simulate_msr(
     omega = config.omega
     grid = build_grid(curve, n_nodes)
     solver = TransmissionSolver(grid, pair, omega)
-    waves = [(d, mode_w) for mode_w in MODES for d in config.incident_directions()]
-    traces = np.array([plane_wave_mode_field(d, grid.nodes, ext, omega, m) for d, m in waves])
-    tractions = np.array(
-        [plane_wave_traction(d, grid.nodes, grid.normals, ext, omega, m) for d, m in waves]
+    densities = solver.solve_many(
+        *_plane_wave_table(config.incident_directions(), grid.nodes, grid.normals, ext, omega)
     )
-    densities = solver.solve_many(traces, tractions)
-
     # receiver fields of every incidence at once, (k, Nr, 2)
-    u = single_layer_apply(
-        grid, omega, ext, np.stack([dens.psi for dens in densities]), config.receiver_points()
-    )
+    u = single_layer_apply(grid, omega, ext, densities.psi, config.receiver_points())
     th_r = config.receiver_angles()
     d_r = np.stack([np.cos(th_r), np.sin(th_r)], axis=-1)
     d_rp = np.stack([-np.sin(th_r), np.cos(th_r)], axis=-1)
-    # row k of the stacked matrix is incidence k: P sources (par rows), then S (perp rows)
+    # row k of A is incidence k: P sources (par rows), then S (perp rows)
     a = np.concatenate(
         [np.einsum("krc,rc->kr", u, d_r), np.einsum("krc,rc->kr", u, d_rp)], axis=1
     )
-    return MsrDataset.from_stacked(a, config)
+    return MsrDataset(a, config)
 
 
 def add_noise(data: MsrDataset) -> MsrDataset:
     """Add iid complex Gaussian noise with std config.noise_sigma per entry."""
     cfg = data.config
     if cfg.noise_sigma == 0.0:
-        return MsrDataset.from_stacked(data.stacked(), cfg)
+        return MsrDataset(data.a.copy(), cfg)
     rng = np.random.default_rng(cfg.seed)
     shape = (2 * cfg.n_sources, 2 * cfg.n_receivers)
     noise = (
@@ -354,7 +336,7 @@ def add_noise(data: MsrDataset) -> MsrDataset:
         * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         / np.sqrt(2.0)
     )
-    return MsrDataset.from_stacked(data.stacked() + noise, cfg)
+    return MsrDataset(data.a + noise, cfg)
 
 
 def _rank_check(mat: np.ndarray, what: str) -> None:
@@ -382,7 +364,7 @@ def reconstruct(
     if 2 * K + 1 > min(cfg.n_sources, cfg.n_receivers):
         raise DomainError("truncation K violates 2K+1 <= min(N_s, N_r)")
     model = assemble_model(cfg, K)
-    a = data.stacked()
+    a = data.a
     _rank_check(model.X, "X")
     _rank_check(model.Y, "Y")
     if method == "pseudo_inverse":
@@ -401,7 +383,7 @@ def reconstruct(
             g = _project_constraints(g, cfg)
     else:
         raise DomainError(f"unknown reconstruction method {method!r}")
-    est = EscMatrix.from_global(g, cfg.omega, rho0=cfg.exterior.rho)
+    est = EscMatrix(g, cfg.omega, rho0=cfg.exterior.rho)
     resid = np.linalg.norm(model.X @ g @ model.Y.conj().T - a) / max(
         np.linalg.norm(a), 1e-300
     )

@@ -142,7 +142,7 @@ def _suite_disk(_negate):
     pair = MaterialPair(DEFAULT_EXTERIOR, DEFAULT_INTERIOR)
     omega = 1.0
     K = 3
-    g = compute_esc(Circle(1.0), pair, omega, K=K, n_nodes=128).to_global()
+    g = compute_esc(Circle(1.0), pair, omega, K=K, n_nodes=128).g
     # diag[b, a, m] = W^{a,b}_{m,m}; the transfer matrix gives wa[m][a, b]
     diag = g.reshape(2, 2 * K + 1, 2, 2 * K + 1).diagonal(axis1=1, axis2=3)
     disk = LayeredStructure(radii=(1.0,), layers=(), exterior=pair.exterior, inner=pair.interior)

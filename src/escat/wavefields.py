@@ -32,12 +32,7 @@ from scipy import special as sp
 from .errors import DomainError
 from .specialfun import _fold_orders
 
-__all__ = [
-    "Material",
-    "MaterialPair",
-    "plane_wave_traction",
-    "perp",
-]
+__all__ = ["Material", "MaterialPair"]
 
 
 @dataclass(frozen=True)
@@ -102,12 +97,6 @@ class MaterialPair:
             )
 
 
-def perp(d: np.ndarray) -> np.ndarray:
-    """Perpendicular (d2, -d1) used in the shear plane wave."""
-    d = np.asarray(d, dtype=float)
-    return np.array([d[1], -d[0]])
-
-
 def _modal(mode: str, n, t, lam: float, mu: float, z, zp):
     """(r u_r, r u_t, r^2 s_rr, r^2 s_rt) of the order-n P or S wave; z = Z_n(t).
 
@@ -166,45 +155,33 @@ def _wave_table(z, points, normals, material: Material, omega: float, K: int):
     return np.concatenate(fields), np.concatenate(tractions)
 
 
-def _single_plane_wave(direction, point, material, omega, mode):
-    """Pressure (amp d) or shear (amp d_perp) plane wave and its polarization."""
-    d = np.asarray(direction, dtype=float)
-    pts = np.atleast_2d(np.asarray(point, dtype=float))
-    kappa = material.kappa(omega, mode)
-    c = material.c_p if mode == "P" else material.c_s
-    v = d if mode == "P" else perp(d)
-    amp = np.exp(1j * kappa * (pts @ d)) / (material.rho * c * c)
-    return amp, v, kappa
+def _plane_wave_table(directions, points, normals, material: Material, omega: float):
+    """Every P and then every S plane wave of the directions d, and its traction.
 
-
-def plane_wave_traction(
-    direction, point, normal, material: Material, omega: float, mode: str
-) -> np.ndarray:
-    """Traction of the single-mode plane wave at points with given normals.
-
-    For u = A v e^{i kappa x.d}:
+    u = A v e^{i kappa x.d} with A = 1 / (rho c^2), and v = d for P or
+    v = d_perp = (d2, -d1) for S; on the unit normal n its traction is
     T u = i kappa A e^{i kappa x.d} [lam (v.d) n + mu ((d.n) v + (v.n) d)].
+    Returns two (2 D, N, 2) arrays laid out like _wave_table's: the fields
+    and the tractions, rows P for each direction, then S.  Each product
+    with d or v is one (N, 2) @ (2, 1) matmul per direction, which gives
+    every direction the bits of its own points @ d.
     """
-    d = np.asarray(direction, dtype=float)
-    nrm = np.atleast_2d(np.asarray(normal, dtype=float))
-    amp, v, kappa = _single_plane_wave(direction, point, material, omega, mode)
-    lam, mu = material.lam, material.mu
-    vec = (
-        lam * np.dot(v, d) * nrm
-        + mu * (nrm @ d)[:, None] * v
-        + mu * (nrm @ v)[:, None] * d
-    )
-    out = 1j * kappa * amp[:, None] * vec
-    return out[0] if np.asarray(point).ndim == 1 else out
-
-
-def plane_wave_mode_field(
-    direction, point, material: Material, omega: float, mode: str
-) -> np.ndarray:
-    """Single-mode plane wave F (mode='P') or G (mode='S')."""
-    amp, v, _ = _single_plane_wave(direction, point, material, omega, mode)
-    out = amp[:, None] * v
-    return out[0] if np.asarray(point).ndim == 1 else out
+    d = np.asarray(directions, dtype=float)
+    pts, nrm = np.asarray(points, dtype=float), np.asarray(normals, dtype=float)
+    col = d[:, :, None]
+    x_d = np.matmul(pts, col)  # (D, N, 1)
+    mu_n_d = material.mu * np.matmul(nrm, col)
+    fields = np.empty((2, len(d), len(pts), 2), dtype=complex)
+    tractions = np.empty_like(fields)
+    for i, (mode, v) in enumerate((("P", d), ("S", np.stack([d[:, 1], -d[:, 0]], axis=-1)))):
+        kappa, c = material.kappa(omega, mode), material.c_p if mode == "P" else material.c_s
+        amp = np.exp(1j * kappa * x_d) / (material.rho * c * c)
+        v3 = v[:, None, :]
+        np.multiply(amp, v3, out=fields[i])
+        vec = material.lam * np.matmul(v3, col) * nrm + mu_n_d * v3
+        vec += material.mu * np.matmul(nrm, v[:, :, None]) * d[:, None, :]
+        np.multiply(1j * kappa * amp, vec, out=tractions[i])
+    return fields.reshape(-1, len(pts), 2), tractions.reshape(-1, len(pts), 2)
 
 
 def _radial_kernels(zp, zs, r, omega, material):

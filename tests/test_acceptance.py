@@ -82,7 +82,7 @@ def test_criterion_01_disk_cross_validation():
     worst = 0.0
     for omega in (0.5, 1.0, 2.0):  # kappa_S R_disk
         esc = compute_esc(Circle(1.0), PAIR, omega, K=6, n_nodes=256)
-        scale = esc.scale()
+        scale = np.abs(esc.g).max()
         for m in range(-6, 7):
             wa = analytic_disk_esc(PAIR, 1.0, omega, m)
             for ia, a in enumerate("PS"):
@@ -187,17 +187,15 @@ def test_criterion_06_reconstruction_round_trips():
     rng = np.random.default_rng(3)
     dim = 4 * 4 + 2
     g_syn = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    esc_syn = EscMatrix.from_global(g_syn, 1.0, rho0=1.0)
+    esc_syn = EscMatrix(g_syn, 1.0, rho0=1.0)
     data = simulate_msr(Circle(1.0), PAIR, cfg, mode="expansion", esc=esc_syn)
     est, _ = reconstruct(data, 4, method="lsq")
-    err_syn = np.linalg.norm(est.to_global() - g_syn) / np.linalg.norm(g_syn)
+    err_syn = np.linalg.norm(est.g - g_syn) / np.linalg.norm(g_syn)
 
     data_bie = simulate_msr(Circle(1.0), PAIR, cfg, mode="bie", n_nodes=192)
     est2, _ = reconstruct(data_bie, 4, method="pseudo_inverse")
     direct = compute_esc(Circle(1.0), PAIR, 1.0, K=4, n_nodes=192)
-    err_bie = np.linalg.norm(est2.to_global() - direct.to_global()) / np.linalg.norm(
-        direct.to_global()
-    )
+    err_bie = np.linalg.norm(est2.g - direct.g) / np.linalg.norm(direct.g)
     elapsed = time.monotonic() - t0
     report(
         6,
@@ -230,7 +228,7 @@ def test_criterion_08_truncation_error():
     full = compute_esc(Circle(1.0), PAIR, 1.0, K=8, n_nodes=160)
     gaps = []
     ks = list(range(2, 9))
-    gfull = full.to_global()
+    gfull = full.g
     big = full.K
     for k in ks:
         dim = 2 * k + 1
@@ -244,9 +242,9 @@ def test_criterion_08_truncation_error():
                 g[ib * dim : (ib + 1) * dim, ia * dim : (ia + 1) * dim] = src[
                     big - k : big + k + 1, big - k : big + k + 1
                 ]
-        sub = EscMatrix.from_global(g, 1.0, rho0=EXT.rho)
+        sub = EscMatrix(g, 1.0, rho0=EXT.rho)
         data_k = simulate_msr(Circle(1.0), PAIR, cfg, mode="expansion", esc=sub)
-        gaps.append(np.abs(data_bie.stacked() - data_k.stacked()).max())
+        gaps.append(np.abs(data_bie.a - data_k.a).max())
     h_fit = float(np.exp(np.polyfit(ks, np.log(gaps), 1)[0]))
     decreasing = bool(np.all(np.diff(np.log(gaps)) < 0))
     report(
@@ -271,9 +269,9 @@ def test_criterion_09_noise_scaling():
     n_draws = 100
     for draw in range(n_draws):
         cfg_d = far_cfg(noise_sigma=sigma_n, seed=1000 + draw)
-        noisy = add_noise(MsrDataset.from_stacked(base.stacked(), cfg_d))
+        noisy = add_noise(MsrDataset(base.a, cfg_d))
         est, _ = reconstruct(noisy, 3, method="pseudo_inverse")
-        acc += np.abs(est.to_global() - clean.to_global()) ** 2
+        acc += np.abs(est.g - clean.g) ** 2
     rms = np.sqrt(acc / n_draws)
     tight = sigma_n / sigma
     envelope = tight * np.sqrt(cfg.n_sources * cfg.n_receivers)
@@ -284,7 +282,7 @@ def test_criterion_09_noise_scaling():
     sigma_big = 3e-4
     direct = compute_esc(Circle(1.0), PAIR, 1.0, K=5, n_nodes=128)
     noisy = add_noise(
-        MsrDataset.from_stacked(base.stacked(), far_cfg(noise_sigma=sigma_big, seed=77))
+        MsrDataset(base.a, far_cfg(noise_sigma=sigma_big, seed=77))
     )
     est, _ = reconstruct(noisy, 5, method="pseudo_inverse")
     emp = -1

@@ -313,9 +313,10 @@ class TestTractionOperator:
 class TestTransmission:
     def test_zero_incident_gives_zero_densities(self, pair):
         grid = build_grid(Circle(1.0), 64)
-        dens = TransmissionSolver(grid, pair, OMEGA).solve(np.zeros((64, 2)), np.zeros((64, 2)))
-        assert np.abs(dens.phi).max() < 1e-14
-        assert np.abs(dens.psi).max() < 1e-14
+        zero = np.zeros((1, 64, 2))
+        dens = TransmissionSolver(grid, pair, OMEGA).solve_many(zero, zero)
+        assert np.abs(dens.phi[0]).max() < 1e-14
+        assert np.abs(dens.psi[0]).max() < 1e-14
 
     def test_zero_frequency_rejected(self, pair):
         grid = build_grid(Circle(1.0), 32)
@@ -328,9 +329,9 @@ class TestTransmission:
         grid = build_grid(Circle(1.0), 128)
         solver = TransmissionSolver(grid, pair, OMEGA)
         tr, tc = wave(sp.jv, "P", 1, grid.nodes, exterior, OMEGA, grid.normals)
-        dens = solver.solve(tr, tc)
+        dens = solver.solve_many(tr[None], tc[None])
         x = np.array([3.0, 0.4])
-        got = single_layer_apply(grid, OMEGA, exterior, dens.psi, x)
+        got = single_layer_apply(grid, OMEGA, exterior, dens.psi[0], x)
         w1 = analytic_disk_esc(pair, 1.0, OMEGA, 1)
         # u_sc = (i/(4 rho w^2)) sum_alpha H^alpha_1 W^{alpha,P}
         rho_w2 = exterior.rho * OMEGA**2
@@ -339,7 +340,7 @@ class TestTransmission:
             + wave(sp.hankel1, "S", 1, x, exterior, OMEGA)[0] * w1[1, 0]
         )
         assert np.abs(got - want).max() < 1e-7 * np.abs(want).max()
-        assert dens.residual < 1e-10
+        assert dens.residual[0] < 1e-10
 
     def test_discrete_residual_small(self, pair, exterior):
         grid = build_grid(Circle(1.0), 256)
@@ -347,8 +348,8 @@ class TestTransmission:
         (a,) = bie._eigenblocks(grid, pair, 2.0, bie._identity_basis(256))  # kappa_S * diam = 4
         solver = TransmissionSolver(grid, pair, 2.0)
         tr, tc = wave(sp.jv, "P", 1, grid.nodes, exterior, 2.0, grid.normals)
-        dens = solver.solve(tr, tc)
-        x = np.concatenate([dens.phi.T.reshape(-1), dens.psi.T.reshape(-1)])
+        dens = solver.solve_many(tr[None], tc[None])
+        x = np.concatenate([dens.phi[0].T.reshape(-1), dens.psi[0].T.reshape(-1)])
         rhs = np.concatenate([tr.T.reshape(-1), tc.T.reshape(-1)])
         assert np.linalg.norm(a @ x - rhs) < 1e-10 * np.linalg.norm(rhs)
 
@@ -357,8 +358,8 @@ class TestTransmission:
         grid = build_grid(Circle(1.0), 64)
         solver = TransmissionSolver(grid, MaterialPair(exterior, inte), OMEGA)
         tr, tc = wave(sp.jv, "P", 1, grid.nodes, exterior, OMEGA, grid.normals)
-        dens = solver.solve(tr, tc)
-        u_sc = single_layer_apply(grid, OMEGA, exterior, dens.psi, np.array([2.0, 0.0]))
+        dens = solver.solve_many(tr[None], tc[None])
+        u_sc = single_layer_apply(grid, OMEGA, exterior, dens.psi[0], np.array([2.0, 0.0]))
         assert np.abs(u_sc).max() < 1e-4 * np.abs(tr).max()
 
     def test_self_convergence_superalgebraic(self, pair, exterior):
@@ -373,10 +374,10 @@ class TestTransmission:
             grid = build_grid(kite, n)
             solver = TransmissionSolver(grid, pair, omega)
             tr, tc = wave(sp.jv, "P", 1, grid.nodes, exterior, omega, grid.normals)
-            dens = solver.solve(tr, tc)
+            dens = solver.solve_many(tr[None], tc[None])
             w = grid.weights[:, None]
             proj = np.conj(tr)
-            return np.sum(w * proj * dens.psi)
+            return np.sum(w * proj * dens.psi[0])
 
         ref = esc_entry(384)
         err_coarse = abs(esc_entry(64) - ref)
@@ -387,11 +388,11 @@ class TestTransmission:
         grid = build_grid(Circle(1.0), 96)
         solver = TransmissionSolver(grid, pair, OMEGA)
         tr, tc = wave(sp.jv, "P", 0, grid.nodes, exterior, OMEGA, grid.normals)
-        dens = solver.solve(tr, tc)
+        dens = solver.solve_many(tr[None], tc[None])
         wavelength = 2 * np.pi / exterior.kappa_s(OMEGA)
         radii = np.array([1e2, 1e3]) * wavelength
         mags = [
-            np.abs(single_layer_apply(grid, OMEGA, exterior, dens.psi, np.array([r, 0.0]))).max()
+            np.abs(single_layer_apply(grid, OMEGA, exterior, dens.psi[0], np.array([r, 0.0]))).max()
             for r in radii
         ]
         slope = np.log(mags[1] / mags[0]) / np.log(radii[1] / radii[0])
@@ -403,7 +404,7 @@ class TestTransmission:
         grid = build_grid(Circle(1.0), 128)
         solver = TransmissionSolver(grid, pair, OMEGA)
         tr, tc = wave(sp.jv, "S", 1, grid.nodes, exterior, OMEGA, grid.normals)
-        dens = solver.solve(tr, tc)
+        dens = solver.solve_many(tr[None], tc[None])
         # interior coefficients from the 4x4 interface system
         m_out = _layer_matrices(1, [1.0], [exterior], OMEGA)[0]
         m_in = _layer_matrices(1, [1.0], [interior], OMEGA)[0]
@@ -413,7 +414,7 @@ class TestTransmission:
         sol = np.linalg.solve(lhs, m_out[:, :2] @ np.array([0.0, 1.0]))  # S incidence
         b = sol[:2]
         x_in = np.array([0.3, 0.2])
-        u_in = single_layer_apply(grid, OMEGA, interior, dens.phi, x_in)
+        u_in = single_layer_apply(grid, OMEGA, interior, dens.phi[0], x_in)
         want = (
             b[0] * wave(sp.jv, "P", 1, x_in, interior, OMEGA)[0]
             + b[1] * wave(sp.jv, "S", 1, x_in, interior, OMEGA)[0]
@@ -465,7 +466,7 @@ def _unsplit_esc(curve, pair, omega, K, n):
     psi = x[2 * n :].T.reshape(-1, 2, n).transpose(0, 2, 1)
     jconj = np.conj(traces) * grid.weights[:, None]  # conj(J^a_n), same (a, n) order
     w = np.einsum("aic,bic->ba", jconj, psi)  # w[(b, m), (a, n)] = W^{a,b}_{m,n}
-    return EscMatrix.from_global(w, omega, rho0=ext.rho, pair=pair)
+    return EscMatrix(w, omega, pair, rho0=ext.rho)
 
 
 @pytest.fixture(scope="module")
@@ -523,12 +524,32 @@ class TestMirrorSplit:
         solver = TransmissionSolver(grid, pair, 1.0)
         traces, tractions = _wave_table(sp.jv, grid.nodes, grid.normals, exterior, 1.0, 6)
         dens = solver.solve_many(traces, tractions)
-        assert max(d.residual for d in dens) < 1e-10
-        assert all(0.0 < d.stability_ratio < np.inf for d in dens)
-        one = solver.solve(traces[3], tractions[3])
+        k = len(traces)
+        assert dens.phi.shape == dens.psi.shape == (k, 256, 2)
+        assert dens.residual.shape == dens.stability_ratio.shape == (k,)
+        assert dens.residual.max() < 1e-10
+        assert np.all((0.0 < dens.stability_ratio) & (dens.stability_ratio < np.inf))
+        one = solver.solve_many(traces[3:4], tractions[3:4])
         # one column or a batch: BLAS may order the sums differently (~cond * eps)
-        assert_allclose(one.psi, dens[3].psi, rtol=0, atol=1e-10 * np.abs(one.psi).max())
-        assert one.residual < 1e-10 and one.stability_ratio == pytest.approx(dens[3].stability_ratio)
+        assert_allclose(one.psi[0], dens.psi[3], rtol=0, atol=1e-10 * np.abs(one.psi).max())
+        assert one.residual[0] < 1e-10
+        assert one.stability_ratio[0] == pytest.approx(dens.stability_ratio[3])
+
+    def test_stacked_solve_is_the_one_column_solves(self, pair, exterior):
+        # a sine term: one block, all rows; column i of the batch against
+        # column i solved alone
+        grid = build_grid(FourierRadius(1.0, cos_coeffs=(0.1,), sin_coeffs=(0.0, 0.1)), 96)
+        assert not grid.mirror_symmetric
+        solver = TransmissionSolver(grid, pair, 1.0)
+        traces, tractions = _wave_table(sp.jv, grid.nodes, grid.normals, exterior, 1.0, 3)
+        dens = solver.solve_many(traces, tractions)
+        assert dens.phi.shape == dens.psi.shape == (14, 96, 2)
+        for i in range(14):
+            one = solver.solve_many(traces[i : i + 1], tractions[i : i + 1])
+            for got, want in ((one.phi[0], dens.phi[i]), (one.psi[0], dens.psi[i])):
+                assert_allclose(got, want, rtol=0, atol=1e-10 * np.abs(want).max())
+            assert one.residual[0] < 1e-10 and dens.residual[i] < 1e-10
+            assert one.stability_ratio[0] == pytest.approx(dens.stability_ratio[i], rel=1e-10)
 
 
 def _dense_basis(basis, spec):
@@ -685,9 +706,9 @@ class TestConcurrentBlocks:
                 assert lu.tobytes() == ref_lu.tobytes() and piv.tobytes() == ref_piv.tobytes()
         assert serial[0].condition_estimate == concurrent[0].condition_estimate
         assert serial[1].tobytes() == concurrent[1].tobytes()
-        for d_s, d_c in zip(serial[2], concurrent[2]):
-            assert (d_s.residual, d_s.stability_ratio) == (d_c.residual, d_c.stability_ratio)
-            assert d_s.psi.tobytes() == d_c.psi.tobytes()
+        d_s, d_c = serial[2], concurrent[2]
+        for name in ("phi", "psi", "residual", "stability_ratio"):
+            assert getattr(d_s, name).tobytes() == getattr(d_c, name).tobytes()
 
     def test_threads_end_before_return(self, pair, exterior, monkeypatch, caplog):
         before = threading.active_count()

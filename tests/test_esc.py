@@ -1,8 +1,9 @@
 """ESC assembly, the model field against the solver and the structural identity checks."""
 
+import json
+
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 from scipy import special as sp
 
 from conftest import fd_lame_residual, fd_traction, wave
@@ -74,8 +75,7 @@ class TestWaveTable:
 
 class TestComputeEsc:
     def test_disk_off_diagonal_vanishes(self, disk_esc):
-        scale = disk_esc.scale()
-        K = disk_esc.K
+        scale = np.abs(disk_esc.g).max()
         worst = 0.0
         for a in "PS":
             for b in "PS":
@@ -100,13 +100,12 @@ class TestComputeEsc:
         inte = Material(2.0 * (1 + 1e-6), 1.0 * (1 + 1e-6), 1.0)
         esc = compute_esc(Circle(1.0), MaterialPair(exterior, inte), OMEGA, K=2, n_nodes=64)
         ref = compute_esc(Circle(1.0), pair, OMEGA, K=2, n_nodes=64)
-        assert esc.scale() < 1e-4 * ref.scale()
+        assert np.abs(esc.g).max() < 1e-4 * np.abs(ref.g).max()
 
     def test_basis_independence(self, pair):
         a = compute_esc(Kite(0.4), pair, OMEGA, K=3, n_nodes=96)
         b = compute_esc(Kite(0.4), pair, OMEGA, K=3, n_nodes=192)
-        for key in a.blocks:
-            assert np.abs(a.blocks[key] - b.blocks[key]).max() < 1e-8 * a.scale()
+        assert np.abs(a.g - b.g).max() < 1e-8 * np.abs(a.g).max()
 
     def test_matches_entrywise_projection(self, pair):
         # the per-entry boundary integral that the single product replaced
@@ -121,12 +120,14 @@ class TestComputeEsc:
             for a in "PS"
             for q in orders
         }
+        scale = np.abs(esc.g).max()
         for b in "PS":
             for m in orders:
-                psi = solver.solve(*wave(sp.jv, b, m, grid.nodes, ext, OMEGA, grid.normals)).psi
+                trace, traction = wave(sp.jv, b, m, grid.nodes, ext, OMEGA, grid.normals)
+                psi = solver.solve_many(trace[None], traction[None]).psi[0]
                 for (a, q), p in proj.items():
                     want = np.sum(p * psi)
-                    assert abs(esc.entry(a, b, m, q) - want) <= 1e-14 * esc.scale()
+                    assert abs(esc.entry(a, b, m, q) - want) <= 1e-14 * scale
 
     def test_expansion_matches_bie_field(self, kite_esc, pair, exterior):
         # the model X G Y* of the kite's W must match the solver's
@@ -134,8 +135,8 @@ class TestComputeEsc:
         n = 2 * kite_esc.K + 1
         cfg = MsrConfig(radius=20 * 2 * np.pi / exterior.kappa_s(OMEGA), n_sources=n,
                         n_receivers=n, omega=OMEGA, exterior=exterior)
-        model = simulate_msr(Kite(0.4), pair, cfg, mode="expansion", esc=kite_esc).stacked()
-        direct = simulate_msr(Kite(0.4), pair, cfg, mode="bie", n_nodes=160).stacked()
+        model = simulate_msr(Kite(0.4), pair, cfg, mode="expansion", esc=kite_esc).a
+        direct = simulate_msr(Kite(0.4), pair, cfg, mode="bie", n_nodes=160).a
         assert np.abs(model - direct).max() / np.abs(direct).max() < 1e-4
 
     def test_negative_k_rejected(self, pair):
@@ -152,10 +153,42 @@ class TestComputeEsc:
         assert verify_optical(esc)["residual"] < 1e-4  # K=3 truncation tail
 
     def test_serialization_round_trip(self, disk_esc):
-        d = disk_esc.to_dict()
-        back = EscMatrix.from_dict(d)
-        for key in disk_esc.blocks:
-            assert_allclose(back.blocks[key], disk_esc.blocks[key])
+        back = EscMatrix.from_dict(json.loads(json.dumps(disk_esc.to_dict())))
+        assert np.array_equal(back.g, disk_esc.g)
+        assert (back.K, back.omega, back.rho0, back.pair) == (8, OMEGA, 1.0, disk_esc.pair)
+        assert back.curve_descriptor == disk_esc.curve_descriptor
+
+
+class TestEscMatrix:
+    def test_blocks_are_views_of_g(self):
+        esc = _random_esc(2, seed=5)
+        for ib, b in enumerate("PS"):
+            for ia, a in enumerate("PS"):
+                blk = esc.block(a, b)
+                assert np.shares_memory(blk, esc.g)
+                assert np.array_equal(blk, esc.g[5 * ib : 5 * ib + 5, 5 * ia : 5 * ia + 5])
+        assert esc.entry("S", "P", -2, 1) == esc.g[0, 5 + 3]
+
+    @pytest.mark.parametrize("shape", [(4, 4), (6, 10), (3, 12), (6,), (2, 2, 2)])
+    def test_malformed_g_rejected(self, shape):
+        with pytest.raises(DomainError, match=r"\(4K\+2\) x \(4K\+2\)"):
+            EscMatrix(np.zeros(shape), OMEGA)
+
+    def test_file_with_wrong_k_rejected(self, tmp_path):
+        d = _random_esc(2, seed=6).to_dict()
+        for bad in ({**d, "K": 3}, {**d, "blocks": {k: d["blocks"][k] for k in ("PP", "SP", "PS")}}):
+            path = tmp_path / "esc.json"
+            path.write_text(json.dumps(bad))
+            with pytest.raises(DomainError, match='"K" = '):
+                EscMatrix.from_dict(json.loads(path.read_text()))
+
+    def test_file_layout_is_unchanged(self):
+        # "blocks" maps ab to W^{a,b}[m + K][n + K] as [re, im] pairs, keys PP, SP, PS, SS
+        d = _random_esc(1, seed=7).to_dict()
+        assert list(d) == ["K", "omega", "rho0", "curve", "blocks"]
+        assert list(d["blocks"]) == ["PP", "SP", "PS", "SS"]
+        g = _random_esc(1, seed=7).g
+        assert d["blocks"]["SP"][2][0] == [g[2, 3].real, g[2, 3].imag]
 
 
 class TestVerifyOptical:
@@ -164,20 +197,13 @@ class TestVerifyOptical:
         assert rep["residual"] < 1e-5
 
     def test_zero_matrix(self, pair):
-        blocks = {k: np.zeros((3, 3), dtype=complex) for k in ("PP", "SP", "PS", "SS")}
-        esc = EscMatrix(K=1, blocks=blocks, omega=OMEGA, pair=pair)
+        esc = EscMatrix(np.zeros((6, 6)), OMEGA, pair)
         assert verify_optical(esc)["residual"] == 0.0
 
     def test_dissipation_negative_control(self, disk_esc):
         # a lossy scatterer (here: scattered amplitudes damped by 10%)
         # violates energy conservation and must raise the residual
-        lossy = EscMatrix(
-            K=disk_esc.K,
-            blocks={k: 0.9 * v for k, v in disk_esc.blocks.items()},
-            omega=disk_esc.omega,
-            pair=disk_esc.pair,
-            rho0=disk_esc.rho0,
-        )
+        lossy = EscMatrix(0.9 * disk_esc.g, disk_esc.omega, disk_esc.pair, rho0=disk_esc.rho0)
         assert verify_optical(lossy)["residual"] > 1e-2
 
 
@@ -202,11 +228,8 @@ class TestVerifySymmetries:
     def test_fabricated_matrix_trips_check(self, kite_esc):
         # negating one cross block breaks the reciprocity tie between
         # the PS and SP blocks at O(1) (constructed counterexample)
-        blocks = dict(kite_esc.blocks)
-        blocks["PS"] = -blocks["PS"]
-        bad = EscMatrix(
-            K=kite_esc.K, blocks=blocks, omega=OMEGA, pair=kite_esc.pair, rho0=kite_esc.rho0
-        )
+        bad = EscMatrix(kite_esc.g.copy(), OMEGA, kite_esc.pair, rho0=kite_esc.rho0)
+        bad.block("P", "S")[:] *= -1
         assert verify_symmetries(bad)["reciprocity"] > 0.1
 
 
@@ -234,7 +257,7 @@ def _random_esc(K, seed):
     rng = np.random.default_rng(seed)
     dim = 4 * K + 2
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return EscMatrix.from_global(g, OMEGA)
+    return EscMatrix(g, OMEGA)
 
 
 class TestSymmetryOracle:
@@ -254,7 +277,7 @@ class TestDecayProfile:
     def test_profile_matches_entrywise_max(self, K):
         esc = _random_esc(K, seed=4)
         want = np.zeros(K + 1)
-        for key, blk in esc.blocks.items():
+        for blk in (esc.block(a, b) for a in "PS" for b in "PS"):
             for m in range(-K, K + 1):
                 for n in range(-K, K + 1):
                     k = max(abs(m), abs(n))
@@ -272,10 +295,9 @@ class TestDecayProfile:
         assert seq[3:].max() <= 10.0 * max(seq[0], seq.mean())
 
     def test_zero_matrix(self, pair):
-        blocks = {k: np.zeros((5, 5), dtype=complex) for k in ("PP", "SP", "PS", "SS")}
-        esc = EscMatrix(K=2, blocks=blocks, omega=OMEGA, pair=pair)
+        esc = EscMatrix(np.zeros((10, 10)), OMEGA, pair)
         assert max(decay_profile(esc)["profile"]) == 0.0
 
     def test_tail_estimate_present(self, disk_esc):
         rep = decay_profile(disk_esc)
-        assert rep["tail_estimate"] < 1e-6 * disk_esc.scale()
+        assert rep["tail_estimate"] < 1e-6 * np.abs(disk_esc.g).max()

@@ -53,7 +53,7 @@ def synthetic_esc(K, rho0=1.0, seed=3):
     rng = np.random.default_rng(seed)
     dim = 4 * K + 2
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return EscMatrix.from_global(g, OMEGA, rho0=rho0)
+    return EscMatrix(g, OMEGA, rho0=rho0)
 
 
 class TestModelMatrices:
@@ -112,8 +112,8 @@ class TestSimulate:
         esc = synthetic_esc(4)
         data = simulate_msr(Circle(1.0), pair, cfg, mode="expansion", esc=esc)
         model = assemble_model(cfg, 4)
-        want = model.X @ esc.to_global() @ model.Y.conj().T
-        assert np.abs(data.stacked() - want).max() < 1e-12 * np.abs(want).max()
+        want = model.X @ esc.g @ model.Y.conj().T
+        assert np.abs(data.a - want).max() < 1e-12 * np.abs(want).max()
 
     def test_receivers_inside_inclusion_rejected(self, pair, exterior):
         # R = 0.5 around the unit disk: every receiver is inside, in both modes
@@ -127,7 +127,7 @@ class TestSimulate:
         # (+-0.75, 0) are outside the tall one and inside the wide one
         cfg_mid = MsrConfig(radius=0.75, n_sources=2, n_receivers=2, omega=OMEGA, exterior=exterior)
         data = simulate_msr(Ellipse(0.5, 1.0), pair, cfg_mid, mode="bie", n_nodes=64)
-        assert np.isfinite(data.stacked()).all()
+        assert np.isfinite(data.a).all()
         with pytest.raises(DomainError, match="inside the inclusion"):
             simulate_msr(Ellipse(1.0, 0.5), pair, cfg_mid, mode="bie", n_nodes=64)
 
@@ -136,7 +136,7 @@ class TestSimulate:
         simulate_msr(Circle(1.0), pair, cfg, mode="expansion", esc=synthetic_esc(4))
 
     def test_esc_at_other_omega_or_rho0_rejected(self, pair, cfg):
-        for esc in (EscMatrix.from_global(np.eye(18), 2.0 * OMEGA), synthetic_esc(4, rho0=2.0)):
+        for esc in (EscMatrix(np.eye(18), 2.0 * OMEGA), synthetic_esc(4, rho0=2.0)):
             with pytest.raises(DomainError, match="does not match the acquisition"):
                 simulate_msr(Circle(1.0), pair, cfg, mode="expansion", esc=esc)
 
@@ -144,7 +144,7 @@ class TestSimulate:
         esc = synthetic_esc(4)
         alone = simulate_msr(Circle(1.0), pair, cfg, mode="expansion", esc=esc)
         same = simulate_msr(Circle(1.0), pair, cfg, mode="expansion", K=4, esc=esc)
-        assert np.array_equal(same.stacked(), alone.stacked())
+        assert np.array_equal(same.a, alone.a)
         with pytest.raises(DomainError, match=r"^K = 1 does not match the EscMatrix's K = 4$"):
             simulate_msr(Circle(1.0), pair, cfg, mode="expansion", K=1, esc=esc)
 
@@ -158,11 +158,9 @@ class TestSimulate:
         gaps = []
         ks = range(2, 7)
         for k in ks:
-            sub = EscMatrix.from_global(
-                _truncate_global(full, k), OMEGA, rho0=exterior.rho
-            )
+            sub = EscMatrix(_truncate_global(full, k), OMEGA, rho0=exterior.rho)
             data_k = simulate_msr(Circle(1.0), pair, cfg_near, mode="expansion", esc=sub)
-            gaps.append(np.abs(data_bie.stacked() - data_k.stacked()).max())
+            gaps.append(np.abs(data_bie.a - data_k.a).max())
         ratio = np.exp(np.polyfit(list(ks), np.log(gaps), 1)[0])
         assert ratio < 1.0
         assert gaps[-1] < gaps[0]
@@ -170,7 +168,7 @@ class TestSimulate:
     def test_deterministic_without_noise(self, pair, cfg):
         d1 = simulate_msr(Circle(1.0), pair, cfg, mode="bie", n_nodes=64)
         d2 = simulate_msr(Circle(1.0), pair, cfg, mode="bie", n_nodes=64)
-        assert np.array_equal(d1.stacked(), d2.stacked())
+        assert np.array_equal(d1.a, d2.a)
 
     def test_signal_strength_scale(self, pair, exterior):
         # recorded magnitudes ~ |dD| / sqrt(R)
@@ -178,7 +176,7 @@ class TestSimulate:
         for wl in (1e2, 1e4):
             c = far_config(exterior, wavelengths=wl, ns=6, nr=6)
             d = simulate_msr(Circle(1.0), pair, c, mode="bie", n_nodes=64)
-            mags.append(np.abs(d.stacked()).max())
+            mags.append(np.abs(d.a).max())
         ratio = mags[0] / mags[1]
         assert 5.0 < ratio < 20.0  # sqrt(1e4/1e2) = 10 up to O(1) factors
 
@@ -189,7 +187,7 @@ def _truncate_global(esc, k):
     g = np.zeros((2 * dim, 2 * dim), dtype=complex)
     for ib in range(2):
         for ia in range(2):
-            src = esc.to_global()[
+            src = esc.g[
                 ib * (2 * big + 1) : (ib + 1) * (2 * big + 1),
                 ia * (2 * big + 1) : (ia + 1) * (2 * big + 1),
             ]
@@ -203,15 +201,15 @@ class TestNoise:
     def test_zero_sigma_is_identity(self, pair, cfg):
         data = simulate_msr(Circle(1.0), pair, cfg, mode="expansion", esc=synthetic_esc(4))
         noisy = add_noise(data)
-        assert np.array_equal(noisy.stacked(), data.stacked())
+        assert np.array_equal(noisy.a, data.a)
 
     def test_empirical_variance(self, exterior):
         cfg = far_config(exterior, ns=160, nr=160, noise_sigma=0.37, seed=11)
-        base = MsrDataset.from_stacked(
+        base = MsrDataset(
             np.zeros((2 * cfg.n_sources, 2 * cfg.n_receivers), dtype=complex), cfg
         )
         noisy = add_noise(base)
-        var = np.mean(np.abs(noisy.stacked()) ** 2)  # 102400 samples
+        var = np.mean(np.abs(noisy.a) ** 2)  # 102400 samples
         assert abs(var - 0.37**2) < 0.02 * 0.37**2
 
     def test_seed_control(self, exterior, pair):
@@ -224,8 +222,8 @@ class TestNoise:
                 esc=synthetic_esc(3),
             )
         )
-        assert np.array_equal(mk(5).stacked(), mk(5).stacked())
-        assert not np.array_equal(mk(5).stacked(), mk(6).stacked())
+        assert np.array_equal(mk(5).a, mk(5).a)
+        assert not np.array_equal(mk(5).a, mk(6).a)
 
 
 class TestReconstruct:
@@ -233,7 +231,7 @@ class TestReconstruct:
         esc = synthetic_esc(4)
         data = simulate_msr(Circle(1.0), pair, cfg, mode="expansion", esc=esc)
         est, rep = reconstruct(data, 4, method="lsq")
-        err = np.linalg.norm(est.to_global() - esc.to_global()) / np.linalg.norm(esc.to_global())
+        err = np.linalg.norm(est.g - esc.g) / np.linalg.norm(esc.g)
         assert err < 1e-10
         assert rep["relative_data_residual"] < 1e-10
 
@@ -241,9 +239,7 @@ class TestReconstruct:
         data = simulate_msr(Circle(1.0), pair, cfg, mode="bie", n_nodes=128)
         est, _ = reconstruct(data, 4, method="pseudo_inverse")
         direct = compute_esc(Circle(1.0), pair, OMEGA, K=4, n_nodes=128)
-        err = np.linalg.norm(est.to_global() - direct.to_global()) / np.linalg.norm(
-            direct.to_global()
-        )
+        err = np.linalg.norm(est.g - direct.g) / np.linalg.norm(direct.g)
         assert err < 1e-2
 
     def test_pinv_and_lsq_converge_with_radius(self, pair, exterior):
@@ -253,10 +249,7 @@ class TestReconstruct:
             data = simulate_msr(Circle(1.0), pair, c, mode="bie", n_nodes=96)
             e1, _ = reconstruct(data, 3, method="pseudo_inverse")
             e2, _ = reconstruct(data, 3, method="lsq")
-            devs.append(
-                np.linalg.norm(e1.to_global() - e2.to_global())
-                / np.linalg.norm(e2.to_global())
-            )
+            devs.append(np.linalg.norm(e1.g - e2.g) / np.linalg.norm(e2.g))
         # O(R^-2) agreement between the two estimators
         assert devs[1] < devs[0] * 1e-1
 
@@ -281,7 +274,7 @@ class TestReconstruct:
         # naming the method, not an all-NaN estimate or RuntimeWarnings
         rng = np.random.default_rng(0)
         g = rng.uniform(1.0, 5.0, (10, 10)) * np.exp(2j * np.pi * rng.random((10, 10)))
-        esc = EscMatrix.from_global(g, OMEGA, rho0=1.0)
+        esc = EscMatrix(g, OMEGA, rho0=1.0)
         data = simulate_msr(Circle(1.0), pair, cfg, mode="expansion", esc=esc)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -304,10 +297,10 @@ class TestReconstruct:
         acc = np.zeros_like(sigma)
         for draw in range(n_draws):
             cfg_d = far_config(exterior, ns=12, nr=12, noise_sigma=sigma_n, seed=100 + draw)
-            noisy = MsrDataset.from_stacked(base.stacked(), cfg_d)
+            noisy = MsrDataset(base.a, cfg_d)
             noisy = add_noise(noisy)
             est, _ = reconstruct(noisy, 3, method="pseudo_inverse")
-            acc += np.abs(est.to_global() - clean.to_global()) ** 2
+            acc += np.abs(est.g - clean.g) ** 2
         rms = np.sqrt(acc / n_draws)
         # tight per-entry statistic: RMS = sigma_noise / sigma_pq; the
         # Frobenius-norm chain gives the looser upper envelope with the
@@ -368,7 +361,7 @@ class TestResolvingOrder:
         base = simulate_msr(Circle(1.0), pair, cfg, mode="bie", n_nodes=128)
         direct = compute_esc(Circle(1.0), pair, OMEGA, K=5, n_nodes=128)
         cfg_d = far_config(exterior, ns=12, nr=12, noise_sigma=sigma_n, seed=77)
-        noisy = add_noise(MsrDataset.from_stacked(base.stacked(), cfg_d))
+        noisy = add_noise(MsrDataset(base.a, cfg_d))
         est, _ = reconstruct(noisy, 5, method="pseudo_inverse")
         emp = -1
         for k in range(6):
@@ -398,6 +391,23 @@ class TestResolvingOrder:
 
 
 class TestDatasetIO:
+    def test_quarters_are_read_only_views_of_a(self, cfg):
+        ns, nr = cfg.n_sources, cfg.n_receivers
+        data = MsrDataset(np.arange(4 * ns * nr).reshape(2 * ns, 2 * nr), cfg)
+        assert data.a.dtype == complex
+        for name, (i, j) in (("a_par_par", (0, 0)), ("a_par_perp", (0, 1)),
+                             ("a_perp_par", (1, 0)), ("a_perp_perp", (1, 1))):
+            quarter = getattr(data, name)
+            assert np.shares_memory(quarter, data.a)
+            assert np.array_equal(quarter, data.a[i * ns : (i + 1) * ns, j * nr : (j + 1) * nr])
+            with pytest.raises(ValueError, match="read-only"):
+                quarter[0, 0] = 1.0
+
+    @pytest.mark.parametrize("shape", [(12, 12), (24, 23), (48, 12), (24,), (2, 24, 24)])
+    def test_wrongly_shaped_a_rejected(self, cfg, shape):
+        with pytest.raises(DomainError, match=r"12 sources x 12 receivers, which need \(24, 24\)"):
+            MsrDataset(np.zeros(shape), cfg)
+
     def test_save_load_round_trip(self, pair, cfg, tmp_path):
         data = add_noise(
             simulate_msr(
@@ -410,7 +420,7 @@ class TestDatasetIO:
         )
         data.save(tmp_path / "run")
         back = MsrDataset.load(tmp_path / "run")
-        assert np.array_equal(back.stacked(), data.stacked())
+        assert np.array_equal(back.a, data.a)
         assert back.config.seed == data.config.seed
 
     def test_truncated_csv_rejected(self, pair, cfg, tmp_path):
@@ -442,7 +452,7 @@ class TestDatasetIO:
         a[0, 1] = complex(5e-324, -2.5e-310)  # subnormal
         a[0, 2] = complex(1e300, -1e300)
         a[1, 0] = complex(0.1, -0.0)
-        return MsrDataset(*blocks, config=config)
+        return MsrDataset(np.block([blocks[:2], blocks[2:]]), config)
 
     def test_files_match_csv_writer(self, tmp_path, exterior):
         data = self.special_values_dataset(exterior)
@@ -457,7 +467,7 @@ class TestDatasetIO:
                     wr.writerow([s, r, repr(float(mat[s, r].real)), repr(float(mat[s, r].imag))])
             assert (tmp_path / f"run_{name}.csv").read_bytes() == buf.getvalue().encode()
         back = MsrDataset.load(tmp_path / "run")
-        for got, want in zip(back.stacked().ravel(), data.stacked().ravel()):
+        for got, want in zip(back.a.ravel(), data.a.ravel()):
             assert repr(got) == repr(want)  # signed zeros and subnormals survive
 
     @pytest.mark.parametrize(
@@ -512,7 +522,7 @@ def _datasets(draw):
     blocks = [np.array(draw(parts)).view(complex).reshape(ns, nr) for _ in range(4)]
     config = MsrConfig(radius=10.0, n_sources=ns, n_receivers=nr, omega=OMEGA,
                        exterior=Material(2.0, 1.0, 1.0))
-    return MsrDataset(*blocks, config=config)
+    return MsrDataset(np.block([blocks[:2], blocks[2:]]), config)
 
 
 @settings(max_examples=40, deadline=None)

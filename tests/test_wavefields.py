@@ -13,10 +13,8 @@ from escat.wavefields import (
     Material,
     MaterialPair,
     _gamma_tensor,
+    _plane_wave_table,
     _wave_table,
-    perp,
-    plane_wave_mode_field,
-    plane_wave_traction,
 )
 
 OMEGA = 1.3
@@ -145,6 +143,10 @@ class TestCylWaves:
                 _wave_table(z, pts, pts, exterior, OMEGA, 2)
 
 
+def _directions(*angles):
+    return np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+
+
 class TestPlaneWave:
     def test_partial_sum_reproduces_plane_wave(self, exterior):
         # row k of the MSR model's X, times 4 rho0 w^2 / i, holds the
@@ -154,41 +156,40 @@ class TestPlaneWave:
         coeffs = assemble_model(cfg, K).X * (4.0 * exterior.rho * OMEGA**2 / 1j)
         pts = np.array([[0.5, 0.2], [-1.0, 0.7], [2.0, -3.0]])
         table, _ = _wave_table(sp.jv, pts, pts, exterior, OMEGA, K)
-        for ib, mode in enumerate("PS"):
-            basis = table[ib * (2 * K + 1) : (ib + 1) * (2 * K + 1)]
-            rows = coeffs[ib * ns : (ib + 1) * ns, ib * (2 * K + 1) : (ib + 1) * (2 * K + 1)]
-            acc = np.einsum("km,mpc->kpc", rows, basis)
-            direct = np.array(
-                [plane_wave_mode_field(d, pts, exterior, OMEGA, mode)
-                 for d in cfg.incident_directions()]
-            )
-            assert np.abs(acc - direct).max() / np.abs(direct).max() < 1e-8
+        acc = np.einsum("km,mpc->kpc", coeffs, table)
+        direct, _ = _plane_wave_table(cfg.incident_directions(), pts, pts, exterior, OMEGA)
+        assert np.abs(acc - direct).max() / np.abs(direct).max() < 1e-8
 
     def test_field_is_the_closed_form(self, exterior):
         # (1/(rho cP^2)) e^{i kP x.d} d + (1/(rho cS^2)) e^{i kS x.d} d_perp,
         # to rounding: within 2 eps of the size of the two terms per point
         d = np.array([np.cos(0.4), np.sin(0.4)])
+        d_perp = np.array([d[1], -d[0]])
         pts = np.array([[0.5, 0.2], [-1.0, 0.7], [2.0, -3.0]])
         rho, cp, cs = exterior.rho, exterior.c_p, exterior.c_s
         up = np.exp(1j * exterior.kappa_p(OMEGA) * pts @ d)[:, None] / (rho * cp**2) * d
-        us = np.exp(1j * exterior.kappa_s(OMEGA) * pts @ d)[:, None] / (rho * cs**2) * perp(d)
-        got = plane_wave_mode_field(d, pts, exterior, OMEGA, "P") + \
-            plane_wave_mode_field(d, pts, exterior, OMEGA, "S")
+        us = np.exp(1j * exterior.kappa_s(OMEGA) * pts @ d)[:, None] / (rho * cs**2) * d_perp
+        fields, _ = _plane_wave_table(d[None], pts, pts, exterior, OMEGA)
+        got = fields[0] + fields[1]
         size = np.linalg.norm(up, axis=1) + np.linalg.norm(us, axis=1)
         assert np.all(np.abs(got - (up + us)).max(axis=1) <= 2 * np.finfo(float).eps * size)
-        one = plane_wave_mode_field(d, pts[1], exterior, OMEGA, "P") + \
-            plane_wave_mode_field(d, pts[1], exterior, OMEGA, "S")
-        assert np.array_equal(one, got[1])
+        one, _ = _plane_wave_table(d[None], pts[1:2], pts[1:2], exterior, OMEGA)
+        assert np.array_equal(one[0, 0] + one[1, 0], got[1])
 
     def test_traction_against_fd(self, exterior):
-        d = np.array([0.6, 0.8])
+        # every row, P then S, against the FD traction of its own field and
+        # the Navier equation, for directions all round the circle
+        dirs = _directions(0.3, 1.9, 3.5, 5.2, np.arctan2(0.8, 0.6))
         x0 = np.array([0.3, -0.2])
         nrm = np.array([0.8, -0.6])
-        for mode in ("P", "S"):
-            f = lambda p: plane_wave_mode_field(d, p, exterior, OMEGA, mode)
+        _, tractions = _plane_wave_table(dirs, x0[None], nrm[None], exterior, OMEGA)
+        for row in range(2 * len(dirs)):
+            mode = "PS"[row // len(dirs)]
+            f = lambda p: _plane_wave_table(dirs, p[None], p[None], exterior, OMEGA)[0][row, 0]
             want = fd_traction(f, x0, nrm, exterior)
-            got = plane_wave_traction(d, x0, nrm, exterior, OMEGA, mode)
-            assert np.abs(got - want).max() < 1e-8 * np.abs(want).max()
+            assert np.abs(tractions[row, 0] - want).max() < 1e-8 * np.abs(want).max()
+            wavelength = 2 * np.pi / exterior.kappa(OMEGA, mode)
+            assert fd_lame_residual(f, x0, exterior, OMEGA, 1e-4 * wavelength) < 1e-4
 
 
 def kupradze(x, y, material):
@@ -294,6 +295,8 @@ class TestTractionCoeffs:
             assert abs(slope + n) < 0.05
 
 
-def test_perp_convention():
-    assert_allclose(perp(np.array([1.0, 0.0])), [0.0, -1.0])
-    assert_allclose(perp(np.array([0.0, 1.0])), [1.0, 0.0])
+def test_perp_convention(exterior):
+    # the S wave of d is polarized along d_perp = (d2, -d1)
+    fields, _ = _plane_wave_table(np.eye(2), np.zeros((1, 2)), np.zeros((1, 2)), exterior, OMEGA)
+    rho_cs2 = exterior.rho * exterior.c_s**2
+    assert_allclose(fields[2:, 0] * rho_cs2, [[0.0, -1.0], [1.0, 0.0]])
