@@ -98,22 +98,26 @@ calling thread: in threads they saved about a
 tenth of their 0.05 s at n=512 but made the peak memory of repeated
 solves jump by about 34 MB in some runs.  Both orders make the same
 LAPACK calls on the same arrays, so they give the same bytes.
+
+scipy.linalg is not imported with this module but where the blocks are
+factored and solved.  TransmissionSolver.__init__ imports it on the
+calling thread before _map_blocks hands a block to a thread, so its
+first import, and what that allocates, does not land in a thread's
+malloc arena; _factor and solve_many then find it loaded.  A process
+that only runs transfer matrices (cloak) never loads it.
+_openblas_thread_query imports ctypes, pathlib and scipy itself.
 """
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import logging
 import time
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-import scipy
-from scipy import linalg as sla
 from scipy import special as sp
 
 from .curves import BoundaryCurve
@@ -121,7 +125,6 @@ from .errors import DomainError, ResonanceError
 from .wavefields import (
     Material,
     MaterialPair,
-    _gamma_components,
     _gamma_tensor,
     _hankel_radial,
     _radial_kernels,
@@ -698,6 +701,11 @@ def single_layer_matrix(grid: QuadratureGrid, omega: float, material: Material):
 @functools.cache
 def _openblas_thread_query():
     """get_num_threads of the OpenBLAS bundled with scipy, or None if there is none."""
+    import ctypes
+    from pathlib import Path
+
+    import scipy
+
     libs = Path(scipy.__file__).resolve().parent.parent / "scipy.libs"
     for lib in sorted(libs.glob("*openblas*.so*")):
         query = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_num_threads", None)
@@ -731,6 +739,8 @@ def _map_blocks(fn, args: list, concurrent: bool) -> list:
 
 def _factor(a: np.ndarray, anorm: float):
     """LU of the finite Fortran-order block a, in place, and its reciprocal condition estimate."""
+    from scipy import linalg as sla  # first imported on the calling thread (TransmissionSolver)
+
     lu, piv = sla.lu_factor(a, overwrite_a=True, check_finite=False)
     rcond, _ = sla.get_lapack_funcs("gecon", (lu,))(lu, anorm)
     return (lu, piv), float(rcond)
@@ -771,6 +781,8 @@ class TransmissionSolver:
         self.grid = grid
         self.pair = pair
         self.omega = omega
+        import scipy.linalg  # noqa: F401  here, not first in a thread of _map_blocks
+
         self._basis = _mirror_basis(grid)
         self._blocks = _eigenblocks(grid, pair, omega, self._basis)
         copies, norms = zip(*[_lapack_copy(b) for b in self._blocks])
@@ -803,6 +815,8 @@ class TransmissionSolver:
         sqrt(sum_b ||B_b y_b - f_b||^2) / ||f||, and the stability ratio
         of weighted L2 norms (|phi| + |psi|) / (|trace| + |traction|).
         """
+        from scipy import linalg as sla
+
         basis = self._basis
         rhs = np.stack([traces, tractions], axis=1)  # (k, equation, n, 2)
         k = rhs.shape[0]

@@ -236,9 +236,16 @@ def cmd_cloak_design(args) -> int:
 def cmd_cloak_evaluate(args) -> int:
     doc = cfgmod.load_config(args.config, cfgmod.EVALUATE_SCHEMA)
     structure = _structure_from(doc["structure"])
-    # one table over the orders; a resonance names its (omega, n)
-    w = _w_stack(structure, [doc["omega"]], doc["n_max"])[0]
-    table = {str(n): w_n.tolist() for n, w_n in enumerate(w)}
+    omega = doc["omega"]
+    freqs = [float(w) for w in omega] if isinstance(omega, list) else [omega]
+    # one table over the frequencies and orders; a resonance names its (omega, n)
+    w = _w_stack(structure, freqs, doc["n_max"])
+    if isinstance(omega, list):  # keyed as cloak design keys its tables
+        table = {
+            f"{f!r}|n={n}": w_n.tolist() for f, w_f in zip(freqs, w) for n, w_n in enumerate(w_f)
+        }
+    else:
+        table = {str(n): w_n.tolist() for n, w_n in enumerate(w[0])}
     cfgmod.atomic_write_json(
         args.out,
         {"config_hash": cfgmod.config_hash(doc), "omega": doc["omega"], "w_table": table},

@@ -135,8 +135,8 @@ def _layer_matrices(n: int, radii, materials, omega: float) -> np.ndarray:
     tps = [r * m.kappa_p(omega) for r, m in zip(radii, materials)]
     tss = [r * m.kappa_s(omega) for r, m in zip(radii, materials)]
     t = np.array(tps + tss)
-    j, jd = (z.tolist() for z in _fold(sp.jv, n, t))
-    h, hd = (z.tolist() for z in _fold(sp.hankel1, n, t))
+    j, jd = (z[0].tolist() for z in _fold(sp.jv, n, n, t))
+    h, hd = (z[0].tolist() for z in _fold(sp.hankel1, n, n, t))
     k = len(tps)
     out = []
     for p, (tp, ts, material) in enumerate(zip(tps, tss, materials)):
@@ -163,10 +163,10 @@ def _coat_matrices(n: int, t, lam, mu) -> np.ndarray:
     elementwise, so every entry equals the one formed on scalars.  One
     _modal call per mode takes its J and H columns together.
     """
-    j, jd = _fold(sp.jv, n, t)
-    h, hd = _fold(sp.hankel1, n, t)
+    j, jd = _fold(sp.jv, n, n, t)
+    h, hd = _fold(sp.hankel1, n, n, t)
     # z[0 value | 1 derivative, 0 J | 1 H, mode, ...]
-    z = np.array([[j, h], [jd, hd]])
+    z = np.array([[j, h], [jd, hd]])[:, :, 0]
     # columns[mode, row, J | H, ...] is entry (row, 2 (J | H) + mode) of M_n
     columns = np.array([
         _modal("P", n, t[0], lam, mu, z[0, :, 0], z[1, :, 0]),

@@ -146,7 +146,16 @@ EVALUATE_SCHEMA = {
     "properties": {
         "schema_version": {"type": "string"},
         "structure": _STRUCTURE_SCHEMA,
-        "omega": {"type": "number", "exclusiveMinimum": 0},
+        "omega": {
+            "oneOf": [
+                {"type": "number", "exclusiveMinimum": 0},
+                {
+                    "type": "array",
+                    "items": {"type": "number", "exclusiveMinimum": 0},
+                    "minItems": 1,
+                },
+            ],
+        },
         "n_max": {"type": "integer", "minimum": 0},
     },
     "required": ["schema_version", "structure", "omega", "n_max"],
@@ -215,7 +224,8 @@ def _format_json(obj, indent=0) -> str:
     """JSON text with floats at 17 significant digits (round-trip exact).
 
     numpy arrays and scalars are written as the lists and Python numbers
-    they convert to, a complex number as [re, im], and keys as str(key).
+    they convert to, a complex number as [re, im], and keys as str(key);
+    a finite float or complex ndarray takes one pass (_format_floats).
     JSON has no inf or NaN: a non-finite float raises _NonFinite, and the
     containers it passes through add their keys to it.
     """
@@ -223,6 +233,9 @@ def _format_json(obj, indent=0) -> str:
         if math.isfinite(obj):
             return f"{obj:.17g}"
         raise _NonFinite(obj)
+    if type(obj) is np.ndarray and obj.dtype.char in "efdFD" and obj.ndim and obj.size:
+        if np.isfinite(obj).all():  # else the key path of the first non-finite entry
+            return _format_floats(obj)
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     elif isinstance(obj, (np.integer, np.floating, np.complexfloating)):
@@ -261,6 +274,22 @@ def _format_json(obj, indent=0) -> str:
     if obj is None:
         return "null"
     return json.dumps(obj)
+
+
+def _format_floats(a: np.ndarray) -> str:
+    """_format_json of a finite float or complex ndarray with at least one axis and one entry.
+
+    The same text as the element-by-element path, from one pass over the
+    flat values and one join per axis.
+    """
+    flat = a.ravel().tolist()
+    if a.dtype.kind == "c":
+        items = [f"[{z.real:.17g}, {z.imag:.17g}]" for z in flat]
+    else:
+        items = list(map("{:.17g}".format, flat))
+    for n in reversed(a.shape[1:]):
+        items = ["[" + ", ".join(items[i : i + n]) + "]" for i in range(0, len(items), n)]
+    return "[" + ", ".join(items) + "]"
 
 
 def atomic_write_json(path, obj) -> None:

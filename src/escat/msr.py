@@ -35,7 +35,7 @@ from .curves import BoundaryCurve
 from .errors import ConfigError, DomainError, ReconstructionError
 from .esc import MODES, EscMatrix, _energy_residual, _reciprocity_image, compute_esc
 from .wavefields import Material, MaterialPair, _plane_wave_table
-from .specialfun import _check, _fold_orders
+from .specialfun import _check, _fold
 
 logger = logging.getLogger(__name__)
 
@@ -234,7 +234,7 @@ def _gh_factors(config: MsrConfig, K: int):
     for mode in MODES:
         kappa = ext.kappa(omega, mode)
         _check(K, kappa * R)
-        h, hp = _fold_orders(sp.hankel1, K, kappa * R)
+        h, hp = _fold(sp.hankel1, -K, K, kappa * R)
         if mode == "P":
             out["gP"] = kappa * hp
             out["hP"] = (1j * n / R) * h

@@ -30,7 +30,7 @@ import numpy as np
 from scipy import special as sp
 
 from .errors import DomainError
-from .specialfun import _fold_orders
+from .specialfun import _fold
 
 __all__ = ["Material", "MaterialPair"]
 
@@ -124,7 +124,7 @@ def _wave_table(z, points, normals, material: Material, omega: float, K: int):
     z is sp.jv for the entire waves J^a_n or sp.hankel1 for the outgoing
     H^a_n.  Returns two (2 (2K+1), N, 2) arrays in that mode order: the
     Cartesian fields and the tractions T u = sigma n on the unit normals.
-    One z call per mode serves every order (_fold_orders), and _modal
+    One z call per mode serves every order (_fold), and _modal
     runs once on the order axis.  The hoop stress follows from the trace
     identity s_rr + s_tt = 2 (lam + mu) div u, with r^2 div u = -t^2 Z_n(t)
     for P and 0 for S.  Points must be off the origin, where the polar
@@ -146,7 +146,7 @@ def _wave_table(z, points, normals, material: Material, omega: float, K: int):
     fields, tractions = [], []
     for mode in ("P", "S"):
         t = material.kappa(omega, mode) * r
-        zn, zp = _fold_orders(z, K, t)
+        zn, zp = _fold(z, -K, K, t)
         ru_r, ru_t, s_rr, s_rt = _modal(mode, n, t, material.lam, material.mu, zn, zp)
         div = -t * t * zn if mode == "P" else 0.0  # r^2 div u
         s_tt = 2.0 * (material.lam + material.mu) * div - s_rr

@@ -11,10 +11,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import escat
 from escat import cli
+from escat import config as cfgmod
 from escat.cli import build_parser, main
+from escat.errors import EscatError
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -234,6 +239,52 @@ class TestCloak:
         assert err["type"] == "resonance"
         assert "n=30" in err["message"] and "omega=0.0003" in err["message"]
 
+    def test_evaluate_one_omega_writes_the_order_table(self, tmp_path):
+        # one number: the order-keyed table, byte for byte as written from layered_esc
+        doc = {"schema_version": "1", "structure": OVERFLOW_COAT, "omega": 0.7, "n_max": 4}
+        cfg = write(tmp_path, "eval.json", doc)
+        out, want = tmp_path / "w.json", tmp_path / "want.json"
+        assert main(["cloak", "evaluate", "--config", cfg, "--out", str(out)]) == 0
+        structure = escat.LayeredStructure.from_dict(OVERFLOW_COAT)
+        table = {str(n): escat.layered_esc(structure, 0.7, n).tolist() for n in range(5)}
+        cfgmod.atomic_write_json(
+            want, {"config_hash": cfgmod.config_hash(doc), "omega": 0.7, "w_table": table}
+        )
+        assert out.read_bytes() == want.read_bytes()
+
+    def test_evaluate_omega_list(self, tmp_path):
+        # a list: one table over every (omega, n), keyed as cloak design keys its tables
+        freqs = [0.7, 1, 0.35]
+        doc = {"schema_version": "1", "structure": OVERFLOW_COAT, "omega": freqs, "n_max": 3}
+        cfg = write(tmp_path, "eval.json", doc)
+        out = tmp_path / "w.json"
+        assert main(["cloak", "evaluate", "--config", cfg, "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["omega"] == freqs
+        table = rep["w_table"]
+        assert list(table) == [f"{w}|n={n}" for w in ("0.7", "1.0", "0.35") for n in range(4)]
+        structure = escat.LayeredStructure.from_dict(OVERFLOW_COAT)
+        for w in freqs:
+            for n in range(4):
+                got = np.array(table[f"{float(w)!r}|n={n}"])
+                assert np.array_equal(got[..., 0] + 1j * got[..., 1], escat.layered_esc(structure, w, n))
+
+    def test_evaluate_resonance_in_omega_list(self, tmp_path, capsys):
+        doc = {"schema_version": "1", "structure": OVERFLOW_COAT, "omega": [0.7, 3e-4], "n_max": 30}
+        cfg = write(tmp_path, "eval.json", doc)
+        rc = main(["cloak", "evaluate", "--config", cfg, "--out", str(tmp_path / "w.json")])
+        assert rc == 3
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "resonance"
+        assert "n=30" in err["message"] and "omega=0.0003" in err["message"]
+        assert not (tmp_path / "w.json").exists()
+
+    @pytest.mark.parametrize("omega", [[], [0.5, 0.0], "0.5"])
+    def test_evaluate_bad_omega_exit_2(self, tmp_path, omega):
+        doc = {"schema_version": "1", "structure": OVERFLOW_COAT, "omega": omega, "n_max": 1}
+        cfg = write(tmp_path, "eval.json", doc)
+        assert main(["cloak", "evaluate", "--config", cfg, "--out", str(tmp_path / "w.json")]) == 2
+
     def test_increasing_radii_exit_2(self, tmp_path, capsys):
         structure = {
             "radii": [1.0, 2.0],
@@ -380,6 +431,31 @@ class TestOutputFormat:
         back = json.loads(p.read_text())["v"]
         assert back == vals
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_array_text_is_the_list_text(self, data):
+        # a float or complex array is written in one pass, as the text of its .tolist()
+        dtype = data.draw(st.sampled_from(["float64", "float32", "complex128", "complex64"]))
+        width = 32 if dtype in ("float32", "complex64") else 64
+        tiny, huge = (1.401298464324817e-45, 3.4028234663852886e38) if width == 32 else (5e-324, 1e300)
+        real = st.one_of(
+            st.sampled_from([0.0, -0.0, tiny, -tiny, huge, -huge]),
+            st.floats(allow_nan=False, allow_infinity=False, width=width),
+        )
+        elements = real if dtype.startswith("float") else st.builds(complex, real, real)
+        shape = data.draw(hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=4))
+        a = data.draw(hnp.arrays(dtype, shape, elements=elements))
+        assert cfgmod._format_json(a) == cfgmod._format_json(a.tolist())
+        assert cfgmod._format_json({"k": a}, 1) == cfgmod._format_json({"k": a.tolist()}, 1)
+
+    def test_non_finite_array_entry_names_its_index(self, tmp_path):
+        for a, where in (
+            (np.array([[1.0, 2.0], [3.0, np.nan]]), "a[1][1]"),
+            (np.array([1.0 + 2.0j, complex(0.0, np.inf)]), "a[1][1]"),
+            (np.array([np.inf], dtype=np.float32), "a[0]"),
+        ):
+            with pytest.raises(EscatError, match=rf" at {re.escape(where)}; not written$"):
+                cfgmod.atomic_write_json(tmp_path / "f.json", {"a": a})
 
     def test_non_finite_rejected_with_key_path(self, tmp_path):
         from escat.config import atomic_write_json
@@ -465,24 +541,42 @@ class TestReadmeUsage:
 class TestImports:
     def test_heavy_modules_load_where_they_run(self, tmp_path):
         # the optimizer, the pool and the schema validator stay out of a
-        # fresh process until a design runs or a config is read
+        # fresh process until a design runs or a config is read, and the
+        # BIE solver's scipy.linalg until a TransmissionSolver factors:
+        # transfer-matrix work does not load it
         script = (
             "import json, sys\n"
             "import escat, escat.cli, escat.config\n"
-            "heavy = ('scipy.optimize', 'jsonschema', 'multiprocessing')\n"
+            "heavy = ('scipy.optimize', 'jsonschema', 'multiprocessing', 'scipy.linalg')\n"
             "print(json.dumps([m for m in heavy if m in sys.modules]))\n"
             "escat.config.load_config(sys.argv[1], escat.config.SCENE_SCHEMA)\n"
             "print(json.dumps('jsonschema' in sys.modules))\n"
+            "s = escat.LayeredStructure.from_dict(json.load(open(sys.argv[2]))['structure'])\n"
+            "escat.layered_esc(s, 0.7, 3)\n"
+            "print(json.dumps('scipy.linalg' in sys.modules))\n"
+            "argv = ['cloak', 'evaluate', '--config', sys.argv[2], '--out', sys.argv[3]]\n"
+            "assert escat.cli.main(argv) == 0\n"
+            "print(json.dumps('scipy.linalg' in sys.modules))\n"
+            "ext, inner = escat.Material(2.0, 1.0, 1.0), escat.Material(4.0, 2.0, 2.0)\n"
+            "grid = escat.build_grid(escat.Circle(1.0), 32)\n"
+            "escat.TransmissionSolver(grid, escat.MaterialPair(ext, inner), 1.0)\n"
+            "print(json.dumps('scipy.linalg' in sys.modules))\n"
         )
         cfg = write(tmp_path, "scene.json", SCENE)
+        evaluate = write(
+            tmp_path,
+            "eval.json",
+            {"schema_version": "1", "structure": OVERFLOW_COAT, "omega": [0.5, 0.7], "n_max": 4},
+        )
         src = os.path.dirname(os.path.dirname(escat.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         out = subprocess.run(
-            [sys.executable, "-c", script, cfg],
+            [sys.executable, "-c", script, cfg, evaluate, str(tmp_path / "w.json")],
             capture_output=True, text=True, env=env, check=True,
         ).stdout.splitlines()
         assert json.loads(out[0]) == []
         assert json.loads(out[1]) is True
+        assert [json.loads(line) for line in out[2:]] == [False, False, True]
 
     def test_all_lists_only_existing_names(self):
         # every name a module exports through __all__ is defined in it

@@ -371,6 +371,29 @@ class TestLayeredEsc:
                 layered_esc(s, 3e-4, 30)
         assert "DLASCL" not in "".join(capfd.readouterr())
 
+    @pytest.mark.parametrize("n", [-31, -101])
+    def test_overflowed_hankel_entry_is_a_resonance(self, exterior, monkeypatch, n):
+        # an order that overflows H: the stub's -inf i at |n| = 31, scipy's
+        # NaN at |n| = 101.  The parity sign of an odd negative order
+        # negates the entry, which stays non-finite, and the guard rejects
+        # the layer matrix without a RuntimeWarning.
+        def hankel1(m, t):
+            return np.where(m == 31, complex(0.0, -np.inf), sp.hankel1(m, t))
+
+        monkeypatch.setattr(cloak, "sp", type(sp)("stub"))
+        cloak.sp.jv, cloak.sp.hankel1 = sp.jv, hankel1
+        s = LayeredStructure(
+            radii=(2.0, 1.5, 1.0),
+            layers=(Material(3.0, 0.5, 2.0), Material(1.0, 2.0, 0.7)),
+            exterior=exterior,
+        )
+        t = 1.5 * exterior.kappa_s(1e-3)
+        assert not np.isfinite(cloak._fold(hankel1, n, n, t)[0]).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ResonanceError, match=rf"^layer matrix M_\(n={n},j=1\) "):
+                layered_esc(s, 1e-3, n)
+
     def test_reciprocity_against_negative_order(self, exterior, interior):
         s = LayeredStructure(
             radii=(2.0, 1.3, 1.0), layers=(interior, Material(1.0, 0.6, 1.5)), exterior=exterior
