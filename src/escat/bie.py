@@ -57,11 +57,10 @@ distance and index offset, which (i, j) shares with (j, i) and, on a
 mirror grid, with (n-i, n-j) and (n-j, n-i).  Each class of such pairs
 is evaluated once and gathered (_distinct_pairs): at n=512 the blocks
 read 131,584 entries of 65,793 classes; an unsplit grid has n(n+1)/2
-classes.  In the frame of rhat and the normal, S and K* regroup into
-coefficients of the class times geometry factors that do not depend on
-the material (KernelTable).  The factors, with |x'(t_j)| and the mirror
-scalings of the eigenbasis folded in, are formed once per build and
-serve both materials.
+classes.  The class table holds the five radial functions of
+wavefields._radial_kernels; each slab of the build gathers them and
+forms S and K* with wavefields._gamma_components and
+_traction_components, as the off-surface potentials do.
 
 A is never formed for the solver.  The build runs over slabs of block
 columns: each component of a material's S or K*, with its sign and
@@ -70,8 +69,8 @@ column is the sum or the difference of the columns of nodes j and n - j.
 The blocks are stored as their transposes in C order, which is the
 Fortran order LAPACK factors, so the LU copies are plain copies.  The
 kernel tables are evaluated and the slabs formed in chunks of _CHUNK
-entries, so that at n=512 the build's temporaries stay below 22 MB beside
-the 33.6 MB of blocks (12.6 MB of it the two class tables), and the
+entries, so that at n=512 the build's temporaries stay below 20 MB beside
+the 33.6 MB of blocks (10.5 MB of it the two class tables), and the
 traced peak of a solver build is 67.2 MB, against the 67.1 MB of blocks
 and LU copies it keeps.  The blocks are allocated before the
 temporaries: freed, those leave one span that the LU copies can reuse,
@@ -125,6 +124,7 @@ from .errors import DomainError, ResonanceError
 from .wavefields import (
     Material,
     MaterialPair,
+    _gamma_components,
     _gamma_tensor,
     _hankel_radial,
     _radial_kernels,
@@ -400,40 +400,16 @@ def _pair_geometry(grid: QuadratureGrid, p: np.ndarray, q: np.ndarray):
     return r, w_row[np.minimum(k, n - k)] / np.pi
 
 
-class KernelTable(NamedTuple):
-    """Quadrature-weighted radial kernels of one material, per node pair.
-
-    With rhat = (cos a, sin a), the target normal (cos b, sin b),
-    C = cos(b - a), Sn = sin(b - a), J the rotation by pi/2 and
-    R(t) = [[cos t, sin t], [sin t, -cos t]], the kernels of
-    wavefields._radial_kernels regroup as
-
-        S  = s_iso I + s_ref R(2a)
-        K* = t_iso C I + t_skew Sn J + t_ref R(a + b) + t_ref2 C R(2a)
-
-    (K* without its Kelvin cot term, _kelvin_row), so that every
-    coefficient depends on the pair's distance and offset alone:
-    s_iso = phi + chi/2, s_ref = chi/2, t_iso = (a1 + 3 a2 + a4)/2,
-    t_skew = (a1 - a2)/2, t_ref = (a1 + a2)/2 and t_ref2 = a4/2.
-    """
-
-    s_iso: np.ndarray
-    s_ref: np.ndarray
-    t_iso: np.ndarray
-    t_skew: np.ndarray
-    t_ref: np.ndarray
-    t_ref2: np.ndarray
-
-
-def _kernel_table(r, w_log, n: int, omega: float, material: Material) -> KernelTable:
-    """The kernels of pairs (r, w_log) at the folded Z_nu of the module docstring.
+def _kernel_table(r, w_log, n: int, omega: float, material: Material) -> np.ndarray:
+    """(5, pairs): phi, chi, a1, a2, a4 of wavefields._radial_kernels for the
+    pairs (r, w_log), at the folded Z_nu of the module docstring.
 
     Evaluated in chunks of _CHUNK pairs, so that the temporaries stay small.
     """
     if omega <= 0:
         raise DomainError("omega must be positive")
     h = 2.0 * np.pi / n
-    table = KernelTable(*(np.empty(len(r), dtype=complex) for _ in KernelTable._fields))
+    table = np.empty((5, len(r)), dtype=complex)
     for lo in range(0, len(r), _CHUNK):
         part = slice(lo, lo + _CHUNK)
         z = []
@@ -444,12 +420,8 @@ def _kernel_table(r, w_log, n: int, omega: float, material: Material) -> KernelT
                 zv.real = h * jv
                 zv.imag = h * yv + w_log[part] * jv
                 z.append(zv)
-        phi, chi, (a1, a2, a4) = _radial_kernels(z[:2], z[2:], r[part], omega, material)
-        half_chi = 0.5 * chi
-        values = (phi + half_chi, half_chi, 0.5 * (a1 + 3.0 * a2 + a4), 0.5 * (a1 - a2))
-        values += (0.5 * (a1 + a2), 0.5 * a4)
-        for coeff, value in zip(table, values):
-            coeff[part] = value
+        phi, chi, traction = _radial_kernels(z[:2], z[2:], r[part], omega, material)
+        table[:, part] = (phi, chi, *traction)
     return table
 
 
@@ -491,9 +463,10 @@ class _Slab(NamedTuple):
 
     The rows are the sources a..b-1, then the partners n-j of the paired
     nodes j = qa..qb-1 among them; the columns are the targets 0..rows-1
-    (_distinct_pairs).  The geometry factors carry |x'| of the source and
-    the mirror scalings of _eigenblocks, so that a gathered kernel times
-    one of them is block-ready; kelvin carries the scalings only.
+    (_distinct_pairs).  weight is |x'| of the source times the mirror
+    scalings of _eigenblocks, so that a gathered kernel times it is
+    block-ready; the target normals carry it too, which weights K*, and
+    kelvin carries the scalings only.
     """
 
     a: int
@@ -501,8 +474,9 @@ class _Slab(NamedTuple):
     qa: int
     qb: int
     index: np.ndarray  # class of each entry
-    single: tuple  # W, W cos 2a, W sin 2a
-    traction: tuple  # W C, W Sn, W cos(a + b), W sin(a + b), W C cos 2a, W C sin 2a
+    weight: np.ndarray
+    rhat: tuple  # (r_0, r_1) of x_target - x_source
+    normals: tuple  # (n_0, n_1) times weight
     kelvin: np.ndarray
 
 
@@ -511,7 +485,6 @@ def _slabs(grid: QuadratureGrid, basis: _MirrorBasis, index: np.ndarray, r: np.n
     n, rows, pairs = basis.n, basis.rows, basis.pairs
     kelvin_row = _kelvin_row(n)
     x, jac = grid.nodes, grid.jacobians
-    n0, n1 = grid.normals[:rows, 0], grid.normals[:rows, 1]
     paired_tgt = np.zeros(rows, dtype=bool)
     paired_tgt[1 : pairs + 1] = True
     step = max(1, _CHUNK // (2 * rows))  # a slab has up to 2 step rows
@@ -530,78 +503,36 @@ def _slabs(grid: QuadratureGrid, basis: _MirrorBasis, index: np.ndarray, r: np.n
         scale[np.ix_(~paired_src, paired_tgt)] = np.sqrt(2.0)
         scale[np.ix_(paired_src, ~paired_tgt)] = _SQRT_HALF
         kelvin = kelvin_row[(np.arange(rows) - src[:, None]) % n] * scale
-        weight = scale
-        weight *= jac[src, None]
+        weight = scale * jac[src, None]
         dist = r[slab_index]
-        r0 = (x[:rows, 0] - x[src, None, 0]) / dist
-        r1 = (x[:rows, 1] - x[src, None, 1]) / dist
-        cos2 = r0 * r0 - r1 * r1
-        sin2 = 2.0 * r0 * r1
-        dot = weight * (r0 * n0 + r1 * n1)
-        traction = (
-            dot,
-            weight * (r0 * n1 - r1 * n0),
-            weight * (r0 * n0 - r1 * n1),
-            weight * (r0 * n1 + r1 * n0),
-            dot * cos2,
-            dot * sin2,
-        )
-        cos2 *= weight
-        sin2 *= weight
-        yield _Slab(a, b, qa, qb, slab_index, (weight, cos2, sin2), traction, kelvin)
+        rhat = tuple((x[:rows, i] - x[src, None, i]) / dist for i in (0, 1))
+        normals = tuple(weight * grid.normals[:rows, i] for i in (0, 1))
+        yield _Slab(a, b, qa, qb, slab_index, weight, rhat, normals, kelvin)
 
 
-def _components(slab: _Slab, table: KernelTable, single_diag, traction_diag, m_c: float):
+def _components(slab: _Slab, table: np.ndarray, single_diag, traction_diag, m_c: float):
     """Yield (equation, k, c, comp): component (k, c) of S (equation 0) and K* (1) on the slab.
 
-    comp is a layout array of the slab, block-ready (_Slab) and with the
-    closed-form diagonal blocks in place; drop it before the next.
+    The entries are wavefields._gamma_components and _traction_components
+    of the gathered kernels (_kernel_table), block-ready (_Slab), with
+    the closed-form diagonal blocks in place and K*'s Kelvin cot term.
+    Use comp before taking the next: S's (0, 1) and (1, 0) are one array.
     """
     a, b = slab.a, slab.b
     diagonal = (np.arange(b - a), np.arange(a, b))  # the entries (j, j)
-
-    def gather(coeff):
-        return np.take(coeff, slab.index)
-
-    def done(equation, k, c, comp):
-        comp[diagonal] = (traction_diag if equation else single_diag)[a:b, k, c]
-        return equation, k, c, comp
-
-    weight, cos2, sin2 = slab.single
-    ref = gather(table.s_ref)
-    ref_cos = ref * cos2
-    ref *= sin2
-    yield done(0, 0, 1, ref)
-    yield 0, 1, 0, ref  # S is symmetric
-    del ref
-    iso = gather(table.s_iso)
-    iso *= weight
-    yield done(0, 0, 0, iso + ref_cos)
-    iso -= ref_cos
-    yield done(0, 1, 1, iso)
-    del iso, ref_cos
-
-    dot, cross, cos_ab, sin_ab, dot_cos2, dot_sin2 = slab.traction
-    ref_cos = gather(table.t_ref)
-    ref_sin = ref_cos * sin_ab
-    ref_cos *= cos_ab
-    ref2 = gather(table.t_ref2)
-    ref_cos += ref2 * dot_cos2
-    ref2 *= dot_sin2
-    ref_sin += ref2
-    del ref2
-    iso = gather(table.t_iso)
-    iso *= dot
-    yield done(1, 0, 0, iso + ref_cos)
-    iso -= ref_cos
-    yield done(1, 1, 1, iso)
-    del iso, ref_cos
-    skew = gather(table.t_skew)
-    skew *= cross
-    skew -= m_c * slab.kelvin
-    yield done(1, 0, 1, ref_sin - skew)
-    ref_sin += skew
-    yield done(1, 1, 0, ref_sin)
+    phi, chi, a1, a2, a4 = (np.take(coeff, slab.index) for coeff in table)
+    phi *= slab.weight
+    chi *= slab.weight
+    for equation, comps, diag in (
+        (0, _gamma_components(phi, chi, slab.rhat), single_diag),
+        (1, _traction_components((a1, a2, a4), slab.rhat, slab.normals), traction_diag),
+    ):
+        for k, c in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            comp = comps[k][c]
+            if equation and k != c:
+                comp += (m_c if k < c else -m_c) * slab.kelvin
+            comp[diagonal] = diag[a:b, k, c]
+            yield equation, k, c, comp
 
 
 def _assemble(grid: QuadratureGrid, basis: _MirrorBasis, omega: float, operators, shift, write):
@@ -616,8 +547,7 @@ def _assemble(grid: QuadratureGrid, basis: _MirrorBasis, omega: float, operators
     terms = []  # the _components arguments of sign S and sign K* + shift I
     for material, sign in operators:
         table = _kernel_table(r, w_log, grid.n_nodes, omega, material)
-        for coeff in table:
-            coeff *= sign
+        table *= sign
         single, traction, m_c = _diagonal_blocks(grid, omega, material)
         terms.append((table, sign * single, sign * traction + shift * np.eye(2), sign * m_c))
     for slab in _slabs(grid, basis, index, r):
@@ -844,6 +774,23 @@ class TransmissionSolver:
         return DensityPair(x[:, 0], x[:, 1], residual, stability)
 
 
+def _targets(grid: QuadratureGrid, target):
+    """Offsets x - y_j (t, n, 2) of the targets, their lengths, each target's
+    nearest node and whether it sits on it (within 1e-12).  Warns once when
+    a target off the nodes is within one node spacing of the boundary."""
+    dv = np.reshape(np.asarray(target, dtype=float), (-1, 1, 2)) - grid.nodes
+    r = np.hypot(dv[..., 0], dv[..., 1])
+    nearest = np.argmin(r, axis=1)
+    dmin = r[np.arange(len(r)), nearest]
+    on = dmin < 1e-12
+    if np.any(dmin[~on] < grid.spacing()):
+        warnings.warn(
+            "target within one node spacing of the boundary; accuracy degraded",
+            NearBoundaryWarning,
+        )
+    return dv, r, nearest, on
+
+
 def single_layer_apply(
     grid: QuadratureGrid,
     omega: float,
@@ -865,17 +812,7 @@ def single_layer_apply(
     dens = np.asarray(density, dtype=complex)
     flat = dens.reshape(-1, 2 * n)
     wd = flat * np.repeat(grid.weights, 2)
-    tgt = np.asarray(target, dtype=float)
-    dv = tgt.reshape(-1, 1, 2) - grid.nodes[None, :, :]
-    r = np.hypot(dv[..., 0], dv[..., 1])
-    nearest = np.argmin(r, axis=1)
-    dmin = r[np.arange(len(r)), nearest]
-    on = dmin < 1e-12
-    if np.any(dmin[~on] < grid.spacing()):
-        warnings.warn(
-            "target within one node spacing of the boundary; accuracy degraded",
-            NearBoundaryWarning,
-        )
+    dv, r, nearest, on = _targets(grid, target)
     out = np.empty((len(r), 2, len(wd)), dtype=complex)  # (t, 2, k)
     off = ~on
     gam = _gamma_tensor(dv[off], r[off], omega, material).transpose(0, 2, 1, 3)
@@ -884,7 +821,7 @@ def single_layer_apply(
         smat = single_layer_matrix(grid, omega, material).reshape(n, 2, 2 * n)
         out[on] = smat[nearest[on]] @ flat.T
     u = out.transpose(2, 0, 1)
-    if tgt.ndim == 1:
+    if np.ndim(target) == 1:
         u = u[:, 0]
     return u if dens.ndim == 3 else u[0]
 
@@ -897,13 +834,20 @@ def traction_of_single_layer(
     target,
     normal,
 ) -> np.ndarray:
-    """Traction of S[density] at off-surface targets (analytic kernel)."""
-    tgts = np.atleast_2d(np.asarray(target, dtype=float))
+    """Traction of S[density] on the unit normals at off-surface targets.
+
+    Warns like single_layer_apply near the boundary.  A target on a node
+    raises DomainError: the traction has two one-sided limits there,
+    (-+1/2 I + K*) density (module docstring).
+    """
+    dv, r, _, on = _targets(grid, target)
+    if on.any():
+        raise DomainError("the traction of the single layer has two limits at a boundary node")
     nrms = np.atleast_2d(np.asarray(normal, dtype=float))
     wd = np.asarray(density, dtype=complex).reshape(grid.n_nodes, 2) * grid.weights[:, None]
-    dv = tgts[:, None, :] - grid.nodes[None, :, :]
-    r = np.hypot(dv[..., 0], dv[..., 1])
     _, _, traction = _hankel_radial(r, omega, material)
-    comp = _traction_components(traction, dv / r[..., None], nrms[:, None, :])
+    comp = _traction_components(
+        traction, (dv[..., 0] / r, dv[..., 1] / r), (nrms[:, None, 0], nrms[:, None, 1])
+    )
     out = np.stack([comp[k][0] @ wd[:, 0] + comp[k][1] @ wd[:, 1] for k in (0, 1)], axis=-1)
-    return out[0] if np.asarray(target).ndim == 1 else out
+    return out[0] if np.ndim(target) == 1 else out

@@ -87,20 +87,13 @@ def _scene_from(doc: dict):
 
 @_config_values
 def _msr_config_from(doc: dict, seed_override=None) -> MsrConfig:
-    ext = Material.from_dict(doc["exterior"])
-    radius = doc.get("radius")
-    if radius is None:
-        wl = 2.0 * np.pi / ext.kappa_s(doc["omega"])
-        radius = doc.get("radius_wavelengths", 1e3) * wl
-    return MsrConfig(
-        radius=float(radius),
-        n_sources=int(doc["n_sources"]),
-        n_receivers=int(doc["n_receivers"]),
-        omega=float(doc["omega"]),
-        exterior=ext,
-        noise_sigma=float(doc.get("noise_sigma", 0.0)),
-        seed=int(seed_override if seed_override is not None else doc.get("seed", 0)),
-    )
+    doc = dict(doc)
+    if doc.get("radius") is None:
+        wl = 2.0 * np.pi / Material.from_dict(doc["exterior"]).kappa_s(doc["omega"])
+        doc["radius"] = doc.get("radius_wavelengths", 1e3) * wl
+    if seed_override is not None:
+        doc["seed"] = seed_override
+    return MsrConfig.from_dict(doc)
 
 
 def cmd_esc_compute(args) -> int:

@@ -195,7 +195,9 @@ def _radial_kernels(zp, zs, r, omega, material):
     Every output is linear in the Z values with coefficients rational in
     r, so a linear combination of Hankel and Bessel values maps to the
     same combination of kernels (the Nystrom rule in bie folds its
-    quadrature weights into Z this way).
+    quadrature weights into Z this way).  On and off the boundary, the
+    entries of Gamma and T_x Gamma are formed from these five functions
+    by _gamma_components and _traction_components alone.
     """
     lam, mu = material.lam, material.mu
     kp, ks = material.kappa_p(omega), material.kappa_s(omega)
@@ -228,32 +230,33 @@ def _hankel_radial(r, omega, material):
 
 
 def _gamma_components(phi, chi, rhat):
-    """Entries [[G_00, G_01], [G_10, G_11]] of phi I + chi rhat rhat^T."""
-    r0, r1 = rhat[..., 0], rhat[..., 1]
-    off = chi * r0 * r1
-    return ((phi + chi * r0 * r0, off), (off, phi + chi * r1 * r1))
+    """Entries [[G_00, G_01], [G_10, G_11]] of phi I + chi rhat rhat^T; rhat = (r_0, r_1)."""
+    r0, r1 = rhat
+    off = chi * (r0 * r1)
+    return ((phi + chi * (r0 * r0), off), (off, phi + chi * (r1 * r1)))
 
 
 def _traction_components(a, rhat, nrm):
-    """Entries of a1 n rhat^T + a2 (rhat n^T + (rhat.n) I) + a4 (rhat.n) rhat rhat^T."""
+    """Entries of a1 n rhat^T + a2 (rhat n^T + (rhat.n) I) + a4 (rhat.n) rhat rhat^T.
+
+    rhat = (r_0, r_1) and nrm = (n_0, n_1).  Every entry is linear in n, so
+    normals scaled by a weight give the weighted tensor.
+    """
     a1, a2, a4 = a
-    rdn = rhat[..., 0] * nrm[..., 0] + rhat[..., 1] * nrm[..., 1]
-    a2_rdn, a4_rdn = a2 * rdn, a4 * rdn
-    return tuple(
-        tuple(
-            a1 * nrm[..., k] * rhat[..., l]
-            + a2 * rhat[..., k] * nrm[..., l]
-            + a4_rdn * rhat[..., k] * rhat[..., l]
-            + (a2_rdn if k == l else 0.0)
-            for l in (0, 1)
-        )
-        for k in (0, 1)
-    )
+    n_r = [[nrm[k] * rhat[l] for l in (0, 1)] for k in (0, 1)]  # n_k r_l
+    rdn = n_r[0][0] + n_r[1][1]
+
+    def entry(k, l):
+        out = a1 * n_r[k][l]
+        out += a2 * (n_r[l][k] + rdn if k == l else n_r[l][k])
+        out += a4 * (rdn * rhat[k] * rhat[l])
+        return out
+
+    return ((entry(0, 0), entry(0, 1)), (entry(1, 0), entry(1, 1)))
 
 
 def _gamma_tensor(dv, r, omega, material):
     """Kupradze tensor Gamma^w(x - y), (..., 2, 2), at dv = x - y of length r > 0."""
     phi, chi, _ = _hankel_radial(r, omega, material)
-    comp = _gamma_components(phi, chi, dv / r[..., None])
+    comp = _gamma_components(phi, chi, (dv[..., 0] / r, dv[..., 1] / r))
     return np.stack([np.stack(row, axis=-1) for row in comp], axis=-2)
-

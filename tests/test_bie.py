@@ -192,6 +192,30 @@ class TestSingleLayer:
                 got = (smat @ dens.reshape(-1)).reshape(-1, 2)
                 assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
 
+    def test_off_surface_potentials_match_modal_identity(self, exterior):
+        # off the circle, S[J-mode trace] and its traction have the same
+        # H-expansion as on it: the off-surface twin of the test above,
+        # for the field and for the traction on random unit normals
+        grid = build_grid(Circle(1.0), 256)
+        rho_w2 = exterior.rho * OMEGA**2
+        angles = np.array([0.3, 2.0, 4.1])
+        targets = np.concatenate(
+            [rad * np.stack([np.cos(angles), np.sin(angles)], axis=-1) for rad in (1.5, 3.0)]
+        )
+        theta = np.random.default_rng(11).uniform(0, 2 * np.pi, len(targets))
+        normals = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+        for beta, m in (("P", 0), ("S", 2), ("P", 3)):
+            dens, _ = wave(sp.jv, beta, m, grid.nodes, exterior, OMEGA)
+            mom = _modal_moments(beta, m, 1.0, exterior, OMEGA)
+            h_p, h_s = (wave(sp.hankel1, al, m, targets, exterior, OMEGA, normals) for al in "PS")
+            field, traction = (
+                (0.25j / rho_w2) * (h_p[i] * mom["P"] + h_s[i] * mom["S"]) for i in (0, 1)
+            )
+            got = single_layer_apply(grid, OMEGA, exterior, dens, targets)
+            assert np.abs(got - field).max() < 1e-12 * np.abs(field).max()
+            got = traction_of_single_layer(grid, OMEGA, exterior, dens, targets, normals)
+            assert np.abs(got - traction).max() < 1e-12 * np.abs(traction).max()
+
     def test_trace_continuity_across_boundary(self, exterior):
         # exterior and interior limits agree with the on-surface value
         # (evaluation distances stay above the node spacing so the plain
@@ -308,6 +332,29 @@ class TestTractionOperator:
         kd = (kmat @ dens.reshape(-1)).reshape(-1, 2)[i0]
         assert np.abs(lim_out - (kd - 0.5 * dens[i0])).max() < 1e-3 * np.abs(dens[i0]).max()
         assert np.abs(lim_in - (kd + 0.5 * dens[i0])).max() < 1e-3 * np.abs(dens[i0]).max()
+
+    def test_target_on_a_node_raises(self, exterior):
+        # the traction has two one-sided limits at a node; no division by
+        # the zero distance is made on the way to the error
+        grid = build_grid(Kite(0.4), 64)
+        dens = np.ones((64, 2), dtype=complex)
+        targets = np.array([[3.0, 0.5], grid.nodes[3]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for target, normal in (
+                (grid.nodes[3], grid.normals[3]),
+                (targets, grid.normals[[0, 3]]),
+            ):
+                with pytest.raises(DomainError, match="node"):
+                    traction_of_single_layer(grid, OMEGA, exterior, dens, target, normal)
+
+    def test_near_boundary_warning(self, exterior):
+        # 0.01 along the normal of a node, about half the node spacing
+        grid = build_grid(Kite(0.4), 64)
+        dens = np.ones((64, 2), dtype=complex)
+        x0, n0 = grid.nodes[3], grid.normals[3]
+        with pytest.warns(NearBoundaryWarning):
+            traction_of_single_layer(grid, OMEGA, exterior, dens, x0 + 0.01 * n0, n0)
 
 
 class TestTransmission:
