@@ -6,7 +6,7 @@ and designs multi-layer coatings that suppress the leading coefficients
 of a traction-free cavity (near-cloaking enhancement).
 """
 
-from .bie import DensityPair, QuadratureGrid, TransmissionSolver, build_grid
+from .bie import DensityPair, QuadratureGrid, build_grid, solve_transmission
 from .cloak import LayeredStructure, analytic_disk_esc, layered_esc
 from .curves import Circle, Ellipse, FourierRadius, Kite, curve_from_dict
 from .esc import EscMatrix, compute_esc
@@ -26,7 +26,7 @@ __all__ = [
     "build_grid",
     "QuadratureGrid",
     "DensityPair",
-    "TransmissionSolver",
+    "solve_transmission",
     "EscMatrix",
     "compute_esc",
     "MsrConfig",

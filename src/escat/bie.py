@@ -46,7 +46,7 @@ Fourier curves) gives a grid whose node n - j mirrors node j.  The
 reflection P (node j -> n - j, components times (1, -1), on phi and psi
 alike) then commutes with the system matrix A, and in the orthonormal
 eigenbases V+ and V- of P the system splits into two 2n x 2n blocks
-V+^T A V+ and V-^T A V-.  TransmissionSolver factors those instead of
+V+^T A V+ and V-^T A V-.  solve_transmission factors those instead of
 A; because A V = V B, the blocks need only the rows of nodes 0..n/2.
 The check is made on the grid data (QuadratureGrid.mirror_symmetric);
 any other grid is the one-block case of the same code, with the
@@ -70,41 +70,33 @@ The blocks are stored as their transposes in C order, which is the
 Fortran order LAPACK factors, so the LU copies are plain copies.  The
 kernel tables are evaluated and the slabs formed in chunks of _CHUNK
 entries, so that at n=512 the build's temporaries stay below 20 MB beside
-the 33.6 MB of blocks (10.5 MB of it the two class tables), and the
-traced peak of a solver build is 67.2 MB, against the 67.1 MB of blocks
-and LU copies it keeps.  The blocks are allocated before the
-temporaries: freed, those leave one span that the LU copies can reuse,
-instead of holes that raised the peak resident memory of repeated
-solves by up to 18 MB.  The one-material matrix _layer_matrix (S or K*,
-which single_layer_matrix reads) is the identity-basis case of the same
-build, reordered node-major.
+the 33.6 MB of blocks (10.5 MB of it the two class tables).  The blocks
+are allocated before the temporaries: freed, those leave one span that
+the LU copy can reuse, instead of holes that raised the peak resident
+memory of repeated solves by up to 18 MB.  The one-material matrix
+_layer_matrix (S or K*, which single_layer_matrix reads) is the
+identity-basis case of the same build, reordered node-major.
 
-The two eigenblocks are independent, so when the OpenBLAS that
-scipy.linalg calls runs one thread, each block's LU and condition
-estimate run in a thread of its own, and the two LUs take about the
-time of one on two CPUs (n=512: 0.076-0.087 s, against 0.133-0.153 s in
-turn).  A multithreaded BLAS already keeps the CPUs busy (two BLAS
-threads: 0.120-0.135 s in threads, 0.086-0.095 s in turn), so then, as
-for a one-block grid or a BLAS that cannot be queried, the blocks run in
-turn on the calling thread.  The threads only call LAPACK
-on arrays the calling thread allocated and checked for finiteness:
-glibc gives each thread its own malloc arena, and array temporaries
-freed in a thread's arena raised the peak memory of repeated solves.
-TransmissionSolver.solve_many takes k right-hand sides at once and
-returns one DensityPair of their stacked (k, n, 2) densities, with a
-residual and a stability ratio per column.  The solves stay on the
-calling thread: in threads they saved about a
-tenth of their 0.05 s at n=512 but made the peak memory of repeated
-solves jump by about 34 MB in some runs.  Both orders make the same
-LAPACK calls on the same arrays, so they give the same bytes.
+solve_transmission takes k right-hand sides at once and holds at most
+three block-sized (2n)^2 buffers, 16.8 MB each at n=512:
 
-scipy.linalg is not imported with this module but where the blocks are
-factored and solved.  TransmissionSolver.__init__ imports it on the
-calling thread before _map_blocks hands a block to a thread, so its
-first import, and what that allocates, does not land in a thread's
-malloc arena; _factor and solve_many then find it loaded.  A process
-that only runs transfer matrices (cloak) never loads it.
-_openblas_thread_query imports ctypes, pathlib and scipy itself.
+* build: both blocks, beside the build's temporaries;
+* block 0: both blocks and the LU copy of block 0, which is factored,
+  its condition estimated (gecon), its projected right-hand sides solved
+  and its residual formed against the block, after which block 0 and
+  its LU are dropped;
+* block 1: block 1 and its LU copy, used the same way.
+
+The traced peak of one solve of the README kite at n=512 with 34
+right-hand sides is 53.7 MB, against the 50.3 MB of three buffers.
+
+The 1-norms of both blocks are taken before either is factored, so a
+non-finite entry in block 1 raises before any LU, and the resonance
+guard is applied once both condition estimates are in.  Everything runs
+on the calling thread; with a multithreaded BLAS each LU uses the CPUs
+anyway.  scipy.linalg is not imported with this module but by
+solve_transmission, so a process that only runs transfer matrices
+(cloak) never loads it.
 """
 
 from __future__ import annotations
@@ -198,6 +190,7 @@ class DensityPair:
     psi: np.ndarray  # exterior-kernel densities, (k, n, 2) complex
     residual: np.ndarray  # (k,) relative residuals of the factored blocks
     stability_ratio: np.ndarray  # (k,)
+    condition_estimate: float  # of the whole system, from the blocks' 1-norm estimates
 
 
 def build_grid(curve: BoundaryCurve, n_nodes: int) -> QuadratureGrid:
@@ -628,62 +621,12 @@ def single_layer_matrix(grid: QuadratureGrid, omega: float, material: Material):
     return _layer_matrix(grid, omega, material, 0)
 
 
-@functools.cache
-def _openblas_thread_query():
-    """get_num_threads of the OpenBLAS bundled with scipy, or None if there is none."""
-    import ctypes
-    from pathlib import Path
+def _norm1(a: np.ndarray) -> float:
+    """1-norm of the Fortran-order block a; ValueError if a is not finite.
 
-    import scipy
-
-    libs = Path(scipy.__file__).resolve().parent.parent / "scipy.libs"
-    for lib in sorted(libs.glob("*openblas*.so*")):
-        query = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_num_threads", None)
-        if query is not None:
-            query.argtypes, query.restype = [], ctypes.c_int
-            return query
-    return None
-
-
-def _blas_single_threaded() -> bool:
-    """Whether the OpenBLAS that scipy.linalg calls reports one thread now."""
-    query = _openblas_thread_query()
-    return query is not None and query() == 1
-
-
-def _map_blocks(fn, args: list, concurrent: bool) -> list:
-    """[fn(*a) for a in args]; when concurrent, the calls after the first
-    run in a pool of len(args) - 1 threads, joined before this returns.
-
-    The first error in block order is raised on the calling thread.
-    """
-    if not concurrent or len(args) < 2:
-        return [fn(*a) for a in args]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(len(args) - 1) as pool:
-        futures = [pool.submit(fn, *a) for a in args[1:]]
-        first = fn(*args[0])
-        return [first] + [f.result() for f in futures]
-
-
-def _factor(a: np.ndarray, anorm: float):
-    """LU of the finite Fortran-order block a, in place, and its reciprocal condition estimate."""
-    from scipy import linalg as sla  # first imported on the calling thread (TransmissionSolver)
-
-    lu, piv = sla.lu_factor(a, overwrite_a=True, check_finite=False)
-    rcond, _ = sla.get_lapack_funcs("gecon", (lu,))(lu, anorm)
-    return (lu, piv), float(rcond)
-
-
-def _lapack_copy(a: np.ndarray):
-    """(copy, 1-norm) of the Fortran-order block a; ValueError if a is not finite.
-
-    The copy is for LAPACK to overwrite.  The norm is summed over slabs of
-    columns, so no |a| temporary of the block's size is formed, and a
-    finite norm shows that every entry is finite.  Made on the calling
-    thread, so that the threads of _map_blocks allocate no array
-    temporaries (module docstring).
+    The norm is summed over slabs of columns, so no |a| temporary of the
+    block's size is formed, and a finite norm shows that every entry is
+    finite.
     """
     columns = a.T  # C order: row j is column j of a
     norm = np.max(
@@ -691,87 +634,86 @@ def _lapack_copy(a: np.ndarray):
     )
     if not np.isfinite(norm):
         np.asarray_chkfinite(a)  # raises numpy's ValueError for a non-finite entry
-    return np.array(a, order="F"), float(norm)  # a copy even though a is Fortran-order
+    return float(norm)
 
 
-class TransmissionSolver:
-    """Factorized transmission system; solves are cheap per right-hand side.
+def solve_transmission(
+    grid: QuadratureGrid,
+    pair: MaterialPair,
+    omega: float,
+    traces: np.ndarray,
+    tractions: np.ndarray,
+) -> DensityPair:
+    """Densities of k right-hand sides; traces/tractions have shape (k, n, 2).
 
     When the grid is mirror-symmetric (QuadratureGrid.mirror_symmetric)
     the system commutes with the reflection P, and its two eigenblocks
     V+^T A V+ and V-^T A V- (each 2n x 2n) are built from the rows of
-    nodes 0..n/2, one material operator at a time, and factored instead
-    of A.  Otherwise the one block is A, in component-major order.  The
-    blocks are kept beside their LU factors for the residual check of
-    solve_many.  With BLAS at one thread the two blocks are factored in
-    two threads (module docstring).
+    nodes 0..n/2 and solved instead of A.  Otherwise the one block is A,
+    in component-major order.  Each block is factored, solved, checked
+    and dropped before the next one (module docstring).
+
+    Returns one DensityPair of (k, n, 2) densities, with per column the
+    relative residual of the blocks, sqrt(sum_b ||B_b y_b - f_b||^2) / ||f||,
+    and the stability ratio of weighted L2 norms
+    (|phi| + |psi|) / (|trace| + |traction|), and the condition estimate
+    max_b ||B_b||_1 * max_b ||B_b^-1||_1.  Raises ResonanceError when that
+    estimate exceeds COND_LIMIT.
     """
+    from scipy import linalg as sla
 
-    def __init__(self, grid: QuadratureGrid, pair: MaterialPair, omega: float):
-        self.grid = grid
-        self.pair = pair
-        self.omega = omega
-        import scipy.linalg  # noqa: F401  here, not first in a thread of _map_blocks
+    start = time.perf_counter()
+    basis = _mirror_basis(grid)
+    blocks = _eigenblocks(grid, pair, omega, basis)
+    built = time.perf_counter()
+    norms = [_norm1(b) for b in blocks]
+    factor_s, solve_s = time.perf_counter() - built, 0.0
+    rhs = np.stack([traces, tractions], axis=1)  # (k, equation, n, 2)
+    k = rhs.shape[0]
+    x = np.zeros(rhs.shape, dtype=complex)  # (k, density, n, 2)
+    res2 = np.zeros(k)
+    inv_norms = []
+    for spec, norm in zip(basis.blocks, norms):
+        b = blocks.pop(0)  # from here on b is the block's only reference
+        t0 = time.perf_counter()
+        lu, piv = sla.lu_factor(np.array(b, order="F"), overwrite_a=True, check_finite=False)
+        rcond, _ = sla.get_lapack_funcs("gecon", (lu,))(lu, norm)
+        inv_norms.append(1.0 / max(float(rcond) * norm, 1e-300))
+        t1 = time.perf_counter()
+        f = _project(basis, spec, rhs).reshape(k, -1).T
+        y = sla.lu_solve((lu, piv), f)
+        del lu  # the LU, then the block, is freed before the next block is copied
+        res2 += np.linalg.norm(b @ y - f, axis=0) ** 2
+        del b
+        _expand(basis, spec, y.T.reshape(k, 2, -1), x)
+        factor_s += t1 - t0
+        solve_s += time.perf_counter() - t1
+    condition_estimate = max(norms) * max(inv_norms)
+    residual = np.sqrt(res2) / np.maximum(np.linalg.norm(rhs.reshape(k, -1), axis=1), 1e-300)
+    w = grid.weights[:, None]
 
-        self._basis = _mirror_basis(grid)
-        self._blocks = _eigenblocks(grid, pair, omega, self._basis)
-        copies, norms = zip(*[_lapack_copy(b) for b in self._blocks])
-        concurrent = len(self._blocks) > 1 and _blas_single_threaded()
-        start = time.perf_counter()
-        factored = _map_blocks(_factor, list(zip(copies, norms)), concurrent)
-        factor_s = time.perf_counter() - start
-        self._lu = [lu for lu, _ in factored]
-        inv_norms = [1.0 / max(rcond * bn, 1e-300) for (_, rcond), bn in zip(factored, norms)]
-        self.condition_estimate = max(norms) * max(inv_norms)
-        logger.info(
-            "transmission solver: %d block(s) factored %s in %.3f s, condition estimate %.3e",
-            len(self._blocks),
-            "concurrently" if concurrent else "serially",
-            factor_s,
-            self.condition_estimate,
+    def l2(v):  # weighted L2 norms of the two (n, 2) halves, summed
+        return np.sqrt(np.sum(w * np.abs(v) ** 2, axis=(2, 3))).sum(axis=1)
+
+    stability = l2(x) / np.maximum(l2(rhs), 1e-300)
+    logger.info(
+        "transmission solve: %d block(s), condition estimate %.3e, max residual %.3e, "
+        "max stability ratio %.3e; build %.3f s, factor %.3f s, solve %.3f s",
+        len(norms),
+        condition_estimate,
+        residual.max(initial=0.0),
+        stability.max(initial=0.0),
+        built - start,
+        factor_s,
+        solve_s,
+    )
+    if condition_estimate > COND_LIMIT:
+        raise ResonanceError(
+            f"transmission system nearly singular (cond ~ "
+            f"{condition_estimate:.2e}); omega^2 rho_1 may sit near an "
+            f"interior Dirichlet eigenvalue -- perturb omega by ~1e-6 relative"
         )
-        if self.condition_estimate > COND_LIMIT:
-            raise ResonanceError(
-                f"transmission system nearly singular (cond ~ "
-                f"{self.condition_estimate:.2e}); omega^2 rho_1 may sit near an "
-                f"interior Dirichlet eigenvalue -- perturb omega by ~1e-6 relative"
-            )
-
-    def solve_many(self, traces: np.ndarray, tractions: np.ndarray) -> DensityPair:
-        """Densities of k right-hand sides; traces/tractions have shape (k, n, 2).
-
-        Returns one DensityPair of (k, n, 2) densities, with per column
-        the relative residual of the factored blocks,
-        sqrt(sum_b ||B_b y_b - f_b||^2) / ||f||, and the stability ratio
-        of weighted L2 norms (|phi| + |psi|) / (|trace| + |traction|).
-        """
-        from scipy import linalg as sla
-
-        basis = self._basis
-        rhs = np.stack([traces, tractions], axis=1)  # (k, equation, n, 2)
-        k = rhs.shape[0]
-        x = np.zeros(rhs.shape, dtype=complex)  # (k, density, n, 2)
-        res2 = np.zeros(k)
-        for spec, b, lu in zip(basis.blocks, self._blocks, self._lu):
-            f = _project(basis, spec, rhs).reshape(k, -1).T
-            y = sla.lu_solve(lu, f)
-            res2 += np.linalg.norm(b @ y - f, axis=0) ** 2
-            _expand(basis, spec, y.T.reshape(k, 2, -1), x)
-        residual = np.sqrt(res2) / np.maximum(np.linalg.norm(rhs.reshape(k, -1), axis=1), 1e-300)
-        w = self.grid.weights[:, None]
-
-        def l2(v):  # weighted L2 norms of the two (n, 2) halves, summed
-            return np.sqrt(np.sum(w * np.abs(v) ** 2, axis=(2, 3))).sum(axis=1)
-
-        stability = l2(x) / np.maximum(l2(rhs), 1e-300)
-        logger.debug(
-            "transmission solve: %d right-hand sides, max residual %.3e, "
-            "max stability ratio %.3e",
-            k,
-            residual.max(initial=0.0),
-            stability.max(initial=0.0),
-        )
-        return DensityPair(x[:, 0], x[:, 1], residual, stability)
+    return DensityPair(x[:, 0], x[:, 1], residual, stability, condition_estimate)
 
 
 def _targets(grid: QuadratureGrid, target):

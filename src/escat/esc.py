@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special as sp
 
-from .bie import TransmissionSolver, build_grid
+from .bie import build_grid, solve_transmission
 from .curves import BoundaryCurve
 from .errors import DomainError
 from .wavefields import Material, MaterialPair, _wave_table
@@ -155,10 +155,9 @@ def compute_esc(
         raise DomainError("K must be nonnegative")
     ext = pair.exterior
     grid = build_grid(curve, n_nodes)
-    solver = TransmissionSolver(grid, pair, omega)
     # J^b_m for b in MODES, m = -K..K, and their tractions: one Bessel table per mode
     j_stack, tractions = _wave_table(sp.jv, grid.nodes, grid.normals, ext, omega, K)
-    psi = solver.solve_many(j_stack, tractions).psi.reshape(len(j_stack), -1)
+    psi = solve_transmission(grid, pair, omega, j_stack, tractions).psi.reshape(len(j_stack), -1)
     # G[(b,m),(a,n)] = sum_j psi^b_m(y_j) . conj(J^a_n(y_j)) w_j
     proj = (np.conj(j_stack) * grid.weights[:, None]).reshape(len(j_stack), -1)
     return EscMatrix(psi @ proj.T, omega, pair, curve.to_dict(), ext.rho)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as sp
 
-from .bie import TransmissionSolver, build_grid, single_layer_apply
+from .bie import build_grid, single_layer_apply, solve_transmission
 from .curves import BoundaryCurve
 from .errors import ConfigError, DomainError, ReconstructionError
 from .esc import MODES, EscMatrix, _energy_residual, _reciprocity_image, compute_esc
@@ -308,9 +308,11 @@ def simulate_msr(
     ext = pair.exterior
     omega = config.omega
     grid = build_grid(curve, n_nodes)
-    solver = TransmissionSolver(grid, pair, omega)
-    densities = solver.solve_many(
-        *_plane_wave_table(config.incident_directions(), grid.nodes, grid.normals, ext, omega)
+    densities = solve_transmission(
+        grid,
+        pair,
+        omega,
+        *_plane_wave_table(config.incident_directions(), grid.nodes, grid.normals, ext, omega),
     )
     # receiver fields of every incidence at once, (k, Nr, 2)
     u = single_layer_apply(grid, omega, ext, densities.psi, config.receiver_points())

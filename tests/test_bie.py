@@ -16,10 +16,10 @@ from conftest import fd_lame_residual, wave
 from escat import bie
 from escat.bie import (
     NearBoundaryWarning,
-    TransmissionSolver,
     build_grid,
     single_layer_apply,
     single_layer_matrix,
+    solve_transmission,
     traction_of_single_layer,
 )
 from escat.cloak import _layer_matrices, analytic_disk_esc
@@ -361,7 +361,7 @@ class TestTransmission:
     def test_zero_incident_gives_zero_densities(self, pair):
         grid = build_grid(Circle(1.0), 64)
         zero = np.zeros((1, 64, 2))
-        dens = TransmissionSolver(grid, pair, OMEGA).solve_many(zero, zero)
+        dens = solve_transmission(grid, pair, OMEGA, zero, zero)
         assert np.abs(dens.phi[0]).max() < 1e-14
         assert np.abs(dens.psi[0]).max() < 1e-14
 
@@ -374,9 +374,8 @@ class TestTransmission:
         # incident JP_1 on the unit disk: the scattered field at |x| = 3
         # must match the transfer-matrix H-expansion
         grid = build_grid(Circle(1.0), 128)
-        solver = TransmissionSolver(grid, pair, OMEGA)
         tr, tc = wave(sp.jv, "P", 1, grid.nodes, exterior, OMEGA, grid.normals)
-        dens = solver.solve_many(tr[None], tc[None])
+        dens = solve_transmission(grid, pair, OMEGA, tr[None], tc[None])
         x = np.array([3.0, 0.4])
         got = single_layer_apply(grid, OMEGA, exterior, dens.psi[0], x)
         w1 = analytic_disk_esc(pair, 1.0, OMEGA, 1)
@@ -393,9 +392,8 @@ class TestTransmission:
         grid = build_grid(Circle(1.0), 256)
         # the identity-basis eigenblock is the full system, component-major
         (a,) = bie._eigenblocks(grid, pair, 2.0, bie._identity_basis(256))  # kappa_S * diam = 4
-        solver = TransmissionSolver(grid, pair, 2.0)
         tr, tc = wave(sp.jv, "P", 1, grid.nodes, exterior, 2.0, grid.normals)
-        dens = solver.solve_many(tr[None], tc[None])
+        dens = solve_transmission(grid, pair, 2.0, tr[None], tc[None])
         x = np.concatenate([dens.phi[0].T.reshape(-1), dens.psi[0].T.reshape(-1)])
         rhs = np.concatenate([tr.T.reshape(-1), tc.T.reshape(-1)])
         assert np.linalg.norm(a @ x - rhs) < 1e-10 * np.linalg.norm(rhs)
@@ -403,9 +401,8 @@ class TestTransmission:
     def test_near_zero_contrast_scatters_weakly(self, exterior):
         inte = Material(2.0 * (1 + 1e-6), 1.0 * (1 + 1e-6), 1.0)
         grid = build_grid(Circle(1.0), 64)
-        solver = TransmissionSolver(grid, MaterialPair(exterior, inte), OMEGA)
         tr, tc = wave(sp.jv, "P", 1, grid.nodes, exterior, OMEGA, grid.normals)
-        dens = solver.solve_many(tr[None], tc[None])
+        dens = solve_transmission(grid, MaterialPair(exterior, inte), OMEGA, tr[None], tc[None])
         u_sc = single_layer_apply(grid, OMEGA, exterior, dens.psi[0], np.array([2.0, 0.0]))
         assert np.abs(u_sc).max() < 1e-4 * np.abs(tr).max()
 
@@ -419,9 +416,8 @@ class TestTransmission:
 
         def esc_entry(n):
             grid = build_grid(kite, n)
-            solver = TransmissionSolver(grid, pair, omega)
             tr, tc = wave(sp.jv, "P", 1, grid.nodes, exterior, omega, grid.normals)
-            dens = solver.solve_many(tr[None], tc[None])
+            dens = solve_transmission(grid, pair, omega, tr[None], tc[None])
             w = grid.weights[:, None]
             proj = np.conj(tr)
             return np.sum(w * proj * dens.psi[0])
@@ -433,9 +429,8 @@ class TestTransmission:
 
     def test_radiation_decay_exponent(self, pair, exterior):
         grid = build_grid(Circle(1.0), 96)
-        solver = TransmissionSolver(grid, pair, OMEGA)
         tr, tc = wave(sp.jv, "P", 0, grid.nodes, exterior, OMEGA, grid.normals)
-        dens = solver.solve_many(tr[None], tc[None])
+        dens = solve_transmission(grid, pair, OMEGA, tr[None], tc[None])
         wavelength = 2 * np.pi / exterior.kappa_s(OMEGA)
         radii = np.array([1e2, 1e3]) * wavelength
         mags = [
@@ -449,9 +444,8 @@ class TestTransmission:
         # u_tot inside the disk = St[phi] must reproduce the interior
         # J-expansion of the mode-matching solution
         grid = build_grid(Circle(1.0), 128)
-        solver = TransmissionSolver(grid, pair, OMEGA)
         tr, tc = wave(sp.jv, "S", 1, grid.nodes, exterior, OMEGA, grid.normals)
-        dens = solver.solve_many(tr[None], tc[None])
+        dens = solve_transmission(grid, pair, OMEGA, tr[None], tc[None])
         # interior coefficients from the 4x4 interface system
         m_out = _layer_matrices(1, [1.0], [exterior], OMEGA)[0]
         m_in = _layer_matrices(1, [1.0], [interior], OMEGA)[0]
@@ -468,37 +462,45 @@ class TestTransmission:
         )
         assert np.abs(u_in - want).max() < 1e-8 * np.abs(want).max()
 
-    def test_resonance_guard(self, exterior):
-        # omega^2 rho_1 at an interior Dirichlet eigenvalue: for the unit
-        # disk with interior c_S = 1 the first torsional eigenfrequency is
-        # the first zero of J_1; bisect the condition number peak
-        interior = Material(4.0, 2.0, 2.0)
-        pair = MaterialPair(exterior, interior)
-        grid = build_grid(Circle(1.0), 64)
-        from scipy.special import jn_zeros
-
-        w_star = jn_zeros(1, 1)[0]  # 3.8317...
-
-        def cond_at(w):
-            try:
-                return TransmissionSolver(grid, pair, w).condition_estimate
-            except ResonanceError:
-                return np.inf
-
-        lo, hi = w_star - 1e-3, w_star + 1e-3
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if cond_at(mid) == np.inf:
-                break
-            # move toward the larger-condition side
-            if cond_at(mid - 1e-7) > cond_at(mid + 1e-7):
-                hi = mid
-            else:
-                lo = mid
-        else:
-            pytest.fail("condition number never exceeded the resonance guard")
+    def test_resonance_guard(self, resonance):
+        grid, pair, omega = resonance
+        zero = np.zeros((1, grid.n_nodes, 2))
         with pytest.raises(ResonanceError):
-            TransmissionSolver(grid, pair, mid)
+            solve_transmission(grid, pair, omega, zero, zero)
+
+
+@pytest.fixture(scope="module")
+def resonance(exterior):
+    """Grid, pair and an omega that the resonance guard rejects.
+
+    omega^2 rho_1 at an interior Dirichlet eigenvalue: for the unit disk
+    with interior c_S = 1 the first torsional eigenfrequency is the first
+    zero of J_1; bisect the condition number peak.
+    """
+    pair = MaterialPair(exterior, Material(4.0, 2.0, 2.0))
+    grid = build_grid(Circle(1.0), 64)
+    from scipy.special import jn_zeros
+
+    w_star = jn_zeros(1, 1)[0]  # 3.8317...
+    zero = np.zeros((1, 64, 2))
+
+    def cond_at(w):
+        try:
+            return solve_transmission(grid, pair, w, zero, zero).condition_estimate
+        except ResonanceError:
+            return np.inf
+
+    lo, hi = w_star - 1e-3, w_star + 1e-3
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if cond_at(mid) == np.inf:
+            return grid, pair, mid
+        # move toward the larger-condition side
+        if cond_at(mid - 1e-7) > cond_at(mid + 1e-7):
+            hi = mid
+        else:
+            lo = mid
+    pytest.fail("condition number never exceeded the resonance guard")
 
 
 def _unsplit_esc(curve, pair, omega, K, n):
@@ -568,15 +570,15 @@ class TestMirrorSplit:
     def test_solve_many_reports_residual(self, pair, exterior):
         # README scene: every density is checked against the factored blocks
         grid = build_grid(Kite(0.4), 256)
-        solver = TransmissionSolver(grid, pair, 1.0)
         traces, tractions = _wave_table(sp.jv, grid.nodes, grid.normals, exterior, 1.0, 6)
-        dens = solver.solve_many(traces, tractions)
+        dens = solve_transmission(grid, pair, 1.0, traces, tractions)
         k = len(traces)
         assert dens.phi.shape == dens.psi.shape == (k, 256, 2)
         assert dens.residual.shape == dens.stability_ratio.shape == (k,)
         assert dens.residual.max() < 1e-10
         assert np.all((0.0 < dens.stability_ratio) & (dens.stability_ratio < np.inf))
-        one = solver.solve_many(traces[3:4], tractions[3:4])
+        assert 1.0 <= dens.condition_estimate < bie.COND_LIMIT
+        one = solve_transmission(grid, pair, 1.0, traces[3:4], tractions[3:4])
         # one column or a batch: BLAS may order the sums differently (~cond * eps)
         assert_allclose(one.psi[0], dens.psi[3], rtol=0, atol=1e-10 * np.abs(one.psi).max())
         assert one.residual[0] < 1e-10
@@ -587,12 +589,11 @@ class TestMirrorSplit:
         # column i solved alone
         grid = build_grid(FourierRadius(1.0, cos_coeffs=(0.1,), sin_coeffs=(0.0, 0.1)), 96)
         assert not grid.mirror_symmetric
-        solver = TransmissionSolver(grid, pair, 1.0)
         traces, tractions = _wave_table(sp.jv, grid.nodes, grid.normals, exterior, 1.0, 3)
-        dens = solver.solve_many(traces, tractions)
+        dens = solve_transmission(grid, pair, 1.0, traces, tractions)
         assert dens.phi.shape == dens.psi.shape == (14, 96, 2)
         for i in range(14):
-            one = solver.solve_many(traces[i : i + 1], tractions[i : i + 1])
+            one = solve_transmission(grid, pair, 1.0, traces[i : i + 1], tractions[i : i + 1])
             for got, want in ((one.phi[0], dens.phi[i]), (one.psi[0], dens.psi[i])):
                 assert_allclose(got, want, rtol=0, atol=1e-10 * np.abs(want).max())
             assert one.residual[0] < 1e-10 and dens.residual[i] < 1e-10
@@ -706,66 +707,82 @@ class TestEigenblocks:
         (a,) = bie._eigenblocks(grid, pair, 1.0, bie._identity_basis(grid.n_nodes))
         assert np.array_equal(b, a)
 
-    def test_build_holds_no_full_rows(self, pair):
-        # the traced peak of a solver build stays near what it keeps: the
-        # blocks and their LU copies, plus one kernel table's transients
-        grid = build_grid(Kite(0.4), 256)
-        TransmissionSolver(grid, pair, 1.0)  # first build: lazy imports and caches
-        tracemalloc.start()
-        try:
-            solver = TransmissionSolver(grid, pair, 1.0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        kept = sum(b.nbytes for b in solver._blocks) + sum(lu.nbytes for lu, _ in solver._lu)
-        assert peak <= 1.1 * kept
+
+def _reference_solve(grid, pair, omega, traces, tractions):
+    """Densities, residuals, stability ratios and condition estimate from
+    sla.lu_factor and lu_solve on every eigenblock, all blocks kept."""
+    basis = bie._mirror_basis(grid)
+    blocks = bie._eigenblocks(grid, pair, omega, basis)
+    rhs = np.stack([traces, tractions], axis=1)
+    k = len(rhs)
+    x = np.zeros(rhs.shape, dtype=complex)
+    res2 = np.zeros(k)
+    norms, inv_norms = [], []
+    for spec, b in zip(basis.blocks, blocks):
+        lu, piv = sla.lu_factor(b)
+        norms.append(np.linalg.norm(b, 1))
+        rcond, _ = sla.get_lapack_funcs("gecon", (lu,))(lu, norms[-1])
+        inv_norms.append(1.0 / max(float(rcond) * norms[-1], 1e-300))
+        f = bie._project(basis, spec, rhs).reshape(k, -1).T
+        y = sla.lu_solve((lu, piv), f)
+        res2 += np.linalg.norm(b @ y - f, axis=0) ** 2
+        bie._expand(basis, spec, y.T.reshape(k, 2, -1), x)
+    residual = np.sqrt(res2) / np.maximum(np.linalg.norm(rhs.reshape(k, -1), axis=1), 1e-300)
+    w = grid.weights[:, None]
+    l2 = [np.sqrt(np.sum(w * np.abs(v) ** 2, axis=(2, 3))).sum(axis=1) for v in (x, rhs)]
+    return x[:, 0], x[:, 1], residual, l2[0] / np.maximum(l2[1], 1e-300), max(norms) * max(inv_norms)
 
 
-def _factored(caplog, grid, pair):
-    """A solver on grid and the way its INFO line says it factored the blocks."""
+def _logged(caplog, grid, pair, K):
+    """Densities of the 2(2K+1) J-waves on grid and the one INFO line of their solve."""
+    traces, tractions = _wave_table(sp.jv, grid.nodes, grid.normals, pair.exterior, 1.0, K)
     caplog.clear()
     with caplog.at_level(logging.INFO, logger="escat.bie"):
-        solver = TransmissionSolver(grid, pair, 1.0)
-    (line,) = [r.getMessage() for r in caplog.records if "transmission solver" in r.message]
-    return solver, line
+        dens = solve_transmission(grid, pair, 1.0, traces, tractions)
+    (line,) = [r.getMessage() for r in caplog.records if r.name == "escat.bie"]
+    return dens, line
 
 
-def _kite_solve(pair, exterior, monkeypatch, caplog, concurrent):
-    """Solver, W and solve_many densities of the README kite at n=256, with the
-    BLAS probe patched to choose the serial or the concurrent path."""
-    monkeypatch.setattr(bie, "_blas_single_threaded", lambda: concurrent)
-    grid = build_grid(Kite(0.4), 256)
-    solver, line = _factored(caplog, grid, pair)
-    assert ("factored concurrently" if concurrent else "factored serially") in line
-    dens = solver.solve_many(*_wave_table(sp.jv, grid.nodes, grid.normals, exterior, 1.0, 6))
-    w = compute_esc(Kite(0.4), pair, 1.0, K=6, n_nodes=256).to_global()
-    return solver, w, dens
+class TestBlockSolve:
+    @pytest.mark.parametrize(
+        "curve, n, K", [(Kite(0.4), 256, 6), (_CLASS_CURVES[1], 96, 3)], ids=["kite", "asymmetric"]
+    )
+    def test_bytes_equal_per_block_reference(self, pair, exterior, curve, n, K):
+        grid = build_grid(curve, n)
+        rhs = _wave_table(sp.jv, grid.nodes, grid.normals, exterior, 1.0, K)
+        dens = solve_transmission(grid, pair, 1.0, *rhs)
+        want = _reference_solve(grid, pair, 1.0, *rhs)
+        names = ("phi", "psi", "residual", "stability_ratio", "condition_estimate")
+        for name, ref in zip(names, want):
+            assert np.asarray(getattr(dens, name)).tobytes() == np.asarray(ref).tobytes(), name
 
+    def test_solve_holds_three_blocks(self, pair, exterior):
+        # the esc_kite scene: both blocks and one LU copy at a time, and
+        # nothing block-sized left once the solve returns
+        grid = build_grid(Kite(0.4), 512)
+        rhs = _wave_table(sp.jv, grid.nodes, grid.normals, exterior, 1.0, 8)
+        solve_transmission(grid, pair, 1.0, *rhs)  # first solve: lazy imports and caches
+        block = (2 * 512) ** 2 * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            dens = solve_transmission(grid, pair, 1.0, *rhs)
+            left, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.15 * 3 * block  # two blocks and one LU copy
+        assert left < block / 2
+        assert dens.residual.max() < 1e-10
 
-class TestConcurrentBlocks:
-    def test_paths_give_identical_bytes(self, pair, exterior, monkeypatch, caplog):
-        serial = _kite_solve(pair, exterior, monkeypatch, caplog, False)
-        concurrent = _kite_solve(pair, exterior, monkeypatch, caplog, True)
-        for solver in (serial[0], concurrent[0]):
-            assert len(solver._lu) == 2
-            for (lu, piv), b in zip(solver._lu, solver._blocks):
-                ref_lu, ref_piv = sla.lu_factor(b)
-                assert lu.tobytes() == ref_lu.tobytes() and piv.tobytes() == ref_piv.tobytes()
-        assert serial[0].condition_estimate == concurrent[0].condition_estimate
-        assert serial[1].tobytes() == concurrent[1].tobytes()
-        d_s, d_c = serial[2], concurrent[2]
-        for name in ("phi", "psi", "residual", "stability_ratio"):
-            assert getattr(d_s, name).tobytes() == getattr(d_c, name).tobytes()
-
-    def test_threads_end_before_return(self, pair, exterior, monkeypatch, caplog):
+    def test_solve_starts_no_thread(self, pair, exterior):
         before = threading.active_count()
-        _kite_solve(pair, exterior, monkeypatch, caplog, True)
+        grid = build_grid(Kite(0.4), 128)
+        solve_transmission(grid, pair, 1.0, *_wave_table(sp.jv, grid.nodes, grid.normals, exterior, 1.0, 4))
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("concurrent", [False, True])
-    def test_nan_in_second_block_raises_lu_factor_error(self, pair, monkeypatch, concurrent):
-        monkeypatch.setattr(bie, "_blas_single_threaded", lambda: concurrent)
+    def test_nan_in_second_block_raises_lu_factor_error(self, pair, monkeypatch):
+        # both norms are taken before the first LU: block 0 is not factored
         build = bie._eigenblocks
+        factored = []
 
         def nan_in_block_1(*args):
             blocks = build(*args)
@@ -773,37 +790,42 @@ class TestConcurrentBlocks:
             return blocks
 
         monkeypatch.setattr(bie, "_eigenblocks", nan_in_block_1)
-        bad = build_grid(Kite(0.4), 64)
-        before = threading.active_count()
+        lu_factor = sla.lu_factor
+        monkeypatch.setattr(sla, "lu_factor", lambda a, **kw: factored.append(a) or lu_factor(a, **kw))
+        zero = np.zeros((1, 64, 2))
         with pytest.raises(ValueError) as got:
-            TransmissionSolver(bad, pair, 1.0)
-        assert threading.active_count() == before
+            solve_transmission(build_grid(Kite(0.4), 64), pair, 1.0, zero, zero)
+        assert factored == []
+        monkeypatch.undo()
         with pytest.raises(ValueError) as want:
             sla.lu_factor(np.array([[np.nan]]))
         assert str(got.value) == str(want.value)
 
-    def test_error_in_second_thread_reaches_caller(self):
-        def fn(i):
-            if i > 0:
-                raise np.linalg.LinAlgError(f"block {i} failed")
-            return i
+    def test_resonance_raised_after_both_blocks(self, resonance, monkeypatch):
+        # the guard needs both blocks' estimates, so both are solved before it raises
+        grid, pair, omega = resonance
+        zero = np.zeros((1, grid.n_nodes, 2))
+        cond = _reference_solve(grid, pair, omega, zero, zero)[-1]
+        solved = []
+        lu_solve = sla.lu_solve
+        monkeypatch.setattr(sla, "lu_solve", lambda *a: solved.append(a) or lu_solve(*a))
+        with pytest.raises(ResonanceError, match=re.escape(f"(cond ~ {cond:.2e})")):
+            solve_transmission(grid, pair, omega, zero, zero)
+        assert len(solved) == 2
 
-        before = threading.active_count()
-        with pytest.raises(np.linalg.LinAlgError, match="^block 1 failed$"):
-            bie._map_blocks(fn, [(0,), (1,), (2,)], True)
-        assert threading.active_count() == before
-        assert bie._map_blocks(fn, [(0,)], True) == [0]
-
-    def test_asymmetric_grid_runs_inline(self, pair, monkeypatch, caplog):
-        monkeypatch.setattr(bie, "_blas_single_threaded", lambda: True)
+    def test_asymmetric_grid_logs_one_block(self, pair, caplog):
         curve = FourierRadius(1.0, cos_coeffs=(0.1,), sin_coeffs=(0.0, 0.1))
-        _, line = _factored(caplog, build_grid(curve, 64), pair)
-        assert line.startswith("transmission solver: 1 block(s) factored serially in ")
+        _, line = _logged(caplog, build_grid(curve, 64), pair, 2)
+        assert line.startswith("transmission solve: 1 block(s), condition estimate ")
 
     def test_info_line(self, pair, caplog):
-        solver, line = _factored(caplog, build_grid(Kite(0.4), 64), pair)
+        dens, line = _logged(caplog, build_grid(Kite(0.4), 64), pair, 2)
+        numbers = (dens.condition_estimate, dens.residual.max(), dens.stability_ratio.max())
         assert re.fullmatch(
-            r"transmission solver: 2 block\(s\) factored (concurrently|serially) in \d+\.\d{3} s, "
-            "condition estimate " + re.escape(f"{solver.condition_estimate:.3e}"),
+            re.escape(
+                "transmission solve: 2 block(s), condition estimate {:.3e}, max residual {:.3e}, "
+                "max stability ratio {:.3e}; ".format(*numbers)
+            )
+            + r"build \d+\.\d{3} s, factor \d+\.\d{3} s, solve \d+\.\d{3} s",
             line,
         )

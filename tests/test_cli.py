@@ -542,7 +542,7 @@ class TestImports:
     def test_heavy_modules_load_where_they_run(self, tmp_path):
         # the optimizer, the pool and the schema validator stay out of a
         # fresh process until a design runs or a config is read, and the
-        # BIE solver's scipy.linalg until a TransmissionSolver factors:
+        # BIE solver's scipy.linalg until solve_transmission factors:
         # transfer-matrix work does not load it
         script = (
             "import json, sys\n"
@@ -559,7 +559,9 @@ class TestImports:
             "print(json.dumps('scipy.linalg' in sys.modules))\n"
             "ext, inner = escat.Material(2.0, 1.0, 1.0), escat.Material(4.0, 2.0, 2.0)\n"
             "grid = escat.build_grid(escat.Circle(1.0), 32)\n"
-            "escat.TransmissionSolver(grid, escat.MaterialPair(ext, inner), 1.0)\n"
+            "import numpy as np\n"
+            "zero = np.zeros((1, 32, 2))\n"
+            "escat.solve_transmission(grid, escat.MaterialPair(ext, inner), 1.0, zero, zero)\n"
             "print(json.dumps('scipy.linalg' in sys.modules))\n"
         )
         cfg = write(tmp_path, "scene.json", SCENE)
