@@ -779,17 +779,18 @@ class TestBlockSolve:
         solve_transmission(grid, pair, 1.0, *_wave_table(sp.jv, grid.nodes, grid.normals, exterior, 1.0, 4))
         assert threading.active_count() == before
 
-    def test_nan_in_second_block_raises_lu_factor_error(self, pair, monkeypatch):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_nonfinite_in_second_block_raises_lu_factor_error(self, pair, monkeypatch, bad):
         # both norms are taken before the first LU: block 0 is not factored
         build = bie._eigenblocks
         factored = []
 
-        def nan_in_block_1(*args):
+        def bad_in_block_1(*args):
             blocks = build(*args)
-            blocks[1][3, 5] = np.nan
+            blocks[1][3, 5] = bad
             return blocks
 
-        monkeypatch.setattr(bie, "_eigenblocks", nan_in_block_1)
+        monkeypatch.setattr(bie, "_eigenblocks", bad_in_block_1)
         lu_factor = sla.lu_factor
         monkeypatch.setattr(sla, "lu_factor", lambda a, **kw: factored.append(a) or lu_factor(a, **kw))
         zero = np.zeros((1, 64, 2))
