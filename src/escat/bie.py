@@ -166,7 +166,7 @@ class QuadratureGrid:
         must equal those at j with the x_2 component negated, and the
         jacobians must agree, each within MIRROR_TOL times the largest
         entry of its array.  Rounding keeps circles, ellipses (aspect up to
-        50), kites and cosine-only Fourier curves below 3e-14 for n up to
+        50), kites and cosine-only Fourier curves below 3.5e-14 for n up to
         8192; a Fourier sine term of 1e-11 already fails.
         """
         flip = np.array([1.0, -1.0])

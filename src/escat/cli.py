@@ -96,11 +96,25 @@ def _msr_config_from(doc: dict, seed_override=None) -> MsrConfig:
     return MsrConfig.from_dict(doc)
 
 
+def _flag_or_field(args, flag: str, doc: dict, schema: dict, field: str, default):
+    """--flag if given, held to the schema of the config field it overrides; else the field or default."""
+    value = getattr(args, flag)
+    if value is None:
+        return doc.get(field, default)
+    import jsonschema  # loaded already by the config read
+
+    try:
+        jsonschema.validate(value, schema["properties"][field])
+    except jsonschema.ValidationError as e:
+        raise ConfigError(f"--{flag}: {e.message}") from e
+    return value
+
+
 def cmd_esc_compute(args) -> int:
     doc = cfgmod.load_config(args.config, cfgmod.SCENE_SCHEMA)
     curve, pair = _scene_from(doc)
-    k = args.K if args.K is not None else doc.get("K", 8)
-    n_nodes = args.nodes if args.nodes is not None else doc.get("n_nodes", 256)
+    k = _flag_or_field(args, "K", doc, cfgmod.SCENE_SCHEMA, "K", 8)
+    n_nodes = _flag_or_field(args, "nodes", doc, cfgmod.SCENE_SCHEMA, "n_nodes", 256)
     esc = compute_esc(curve, pair, doc["omega"], K=k, n_nodes=n_nodes)
     out = {
         "config_hash": cfgmod.config_hash(doc),
@@ -125,7 +139,7 @@ def cmd_msr_simulate(args) -> int:
         cfg,
         mode=doc.get("mode", "bie"),
         K=doc.get("K"),
-        n_nodes=args.nodes if args.nodes is not None else doc.get("n_nodes", 256),
+        n_nodes=_flag_or_field(args, "nodes", doc, cfgmod.ACQUISITION_SCHEMA, "n_nodes", 256),
     )
     if cfg.noise_sigma > 0:
         data = add_noise(data)
@@ -139,8 +153,8 @@ def cmd_msr_simulate(args) -> int:
 
 def cmd_msr_reconstruct(args) -> int:
     doc = cfgmod.load_config(args.config, cfgmod.ACQUISITION_SCHEMA)
+    k = _flag_or_field(args, "K", doc, cfgmod.ACQUISITION_SCHEMA, "K", 4)
     data = MsrDataset.load(args.data)
-    k = args.K if args.K is not None else doc.get("K", 4)
     est, report = reconstruct(data, k, method=doc.get("method", "pseudo_inverse"))
     out = {
         "config_hash": cfgmod.config_hash(doc),
@@ -156,7 +170,7 @@ def cmd_msr_reconstruct(args) -> int:
 def cmd_msr_analyze(args) -> int:
     doc = cfgmod.load_config(args.config, cfgmod.ACQUISITION_SCHEMA)
     cfg = _msr_config_from(doc, args.seed)
-    k = args.K if args.K is not None else doc.get("K", 4)
+    k = _flag_or_field(args, "K", doc, cfgmod.ACQUISITION_SCHEMA, "K", 4)
     sv = singular_values(cfg, k, numeric=k <= 6)
     out = {
         "config_hash": cfgmod.config_hash(doc),
@@ -313,8 +327,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    level = os.environ.get("ESCAT_LOG", "WARNING").upper()
+    if not isinstance(logging.getLevelName(level), int):  # the name of no level
+        _emit_error("config", f"ESCAT_LOG={level!r} is not one of DEBUG, INFO, WARNING, ERROR, CRITICAL")
+        return EXIT_CONFIG
     logging.basicConfig(
-        level=os.environ.get("ESCAT_LOG", "WARNING").upper(),
+        level=level,
         format="%(levelname)s %(name)s: %(message)s",
     )
     parser = build_parser()

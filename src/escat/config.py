@@ -56,7 +56,7 @@ SCENE_SCHEMA = {
         "interior": _MATERIAL_SCHEMA,
         "omega": {"type": "number", "exclusiveMinimum": 0},
         "K": {"type": "integer", "minimum": 0},
-        "n_nodes": {"type": "integer", "minimum": 16},
+        "n_nodes": {"type": "integer", "minimum": 16, "multipleOf": 2},
     },
     "required": ["schema_version", "curve", "exterior", "interior", "omega"],
     "additionalProperties": False,
@@ -77,7 +77,7 @@ ACQUISITION_SCHEMA = {
         "noise_sigma": {"type": "number", "minimum": 0},
         "seed": {"type": "integer"},
         "K": {"type": "integer", "minimum": 0},
-        "n_nodes": {"type": "integer", "minimum": 16},
+        "n_nodes": {"type": "integer", "minimum": 16, "multipleOf": 2},
         "mode": {"enum": ["bie", "expansion"]},
         "method": {"enum": ["pseudo_inverse", "lsq", "lsq_constrained"]},
         "epsilon": {"type": "number", "exclusiveMinimum": 0},

@@ -2,9 +2,21 @@
 
 Curves are 2*pi-periodic analytic parametrizations t -> x(t) with
 counterclockwise orientation, so the outward normal is
-n = (x2', -x1') / |x'|.  Each curve exposes position, velocity (dx/dt)
-and acceleration (d^2x/dt^2); the acceleration enters the diagonal
-limits of the singular quadrature.
+n = (x2', -x1') / |x'|.  Every curve type is a finite Fourier series in
+z = x1 + i x2,
+
+    z(t) = sum_{j=-J..J} c_j e^{ijt},
+
+and one evaluator gives position, velocity (dx/dt) and acceleration
+(d^2x/dt^2) as the series sum_j (ij)^p c_j e^{ijt}, p = 0, 1, 2; the
+acceleration enters the diagonal limits of the singular quadrature.
+The coefficients of each type:
+
+    Circle(r)          c_1 = r
+    Ellipse(a, b)      c_1 = (a + b)/2, c_-1 = (a - b)/2
+    Kite(s)            (c_-2, ..., c_2) = s (0.325, -0.25, -0.65, 1.25, 0.325)
+    FourierRadius      c_{k+1} = r0 rho_k, where r(t)/r0 = sum_k rho_k e^{ikt}:
+                       rho_0 = 1, rho_{+-k} = (eps_k -+ i del_k)/2
 
 Construction validates that the curve encloses the origin, has no cusps
 (|velocity| bounded away from zero) and is simple, all by sampling.
@@ -20,19 +32,34 @@ __all__ = ["BoundaryCurve", "Circle", "Ellipse", "Kite", "FourierRadius", "curve
 
 
 class BoundaryCurve:
-    """Base class; subclasses implement position/velocity/accel."""
+    """Base class: the series z(t) = sum_j c_j e^{ijt}; subclasses set c_-J..c_J."""
+
+    _coeffs: np.ndarray  # complex c_j at index j + J
+
+    def _series(self, t, p: int) -> np.ndarray:
+        """sum_j (ij)^p c_j e^{ijt} as (x1, x2) on the last axis."""
+        t = np.asarray(t, dtype=float)
+        j = np.arange(len(self._coeffs)) - len(self._coeffs) // 2
+        jt = t[..., None] * j
+        z = ((np.cos(jt) + 1j * np.sin(jt)) * (self._coeffs * (1j * j) ** p)).sum(axis=-1)
+        return np.stack([z.real, z.imag], axis=-1)
 
     def position(self, t: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return self._series(t, 0)
 
     def velocity(self, t: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return self._series(t, 1)
 
     def accel(self, t: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return self._series(t, 2)
 
     def to_dict(self) -> dict:
         raise NotImplementedError
+
+    def _set_coeffs(self, coeffs) -> None:
+        """Take c_-J..c_J and validate the curve they describe."""
+        self._coeffs = np.asarray(coeffs, dtype=complex)
+        self.validate()
 
     # -- validation -------------------------------------------------------
 
@@ -88,18 +115,7 @@ class Circle(BoundaryCurve):
         if radius <= 0:
             raise DomainError("radius must be positive")
         self.radius = float(radius)
-        self.validate()
-
-    def position(self, t):
-        t = np.asarray(t, dtype=float)
-        return self.radius * np.stack([np.cos(t), np.sin(t)], axis=-1)
-
-    def velocity(self, t):
-        t = np.asarray(t, dtype=float)
-        return self.radius * np.stack([-np.sin(t), np.cos(t)], axis=-1)
-
-    def accel(self, t):
-        return -self.position(t)
+        self._set_coeffs([0.0, 0.0, self.radius])
 
     def to_dict(self):
         return {"type": "circle", "radius": self.radius}
@@ -110,18 +126,7 @@ class Ellipse(BoundaryCurve):
         if a <= 0 or b <= 0:
             raise DomainError("semi-axes must be positive")
         self.a, self.b = float(a), float(b)
-        self.validate()
-
-    def position(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.stack([self.a * np.cos(t), self.b * np.sin(t)], axis=-1)
-
-    def velocity(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.stack([-self.a * np.sin(t), self.b * np.cos(t)], axis=-1)
-
-    def accel(self, t):
-        return -self.position(t)
+        self._set_coeffs([(self.a - self.b) / 2, 0.0, (self.a + self.b) / 2])
 
     def to_dict(self):
         return {"type": "ellipse", "a": self.a, "b": self.b}
@@ -134,25 +139,7 @@ class Kite(BoundaryCurve):
         if scale <= 0:
             raise DomainError("scale must be positive")
         self.scale = float(scale)
-        self.validate()
-
-    def position(self, t):
-        t = np.asarray(t, dtype=float)
-        x = np.cos(t) + 0.65 * np.cos(2 * t) - 0.65
-        y = 1.5 * np.sin(t)
-        return self.scale * np.stack([x, y], axis=-1)
-
-    def velocity(self, t):
-        t = np.asarray(t, dtype=float)
-        x = -np.sin(t) - 1.3 * np.sin(2 * t)
-        y = 1.5 * np.cos(t)
-        return self.scale * np.stack([x, y], axis=-1)
-
-    def accel(self, t):
-        t = np.asarray(t, dtype=float)
-        x = -np.cos(t) - 2.6 * np.cos(2 * t)
-        y = -1.5 * np.sin(t)
-        return self.scale * np.stack([x, y], axis=-1)
+        self._set_coeffs(self.scale * np.array([0.325, -0.25, -0.65, 1.25, 0.325]))
 
     def to_dict(self):
         return {"type": "kite", "scale": self.scale}
@@ -165,54 +152,13 @@ class FourierRadius(BoundaryCurve):
         self.r0 = float(r0)
         self.cos_coeffs = np.asarray(cos_coeffs, dtype=float)
         self.sin_coeffs = np.asarray(sin_coeffs, dtype=float)
-        self.validate()
-
-    def _radius(self, t):
-        r = np.ones_like(t)
-        for k, e in enumerate(self.cos_coeffs, start=1):
-            r = r + e * np.cos(k * t)
-        for k, d in enumerate(self.sin_coeffs, start=1):
-            r = r + d * np.sin(k * t)
-        return self.r0 * r
-
-    def _radius_d1(self, t):
-        r = np.zeros_like(t)
-        for k, e in enumerate(self.cos_coeffs, start=1):
-            r = r - k * e * np.sin(k * t)
-        for k, d in enumerate(self.sin_coeffs, start=1):
-            r = r + k * d * np.cos(k * t)
-        return self.r0 * r
-
-    def _radius_d2(self, t):
-        r = np.zeros_like(t)
-        for k, e in enumerate(self.cos_coeffs, start=1):
-            r = r - k * k * e * np.cos(k * t)
-        for k, d in enumerate(self.sin_coeffs, start=1):
-            r = r - k * k * d * np.sin(k * t)
-        return self.r0 * r
-
-    def position(self, t):
-        t = np.asarray(t, dtype=float)
-        r = self._radius(t)
-        return np.stack([r * np.cos(t), r * np.sin(t)], axis=-1)
-
-    def velocity(self, t):
-        t = np.asarray(t, dtype=float)
-        r, r1 = self._radius(t), self._radius_d1(t)
-        return np.stack(
-            [r1 * np.cos(t) - r * np.sin(t), r1 * np.sin(t) + r * np.cos(t)], axis=-1
-        )
-
-    def accel(self, t):
-        t = np.asarray(t, dtype=float)
-        r, r1, r2 = self._radius(t), self._radius_d1(t), self._radius_d2(t)
-        return np.stack(
-            [
-                (r2 - r) * np.cos(t) - 2 * r1 * np.sin(t),
-                (r2 - r) * np.sin(t) + 2 * r1 * np.cos(t),
-            ],
-            axis=-1,
-        )
+        # rho_0..rho_k of r(t)/r0; rho_-k = conj(rho_k)
+        rho = np.zeros(1 + max(len(self.cos_coeffs), len(self.sin_coeffs)), dtype=complex)
+        rho[0] = 1.0
+        rho[1 : len(self.cos_coeffs) + 1] += self.cos_coeffs / 2
+        rho[1 : len(self.sin_coeffs) + 1] -= 0.5j * self.sin_coeffs
+        # z = r(t) e^{it}: c_j = r0 rho_{j-1}, so c_-J = c_-J+1 = 0 for J = k + 1
+        self._set_coeffs(self.r0 * np.concatenate([[0.0, 0.0], rho[:0:-1].conj(), rho]))
 
     def to_dict(self):
         return {

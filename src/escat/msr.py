@@ -245,7 +245,9 @@ def _gh_factors(config: MsrConfig, K: int):
 
 
 def assemble_model(config: MsrConfig, K: int) -> ModelMatrices:
-    """Model matrices for truncation K; requires 2K+1 <= min(N_s, N_r)."""
+    """Model matrices for truncation K; requires 0 <= K and 2K+1 <= min(N_s, N_r)."""
+    if K < 0:
+        raise DomainError(f"truncation K must be nonnegative, got {K}")
     if 2 * K + 1 > min(config.n_sources, config.n_receivers):
         raise DomainError("truncation K violates 2K+1 <= min(N_s, N_r)")
     n = np.arange(-K, K + 1)
@@ -363,8 +365,6 @@ def reconstruct(
                      (heuristic regularization of the ill-posed tail)
     """
     cfg = data.config
-    if 2 * K + 1 > min(cfg.n_sources, cfg.n_receivers):
-        raise DomainError("truncation K violates 2K+1 <= min(N_s, N_r)")
     model = assemble_model(cfg, K)
     a = data.a
     _rank_check(model.X, "X")

@@ -65,6 +65,30 @@ _t8 = np.linspace(0.1, 0.1 + 2 * np.pi, 63, endpoint=False)
 _figure_eight = np.stack([np.cos(_t8), np.sin(2 * _t8) / 2], axis=-1)
 
 
+def _polar(r):
+    """The closed form r(t) (cos t, sin t) of a star-shaped curve."""
+    return lambda t: r(t)[:, None] * np.stack([np.cos(t), np.sin(t)], axis=-1)
+
+
+# each shipped curve type with its closed form (README "Curve types")
+_CLOSED_FORMS = {
+    "circle": (Circle(0.7), lambda t: 0.7 * np.stack([np.cos(t), np.sin(t)], axis=-1)),
+    "ellipse": (Ellipse(1.0, 0.3), lambda t: np.stack([np.cos(t), 0.3 * np.sin(t)], axis=-1)),
+    "kite": (
+        Kite(0.4),
+        lambda t: 0.4 * np.stack([np.cos(t) + 0.65 * np.cos(2 * t) - 0.65, 1.5 * np.sin(t)], axis=-1),
+    ),
+    "fourier-cos": (
+        FourierRadius(1.0, cos_coeffs=(0.1, 0.05, 0.02)),
+        _polar(lambda t: 1.0 + 0.1 * np.cos(t) + 0.05 * np.cos(2 * t) + 0.02 * np.cos(3 * t)),
+    ),
+    "fourier-sin": (
+        FourierRadius(1.2, cos_coeffs=(0.1,), sin_coeffs=(0.0, 0.1)),
+        _polar(lambda t: 1.2 * (1.0 + 0.1 * np.cos(t) + 0.1 * np.sin(2 * t))),
+    ),
+}
+
+
 class TestCurves:
     def test_unit_circle_perimeter(self):
         grid = build_grid(Circle(1.0), 64)
@@ -94,6 +118,19 @@ class TestCurves:
         d = c.to_dict()
         c2 = curve_from_dict(d)
         assert_allclose(c2.position(grid.t), c.position(grid.t))
+
+    @pytest.mark.parametrize("name", list(_CLOSED_FORMS))
+    def test_derivatives_and_closed_form(self, name):
+        curve, closed_form = _CLOSED_FORMS[name]
+        t = 2 * np.pi * np.arange(64) / 64 + 0.1
+        h = 1e-5
+
+        def rel(a, b):
+            return np.abs(a - b).max() / np.abs(b).max()
+
+        for f, df in ((curve.position, curve.velocity), (curve.velocity, curve.accel)):
+            assert rel((f(t + h) - f(t - h)) / (2 * h), df(t)) < 1e-8
+        assert rel(curve.position(t), closed_form(t)) < 1e-14
 
     def test_curve_missing_parameter_rejected(self):
         with pytest.raises(ConfigError, match="ellipse.*'a'"):

@@ -521,6 +521,43 @@ class TestFlags:
         assert main(base) == 0
 
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["esc", "compute", "--K", "-1"], "--K: -1 is less than the minimum of 0"),
+            (["esc", "compute", "--nodes", "33"], "--nodes: 33 is not a multiple of 2"),
+            (["msr", "simulate", "--nodes", "8"], "--nodes: 8 is less than the minimum of 16"),
+            (["msr", "reconstruct", "--data", "d", "--K", "-1"], "--K: -1 is less than the minimum of 0"),
+            (["msr", "analyze", "--K", "-1"], "--K: -1 is less than the minimum of 0"),
+        ],
+        ids=["esc-compute-K", "esc-compute-nodes", "msr-simulate-nodes", "msr-reconstruct-K", "msr-analyze-K"],
+    )
+    def test_bad_override_exits_2(self, tmp_path, capsys, argv, message):
+        cfg = write(tmp_path, "cfg.json", SCENE if argv[0] == "esc" else ACQ)
+        assert main(argv + ["--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == {"type": "config", "message": message}
+        assert [f.name for f in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize(
+        "cmd, doc",
+        [(["esc", "compute"], SCENE), (["msr", "simulate"], ACQ)],
+        ids=["esc-compute", "msr-simulate"],
+    )
+    def test_odd_n_nodes_in_config_exits_2(self, tmp_path, capsys, cmd, doc):
+        cfg = write(tmp_path, "cfg.json", dict(doc, n_nodes=33))
+        assert main(cmd + ["--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"type": "config", "message": f"config {cfg} invalid: 33 is not a multiple of 2"}
+
+    def test_unknown_log_level_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("ESCAT_LOG", "verbose")
+        assert main(["verify", "orthogonality"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        message = "ESCAT_LOG='VERBOSE' is not one of DEBUG, INFO, WARNING, ERROR, CRITICAL"
+        assert json.loads(err)["error"] == {"type": "config", "message": message}
+
+
 class TestReadmeUsage:
     def test_usage_lines_parse(self):
         lines = [

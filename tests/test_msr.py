@@ -66,6 +66,8 @@ class TestModelMatrices:
     def test_truncation_precondition(self, cfg):
         with pytest.raises(DomainError):
             assemble_model(cfg, 6)  # 2K+1 = 13 > 12
+        with pytest.raises(DomainError, match="nonnegative, got -1"):
+            assemble_model(cfg, -1)
 
     def test_order_above_bessel_range(self, exterior):
         # K = MAX_ORDER + 1 = 257 needs 2K+1 = 515 sources and receivers
