@@ -117,7 +117,6 @@ from .wavefields import (
     Material,
     MaterialPair,
     _gamma_components,
-    _gamma_tensor,
     _hankel_radial,
     _radial_kernels,
     _traction_components,
@@ -753,12 +752,14 @@ def single_layer_apply(
     n = grid.n_nodes
     dens = np.asarray(density, dtype=complex)
     flat = dens.reshape(-1, 2 * n)
-    wd = flat * np.repeat(grid.weights, 2)
+    wd = (flat.reshape(-1, n, 2) * grid.weights[:, None]).T  # (2, n, k)
     dv, r, nearest, on = _targets(grid, target)
-    out = np.empty((len(r), 2, len(wd)), dtype=complex)  # (t, 2, k)
+    out = np.empty((len(r), 2, len(flat)), dtype=complex)  # (t, 2, k)
     off = ~on
-    gam = _gamma_tensor(dv[off], r[off], omega, material).transpose(0, 2, 1, 3)
-    out[off] = (gam.reshape(-1, 2 * n) @ wd.T).reshape(-1, 2, len(wd))
+    dv, r = dv[off], r[off]
+    phi, chi, _ = _hankel_radial(r, omega, material)
+    comp = _gamma_components(phi, chi, (dv[..., 0] / r, dv[..., 1] / r))
+    out[off] = np.stack([comp[k][0] @ wd[0] + comp[k][1] @ wd[1] for k in (0, 1)], axis=1)
     if on.any():
         smat = single_layer_matrix(grid, omega, material).reshape(n, 2, 2 * n)
         out[on] = smat[nearest[on]] @ flat.T

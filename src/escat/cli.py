@@ -12,8 +12,9 @@ Subcommands:
 
 A flag overrides the matching config field (--nodes: n_nodes); each
 subcommand accepts only the flags it reads.  Exit codes: 0 success,
-1 runtime failure, 2 configuration/usage error, 3 resonance
-(near-singular system).  Structured error JSON goes to stderr.
+1 runtime failure, 2 a config document, a flag or a value escat rejects
+(say a K that breaks 2K+1 <= min(N_s, N_r)), 3 resonance (near-singular
+system).  Structured error JSON goes to stderr.
 ESCAT_LOG sets the log level.  Results are written atomically and carry
 the config hash and seed.
 """
@@ -21,7 +22,6 @@ the config hash and seed.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import logging
 import os
@@ -32,7 +32,7 @@ import numpy as np
 from . import config as cfgmod
 from .cloak import LayeredStructure, _w_stack, design_svanishing, scaling_report
 from .curves import curve_from_dict
-from .errors import ConfigError, DomainError, EscatError, ResonanceError
+from .errors import ConfigError, DomainError, EscatError, RangeError, ResonanceError
 from .esc import compute_esc, decay_profile, verify_optical, verify_symmetries
 from .msr import (
     MsrConfig,
@@ -59,24 +59,6 @@ def _emit_error(kind: str, message: str) -> None:
     sys.stderr.write(json.dumps({"error": {"type": kind, "message": message}}) + "\n")
 
 
-def _config_values(build):
-    """build, raising a ConfigError (exit 2) where a constructor rejects a config value."""
-
-    @functools.wraps(build)
-    def checked(*args, **kwargs):
-        try:
-            return build(*args, **kwargs)
-        except DomainError as e:
-            raise ConfigError(str(e)) from e
-
-    return checked
-
-
-_structure_from = _config_values(LayeredStructure.from_dict)
-_curve_from = _config_values(curve_from_dict)
-
-
-@_config_values
 def _scene_from(doc: dict):
     curve = curve_from_dict(doc["curve"])
     pair = MaterialPair(
@@ -85,7 +67,6 @@ def _scene_from(doc: dict):
     return curve, pair
 
 
-@_config_values
 def _msr_config_from(doc: dict, seed_override=None) -> MsrConfig:
     doc = dict(doc)
     if doc.get("radius") is None:
@@ -183,7 +164,7 @@ def cmd_msr_analyze(args) -> int:
     if "sigma_numeric" in sv:
         out["sigma_numeric"] = sv["sigma_numeric"].tolist()
     if cfg.noise_sigma > 0:
-        curve = _curve_from(doc["curve"])
+        curve = curve_from_dict(doc["curve"])
         grid_t = np.linspace(0, 2 * np.pi, 512, endpoint=False)
         v = curve.velocity(grid_t)
         perimeter = float(np.hypot(v[:, 0], v[:, 1]).mean() * 2 * np.pi)
@@ -200,8 +181,7 @@ def cmd_cloak_design(args) -> int:
     ext = Material.from_dict(doc["exterior"])
     r_cavity = doc.get("r_cavity", 1.0)
     omega_set = [ks * ext.c_s / r_cavity for ks in doc["kappa_s_set"]]
-    # every DomainError of the design is a config value it rejects
-    rep = _config_values(design_svanishing)(
+    rep = design_svanishing(
         L=doc["n_layers"],
         N=doc["order"],
         omega_set=omega_set,
@@ -242,7 +222,7 @@ def cmd_cloak_design(args) -> int:
 
 def cmd_cloak_evaluate(args) -> int:
     doc = cfgmod.load_config(args.config, cfgmod.EVALUATE_SCHEMA)
-    structure = _structure_from(doc["structure"])
+    structure = LayeredStructure.from_dict(doc["structure"])
     omega = doc["omega"]
     freqs = [float(w) for w in omega] if isinstance(omega, list) else [omega]
     # one table over the frequencies and orders; a resonance names its (omega, n)
@@ -262,7 +242,7 @@ def cmd_cloak_evaluate(args) -> int:
 
 def cmd_cloak_scaling(args) -> int:
     doc = cfgmod.load_config(args.config, cfgmod.SCALING_SCHEMA)
-    structure = _structure_from(doc["structure"])
+    structure = LayeredStructure.from_dict(doc["structure"])
     rep = scaling_report(structure, doc["omega_ref"], doc["n_max"], doc["epsilon_grid"])
     cfgmod.atomic_write_json(
         args.out, {"config_hash": cfgmod.config_hash(doc), "scaling": rep}
@@ -271,10 +251,7 @@ def cmd_cloak_scaling(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        checks = run_suite(args.suites or None, negate_y_block=args.negate_y_block)
-    except KeyError as e:
-        raise ConfigError(str(e)) from e
+    checks = run_suite(args.suites or None, negate_y_block=args.negate_y_block)
     ok = all(c["passed"] for c in checks)
     doc = {"passed": ok, "checks": checks}
     if args.out:
@@ -342,7 +319,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if e.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except ConfigError as e:
+    except (ConfigError, DomainError, RangeError) as e:  # a value escat rejects
         _emit_error("config", str(e))
         return EXIT_CONFIG
     except ResonanceError as e:

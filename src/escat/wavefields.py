@@ -253,10 +253,3 @@ def _traction_components(a, rhat, nrm):
         return out
 
     return ((entry(0, 0), entry(0, 1)), (entry(1, 0), entry(1, 1)))
-
-
-def _gamma_tensor(dv, r, omega, material):
-    """Kupradze tensor Gamma^w(x - y), (..., 2, 2), at dv = x - y of length r > 0."""
-    phi, chi, _ = _hankel_radial(r, omega, material)
-    comp = _gamma_components(phi, chi, (dv[..., 0] / r, dv[..., 1] / r))
-    return np.stack([np.stack(row, axis=-1) for row in comp], axis=-2)

@@ -20,6 +20,8 @@ from escat import cli
 from escat import config as cfgmod
 from escat.cli import build_parser, main
 from escat.errors import EscatError
+from escat.msr import MsrConfig, MsrDataset
+from escat.wavefields import Material
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -118,14 +120,41 @@ class TestEscCompute:
 
 
 class TestMsr:
-    def test_receivers_inside_inclusion_exit_1(self, tmp_path, capsys):
+    def test_receivers_inside_inclusion_exit_2(self, tmp_path, capsys):
         doc = {k: v for k, v in ACQ.items() if k != "radius_wavelengths"}
         cfg = write(tmp_path, "acq.json", dict(doc, radius=0.5))
-        assert main(["msr", "simulate", "--config", cfg, "--out", str(tmp_path / "d")]) == 1
+        assert main(["msr", "simulate", "--config", cfg, "--out", str(tmp_path / "d")]) == 2
         err = json.loads(capsys.readouterr().err)["error"]
         message = "receiver at [0.5, 0.0] lies inside the inclusion"
-        assert err == {"type": "runtime", "message": message}
+        assert err == {"type": "config", "message": message}
         assert [f.name for f in tmp_path.iterdir()] == ["acq.json"]
+
+    @pytest.mark.parametrize(
+        "argv, change, message",
+        [
+            (["msr", "analyze", "--K", "5"], {}, "truncation K violates 2K+1 <= min(N_s, N_r)"),
+            (["msr", "reconstruct", "--K", "5"], {}, "truncation K violates 2K+1 <= min(N_s, N_r)"),
+            (["msr", "analyze", "--epsilon", "-1"], {"noise_sigma": 0.01}, "snr and epsilon must be positive"),
+            (["msr", "simulate"], {"mode": "expansion", "K": None}, "expansion mode needs K or an EscMatrix"),
+            # a RangeError of the Bessel orders, not a DomainError
+            (["msr", "analyze", "--K", "257"], {"n_sources": 515, "n_receivers": 515},
+             "|order| must be <= 256, got 257"),
+        ],
+        ids=["analyze-K", "reconstruct-K", "analyze-epsilon", "simulate-expansion-no-K", "analyze-order"],
+    )
+    def test_rejected_value_exits_2(self, tmp_path, capsys, argv, change, message):
+        # each passes the schema; the library rejects it with its own message
+        doc = {k: v for k, v in dict(ACQ, **change).items() if v is not None}
+        cfg = write(tmp_path, "acq.json", doc)
+        if argv[1] == "reconstruct":
+            config = MsrConfig(radius=2e3 * np.pi, n_sources=10, n_receivers=10, omega=1.0,
+                               exterior=Material.from_dict(ACQ["exterior"]))
+            MsrDataset(np.zeros((20, 20)), config).save(tmp_path / "data")
+            argv = argv + ["--data", str(tmp_path / "data")]
+        written = sorted(f.name for f in tmp_path.iterdir())
+        assert main(argv + ["--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == {"type": "config", "message": message}
+        assert sorted(f.name for f in tmp_path.iterdir()) == written
 
     def test_round_trip(self, tmp_path):
         cfg = write(tmp_path, "acq.json", dict(ACQ, mode="expansion", method="lsq"))

@@ -12,7 +12,8 @@ from escat.msr import MsrConfig, assemble_model
 from escat.wavefields import (
     Material,
     MaterialPair,
-    _gamma_tensor,
+    _gamma_components,
+    _hankel_radial,
     _plane_wave_table,
     _wave_table,
 )
@@ -193,9 +194,12 @@ class TestPlaneWave:
 
 
 def kupradze(x, y, material):
-    """Gamma^w(x - y) from the solver's Kupradze tensor."""
+    """Gamma^w(x - y), (..., 2, 2), from the solver's Kupradze components."""
     dv = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    return _gamma_tensor(dv, np.hypot(dv[..., 0], dv[..., 1]), OMEGA, material)
+    r = np.hypot(dv[..., 0], dv[..., 1])
+    phi, chi, _ = _hankel_radial(r, OMEGA, material)
+    comp = _gamma_components(phi, chi, (dv[..., 0] / r, dv[..., 1] / r))
+    return np.stack([np.stack(row, axis=-1) for row in comp], axis=-2)
 
 
 class TestFundamentalSolution:
